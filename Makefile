@@ -27,7 +27,7 @@ bench:
 # therefore be piped in here, or a refresh would drop it.
 bench-json:
 	{ $(GO) test -bench 'SchedulerSlot|ReweightStorm' -benchtime=1s -run XXX . ; \
-	  $(GO) test -bench WirePath -benchtime=1s -run XXX ./internal/serve ; \
+	  $(GO) test -bench 'WirePath$$' -benchtime=1s -run XXX ./internal/serve ; \
 	  $(GO) test -bench ClusterMigration -benchtime=1s -run XXX ./internal/cluster ; \
 	  $(GO) test -bench 'LintModule|CFGBuild' -benchtime=3x -run XXX ./internal/analysis ; } \
 		| $(GO) run ./cmd/benchjson -out BENCH_core.json
@@ -37,7 +37,7 @@ bench-json:
 # writes the file.
 bench-check:
 	{ $(GO) test -bench 'SchedulerSlot|ReweightStorm' -benchtime=1s -run XXX . ; \
-	  $(GO) test -bench WirePath -benchtime=1s -run XXX ./internal/serve ; } \
+	  $(GO) test -bench 'WirePath$$' -benchtime=1s -run XXX ./internal/serve ; } \
 		| $(GO) run ./cmd/benchjson -check -out BENCH_core.json
 
 # Lint-suite perf gate: one warm full-module pd2lint pass (load,

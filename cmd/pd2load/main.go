@@ -1,13 +1,11 @@
 // Command pd2load is a closed-loop load generator for pd2d. It joins a
 // population of tasks on every shard, then drives a stream of reweight
 // commands (batched per request, optionally interleaved with advances)
-// from N workers. Each worker owns one persistent TCP connection and
-// keeps up to -pipeline requests in flight on it (HTTP/1.1 pipelining:
-// pd2d frames every hot-path response with an explicit Content-Length,
-// so responses are read back in order without chunked parsing).
-// Backpressure (429) is honoured by retrying after a capped exponential
-// backoff floored at the server's Retry-After hint — backpressured
-// commands are retried, never dropped.
+// from N workers. Each worker is a closed loop over one shared
+// net/http client: it posts one batch, reads the reply, and only then
+// builds the next. Backpressure (429) is honoured by retrying after a
+// capped exponential backoff floored at the server's Retry-After hint —
+// backpressured commands are retried, never dropped.
 //
 // The total -requests budget is split across workers with the remainder
 // distributed one-per-worker, so exactly -requests commands are
@@ -16,19 +14,19 @@
 // With -strict it exits non-zero unless the run was admission-clean:
 // no property-(W) rejections, no engine invariant violations, no failed
 // applies, no server errors — the serve-smoke CI gate.
+//
+// pd2load checks correctness; it is not a benchmark. Throughput and
+// latency are measured by pd2bench (bench/README.md).
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"log"
-	"net"
 	"net/http"
-	"net/url"
 	"os"
 	"strconv"
 	"sync"
@@ -58,7 +56,6 @@ type config struct {
 	batch    int
 	tasks    int
 	advEvery int
-	pipeline int
 	seed     int64
 	prefix   string
 	strict   bool
@@ -77,7 +74,6 @@ func main() {
 	flag.IntVar(&cfg.workers, "workers", 8, "concurrent closed-loop workers")
 	flag.IntVar(&cfg.requests, "requests", 50000, "total commands to send across all workers")
 	flag.IntVar(&cfg.batch, "batch", 8, "commands per HTTP request")
-	flag.IntVar(&cfg.pipeline, "pipeline", 4, "requests in flight per worker connection (1 = strict closed loop)")
 	flag.IntVar(&cfg.tasks, "tasks", 16, "tasks to join per shard during setup")
 	flag.IntVar(&cfg.advEvery, "advance-every", 64, "per worker, advance the target shard one slot every N posts (0 never)")
 	flag.Int64Var(&cfg.seed, "seed", 1, "RNG seed for the weight stream")
@@ -102,36 +98,22 @@ func run(cfg config) (workerStats, error) {
 		// daemon to record from or replay against.
 		return tot, fmt.Errorf("-record/-replay are not supported with -route")
 	}
+	client := newClient(cfg.workers)
 	if cfg.replay != "" {
-		return tot, runReplay(cfg)
+		return tot, runReplay(client, cfg)
 	}
 	if cfg.verify {
-		return tot, runVerify(cfg)
+		return tot, runVerify(client, cfg)
 	}
 	if cfg.shards < 1 || cfg.workers < 1 || cfg.batch < 1 || cfg.tasks < 1 {
 		return tot, fmt.Errorf("shards, workers, batch, tasks must all be >= 1")
 	}
-	if cfg.pipeline < 1 || cfg.pipeline > 64 {
-		// The client writes a full window before reading any response;
-		// an unbounded window could deadlock against kernel socket
-		// buffers once window bytes outgrow them.
-		return tot, fmt.Errorf("pipeline must be in [1, 64]")
-	}
 	if cfg.shape != "" && cfg.template != "" {
 		return tot, fmt.Errorf("-shape and -template are mutually exclusive")
 	}
-	client := &http.Client{
-		Transport: &http.Transport{
-			MaxIdleConns:        cfg.workers * 2,
-			MaxIdleConnsPerHost: cfg.workers * 2,
-		},
-		Timeout: 30 * time.Second,
-	}
 	// Route mode resolves each shard's primary from the coordinator's
-	// table; workers then retarget their connections per window, so
-	// -addr is only dialled in the single-daemon default.
-	var addr, host string
-	var err error
+	// table before every post, so -addr is only used in the single-daemon
+	// default.
 	resolve := fixedResolver(cfg.base)
 	var rt *router
 	if cfg.route != "" {
@@ -140,10 +122,6 @@ func run(cfg config) (workerStats, error) {
 			return tot, fmt.Errorf("route: %w", err)
 		}
 		resolve = rt.resolve
-	} else {
-		if addr, host, err = parseBase(cfg.base); err != nil {
-			return tot, err
-		}
 	}
 
 	gens, tolerateRejections, err := buildGenerators(client, cfg, rt, resolve)
@@ -164,9 +142,7 @@ func run(cfg config) (workerStats, error) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			pc := &pconn{addr: addr, host: host}
-			defer pc.close()
-			st[w] = gens[w].drive(pc, budgets[w], cfg.batch, cfg.advEvery, cfg.pipeline)
+			st[w] = gens[w].drive(client, cfg.base, budgets[w], cfg.batch, cfg.advEvery)
 		}(w)
 	}
 	wg.Wait()
@@ -221,6 +197,22 @@ func run(cfg config) (workerStats, error) {
 	return tot, nil
 }
 
+// newClient builds the one client that carries all of a run's traffic,
+// keeping an idle keep-alive connection per worker. It hands 307s back
+// instead of following them: a worker must count each reroute against
+// its cap and refresh its router, and the helpers follow them
+// explicitly (see send).
+func newClient(workers int) *http.Client {
+	return &http.Client{
+		Transport: &http.Transport{
+			MaxIdleConns:        workers * 2,
+			MaxIdleConnsPerHost: workers * 2,
+		},
+		Timeout:       60 * time.Second,
+		CheckRedirect: func(*http.Request, []*http.Request) error { return http.ErrUseLastResponse },
+	}
+}
+
 // statsLine renders the end-of-run throughput summary; TestStatsLine
 // pins the format.
 func statsLine(tot workerStats, elapsed time.Duration) string {
@@ -242,7 +234,7 @@ func anomalyLine(tot workerStats, rep auditReport) string {
 
 // runReplay replays a recorded trace against a fresh daemon and
 // verifies every shard reproduces its recorded digest byte-for-byte.
-func runReplay(cfg config) error {
+func runReplay(client *http.Client, cfg config) error {
 	f, err := os.Open(cfg.replay)
 	if err != nil {
 		return err
@@ -254,7 +246,6 @@ func runReplay(cfg config) error {
 	if derr != nil {
 		return derr
 	}
-	client := &http.Client{Timeout: 60 * time.Second}
 	results, rerr := workgen.Replay(client, cfg.base, tr)
 	for _, r := range results {
 		verdict := "MATCH"
@@ -332,25 +323,6 @@ func splitBudget(requests, workers int) []int {
 		}
 	}
 	return parts
-}
-
-// parseBase extracts the dial address and Host header from the base URL.
-func parseBase(base string) (addr, host string, err error) {
-	u, err := url.Parse(base)
-	if err != nil {
-		return "", "", fmt.Errorf("parsing -addr: %w", err)
-	}
-	if u.Scheme != "http" {
-		return "", "", fmt.Errorf("pipelined client speaks plain http, got scheme %q", u.Scheme)
-	}
-	if u.Host == "" {
-		return "", "", fmt.Errorf("-addr %q has no host", base)
-	}
-	addr = u.Host
-	if u.Port() == "" {
-		addr = net.JoinHostPort(u.Hostname(), "80")
-	}
-	return addr, u.Host, nil
 }
 
 const maxBackoff = 250 * time.Millisecond
@@ -505,25 +477,11 @@ func shardM(client *http.Client, resolve resolver) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	resp, err := client.Get(base + "/v1/shards")
-	if err != nil {
-		return 0, err
-	}
-	body, rerr := io.ReadAll(resp.Body)
-	if cerr := resp.Body.Close(); cerr != nil {
-		return 0, cerr
-	}
-	if rerr != nil {
-		return 0, rerr
-	}
-	if resp.StatusCode != http.StatusOK {
-		return 0, fmt.Errorf("listing shards: %d: %s", resp.StatusCode, body)
-	}
 	var shards []struct {
 		M int `json:"m"`
 	}
-	if err := json.Unmarshal(body, &shards); err != nil {
-		return 0, err
+	if err := getJSON(client, base+"/v1/shards", &shards); err != nil {
+		return 0, fmt.Errorf("listing shards: %w", err)
 	}
 	if len(shards) == 0 {
 		return 0, fmt.Errorf("daemon reports no shards")
@@ -592,8 +550,8 @@ func buildGenerators(client *http.Client, cfg config, rt *router, resolve resolv
 		for w := range gens {
 			gens[w] = &genState{
 				kind: genUniform, prefix: cfg.prefix, shards: cfg.shards, shard: w % cfg.shards,
-				// Routed workers stay pinned to one shard: rotation would
-				// redial a different primary every 13 posts for no gain.
+				// Routed workers stay pinned to one shard: a worker's
+				// advances go to the primary its last post resolved.
 				rotate: cfg.route == "", tasks: cfg.tasks, batch: cfg.batch,
 				rng: stats.NewStream(uint64(cfg.seed), uint64(w)),
 				rt:  rt,
@@ -687,26 +645,20 @@ func setup(client *http.Client, resolve resolver, prefix string, shards, tasks i
 	return nil
 }
 
-// wireReq is one encoded request awaiting its response: the batch body
-// and how many commands it carries (so retries keep the budget exact).
-type wireReq struct {
-	path string
-	body []byte
-	n    int
-}
-
 // queuedMarker counts accepted commands in a batch reply without a JSON
 // decode. Safe here because the generator only sends reweights of its
 // own alphanumeric task names, so the marker cannot appear inside a
 // rejection reason.
 var queuedMarker = []byte(`"status":"queued"`)
 
-// drive is one worker's loop: keep up to `pipeline` batch requests in
-// flight on one connection, read replies in order, retry 429s. The
-// budget counts *delivered* commands — queued or rejected — so
-// templates built to be rejected (admission camping, heavy flood)
-// still terminate.
-func (g *genState) drive(pc *pconn, budget, batch, advEvery, pipeline int) workerStats {
+var advanceBody = []byte(`{"slots":1}`)
+
+// drive is one worker's closed loop: post one batch, read its reply,
+// and retry the same batch after a capped backoff on 429 (and, routed,
+// on 503 or a 307 reroute) before generating the next. The budget
+// counts *delivered* commands — queued or rejected — so templates built
+// to be rejected (admission camping, heavy flood) still terminate.
+func (g *genState) drive(client *http.Client, base string, budget, batch, advEvery int) workerStats {
 	var st workerStats
 	// rng also feeds the backoff jitter; fall back to a fixed stream for
 	// generators that carry their RNG inside a workgen stream.
@@ -720,222 +672,155 @@ func (g *genState) drive(pc *pconn, budget, batch, advEvery, pipeline int) worke
 		cmdPaths[s] = fmt.Sprintf("/v1/shards/%d/commands", s)
 		advPaths[s] = fmt.Sprintf("/v1/shards/%d/advance", s)
 	}
-	window := make([]wireReq, 0, pipeline)
-	var retryQ []wireReq
-	var free [][]byte
+	var body []byte
+	n, target := 0, 0 // commands in body (0 = none awaiting a post) and their shard
 	attempt := 0
 	var advancesDone int64
-	for st.sent+st.rejected < int64(budget) || len(retryQ) > 0 {
-		// Assemble the window: queued retries first, then fresh batches
-		// up to the part of the budget not already in flight or queued.
-		window = window[:0]
-		nr := len(retryQ)
-		if nr > pipeline {
-			nr = pipeline
-		}
-		window = append(window, retryQ[:nr]...)
-		retryQ = retryQ[:copy(retryQ, retryQ[nr:])]
-		pendingCmds := 0
-		for _, it := range retryQ {
-			pendingCmds += it.n
-		}
-		for _, it := range window {
-			pendingCmds += it.n
-		}
-		for len(window) < pipeline {
-			need := budget - int(st.sent+st.rejected) - pendingCmds
-			if need <= 0 {
-				break
-			}
-			n := batch
-			if need < n {
-				n = need
-			}
-			var body []byte
-			if len(free) > 0 {
-				body, free = free[len(free)-1], free[:len(free)-1]
-			}
-			var got int
-			body, got = g.nextBatch(body[:0], n)
+	for st.sent+st.rejected < int64(budget) {
+		if n == 0 {
+			target = g.shard
+			body, n = g.nextBatch(body[:0], min(batch, budget-int(st.sent+st.rejected)))
 			st.posts++ // idle shape rounds still count, so advance pacing stays phase-driven
-			if got == 0 {
-				// Idle phase round: nothing to post. Fall through so the
-				// pending advances still fire; the shape cycle is
-				// guaranteed to reach a productive phase.
-				free = append(free, body)
-				break
+			if n > 0 {
+				g.maybeRotate(st.posts)
 			}
-			window = append(window, wireReq{path: cmdPaths[g.shard], body: body, n: got})
-			pendingCmds += got
-			g.maybeRotate(st.posts)
+			// An idle phase round (n == 0) posts nothing but still lets
+			// the due advances fire; the shape cycle is guaranteed to
+			// reach a productive phase.
 		}
-		var hint time.Duration
-		got429 := false
-		if len(window) > 0 {
-			// Routed workers re-resolve their shard's primary before every
-			// window; a table refresh (307 or version mismatch last round)
-			// retargets the connection here.
-			if g.rt != nil {
-				if base, err := g.rt.resolve(g.shard); err == nil {
-					if err := pc.retarget(base); err != nil {
-						st.transportErrs++
-						return st
-					}
-				}
+		// Routed workers re-resolve their shard's primary every round, so
+		// a table refresh (307 or version mismatch) takes effect on the
+		// next post or advance.
+		if g.rt != nil {
+			if b, err := g.rt.resolve(target); err == nil {
+				base = b
 			}
-			if err := pc.ensure(); err != nil {
+		}
+		if n > 0 {
+			resp, reply, err := send(client, http.MethodPost, base+cmdPaths[target], body, false)
+			if err != nil {
 				st.transportErrs++
 				return st
 			}
-			for i := range window {
-				if err := pc.writeReq(window[i].path, window[i].body); err != nil {
+			g.noteVersion(resp)
+			if resp.StatusCode != http.StatusTemporaryRedirect {
+				g.reroutes = 0
+			}
+			retry := false
+			switch {
+			case resp.StatusCode == http.StatusTooManyRequests:
+				retry = true
+			case resp.StatusCode == http.StatusTemporaryRedirect:
+				// Stale route: the shard moved. Requeue through the same
+				// capped backoff path as a 429 and chase Location.
+				if g.noteReroute() {
 					st.transportErrs++
 					return st
 				}
-			}
-			if err := pc.flush(); err != nil {
-				st.transportErrs++
-				return st
-			}
-			// Retargeting must wait until the whole window is read off the
-			// old connection; remember the redirect and apply it after.
-			redirectTo := ""
-			for i := range window {
-				resp, err := pc.readResp()
-				if err != nil {
-					st.transportErrs++
-					pc.close()
-					return st
-				}
-				if g.rt != nil && resp.routeVersion > 0 {
-					g.rt.noteVersion(resp.routeVersion)
-				}
-				it := window[i]
-				if resp.status != http.StatusTemporaryRedirect {
-					g.reroutes = 0
-				}
-				switch {
-				case resp.status == http.StatusTooManyRequests:
-					st.retries++
-					got429 = true
-					if resp.retryAfter > hint {
-						hint = resp.retryAfter
-					}
-					retryQ = append(retryQ, it)
-				case resp.status == http.StatusTemporaryRedirect:
-					// Stale route: the shard moved. Requeue through the same
-					// capped backoff path as a 429 and chase Location.
-					if g.noteReroute() {
-						st.transportErrs++
-						pc.close()
-						return st
-					}
-					st.retries++
-					got429 = true
-					if resp.retryAfter > hint {
-						hint = resp.retryAfter
-					}
-					if resp.location != "" {
-						redirectTo = resp.location
-					}
-					retryQ = append(retryQ, it)
-				case resp.status == http.StatusServiceUnavailable && g.rt != nil:
-					// Cluster backpressure (migration gate draining, a
-					// follower ack outstanding, table propagating): the
-					// command was not acked, so retry it like a 429.
-					st.retries++
-					got429 = true
-					if resp.retryAfter > hint {
-						hint = resp.retryAfter
-					}
-					retryQ = append(retryQ, it)
-				case resp.status >= 500:
-					st.serverErrors++
-					free = append(free, it.body)
-				case resp.status != http.StatusOK:
-					st.rejected += int64(it.n)
-					free = append(free, it.body)
-				default:
-					q := bytes.Count(resp.body, queuedMarker)
-					st.sent += int64(q)
-					st.rejected += int64(it.n - q)
-					free = append(free, it.body)
-				}
-			}
-			if redirectTo != "" {
-				if g.rt != nil {
-					_ = g.rt.refresh() // best effort; resolve falls back to the cached table
-				}
-				if err := pc.retarget(redirectTo); err != nil {
+				retry = true
+				if base, err = g.reroute(resp, base); err != nil {
 					st.transportErrs++
 					return st
 				}
+			case resp.StatusCode == http.StatusServiceUnavailable && g.rt != nil:
+				// Cluster backpressure (migration gate draining, a
+				// follower ack outstanding, table propagating): the
+				// command was not acked, so retry it like a 429.
+				retry = true
+			case resp.StatusCode >= 500:
+				st.serverErrors++
+			case resp.StatusCode != http.StatusOK:
+				st.rejected += int64(n)
+			default:
+				q := bytes.Count(reply, queuedMarker)
+				st.sent += int64(q)
+				st.rejected += int64(n - q)
 			}
-		}
-		if got429 {
-			d := backoffDelay(attempt, hint, rng)
-			attempt++
-			st.backoff += d
-			time.Sleep(d)
-		} else {
-			attempt = 0
+			if retry {
+				st.retries++
+				d := backoffDelay(attempt, retryAfter(resp), rng)
+				attempt++
+				st.backoff += d
+				time.Sleep(d)
+			} else {
+				attempt = 0
+				n = 0
+			}
 		}
 		if advEvery > 0 {
 			advanced := false
 			for due := st.posts / int64(advEvery); advancesDone < due; advancesDone++ {
-				if err := pc.ensure(); err != nil {
-					st.transportErrs++
-					return st
-				}
-				if err := pc.writeReq(advPaths[g.shard], []byte(`{"slots":1}`)); err != nil {
-					st.transportErrs++
-					return st
-				}
-				if err := pc.flush(); err != nil {
-					st.transportErrs++
-					return st
-				}
-				resp, err := pc.readResp()
+				resp, _, err := send(client, http.MethodPost, base+advPaths[g.shard], advanceBody, false)
 				if err != nil {
 					st.transportErrs++
-					pc.close()
 					return st
 				}
-				if g.rt != nil && resp.routeVersion > 0 {
-					g.rt.noteVersion(resp.routeVersion)
-				}
+				g.noteVersion(resp)
 				switch {
-				case resp.status == http.StatusTemporaryRedirect:
+				case resp.StatusCode == http.StatusTemporaryRedirect:
 					// The shard moved: chase the redirect for subsequent
 					// requests. This advance is dropped — advances pace
 					// the load, they are not part of the budget.
-					if g.rt != nil {
-						_ = g.rt.refresh()
+					if base, err = g.reroute(resp, base); err != nil {
+						st.transportErrs++
+						return st
 					}
-					if resp.location != "" {
-						if err := pc.retarget(resp.location); err != nil {
-							st.transportErrs++
-							return st
-						}
-					}
-				case resp.status == http.StatusServiceUnavailable && g.rt != nil:
+				case resp.StatusCode == http.StatusServiceUnavailable && g.rt != nil:
 					// Cluster backpressure; the next due advance retries.
-				case resp.status >= 500:
+				case resp.StatusCode >= 500:
 					st.serverErrors++
 				}
 				advanced = true
 			}
 			if advanced {
-				// The advance was written after every window response was
-				// read, so all posted joins reached the shard first; churn
-				// streams may now leave them. (A 429'd join still waiting
-				// in retryQ can slip past this and draw a 404 on its
+				// Every posted batch was answered before the advance was
+				// sent, so all posted joins reached the shard first; churn
+				// streams may now leave them. (A 429'd join still awaiting
+				// its retry can slip past this and draw a 404 on its
 				// leave — tolerated, shape/template runs expect strays.)
 				g.advanced()
 			}
 		}
 	}
 	return st
+}
+
+// noteVersion hands a routed reply's X-PD2-Route-Version to the router,
+// which refreshes its table when the advertised version is newer.
+func (g *genState) noteVersion(resp *http.Response) {
+	if g.rt == nil {
+		return
+	}
+	if v, err := strconv.ParseInt(resp.Header.Get("X-PD2-Route-Version"), 10, 64); err == nil && v > 0 {
+		g.rt.noteVersion(v)
+	}
+}
+
+// reroute handles a 307: it refreshes the router (best effort; resolve
+// falls back to the cached table) and returns the scheme://host of the
+// redirect's Location, or base unchanged when it carries none.
+func (g *genState) reroute(resp *http.Response, base string) (string, error) {
+	if g.rt != nil {
+		_ = g.rt.refresh() // best effort; the next 307 retries it
+	}
+	u, err := resp.Location()
+	if err == http.ErrNoLocation {
+		return base, nil
+	}
+	if err != nil {
+		return "", fmt.Errorf("reroute: %w", err)
+	}
+	return u.Scheme + "://" + u.Host, nil
+}
+
+// retryAfter parses a reply's Retry-After hint in whole seconds (0 if
+// absent or malformed).
+func retryAfter(resp *http.Response) time.Duration {
+	n, err := strconv.Atoi(resp.Header.Get("Retry-After"))
+	if err != nil || n < 0 {
+		return 0
+	}
+	return time.Duration(n) * time.Second
 }
 
 // appendBatch encodes n reweight commands as a JSON array. Weights move
@@ -958,257 +843,6 @@ func appendBatch(b []byte, prefix string, shard, n, tasks int, rng *stats.RNG) [
 		b = append(b, `/64"}`...)
 	}
 	return append(b, ']')
-}
-
-// pconn is a persistent HTTP/1.1 connection with request pipelining:
-// write up to a window of requests, flush once, read the responses back
-// in order. pd2d sends explicit Content-Length on the hot path; chunked
-// framing is parsed as a fallback for other handlers.
-type pconn struct {
-	addr string
-	host string
-	c    net.Conn
-	br   *bufio.Reader
-	bw   *bufio.Writer
-	body []byte
-}
-
-type wireResp struct {
-	status       int
-	retryAfter   time.Duration
-	body         []byte // valid until the next readResp
-	location     string // Location header ("" if absent); 307 reroute target
-	routeVersion int64  // X-PD2-Route-Version header (0 if absent)
-}
-
-func (p *pconn) ensure() error {
-	if p.c != nil {
-		return nil
-	}
-	c, err := net.DialTimeout("tcp", p.addr, 5*time.Second)
-	if err != nil {
-		return err
-	}
-	p.c = c
-	if p.br == nil {
-		p.br = bufio.NewReaderSize(c, 64<<10)
-		p.bw = bufio.NewWriterSize(c, 64<<10)
-	} else {
-		p.br.Reset(c)
-		p.bw.Reset(c)
-	}
-	return nil
-}
-
-func (p *pconn) close() {
-	if p.c != nil {
-		_ = p.c.Close() // best effort; the conn is being abandoned
-		p.c = nil
-	}
-}
-
-// writeReq buffers one request. bufio errors are sticky, so the
-// intermediate write errors are dropped and flush reports them.
-func (p *pconn) writeReq(path string, body []byte) error {
-	_ = p.c.SetWriteDeadline(time.Now().Add(30 * time.Second))
-	var tmp [20]byte
-	_, _ = p.bw.WriteString("POST ")
-	_, _ = p.bw.WriteString(path)
-	_, _ = p.bw.WriteString(" HTTP/1.1\r\nHost: ")
-	_, _ = p.bw.WriteString(p.host)
-	_, _ = p.bw.WriteString("\r\nContent-Type: application/json\r\nContent-Length: ")
-	_, _ = p.bw.Write(strconv.AppendInt(tmp[:0], int64(len(body)), 10))
-	_, _ = p.bw.WriteString("\r\n\r\n")
-	_, err := p.bw.Write(body)
-	return err
-}
-
-func (p *pconn) flush() error { return p.bw.Flush() }
-
-func (p *pconn) readResp() (wireResp, error) {
-	var r wireResp
-	_ = p.c.SetReadDeadline(time.Now().Add(30 * time.Second))
-	line, err := p.readLine()
-	if err != nil {
-		return r, err
-	}
-	if len(line) < 12 || !bytes.HasPrefix(line, []byte("HTTP/1.")) {
-		return r, fmt.Errorf("malformed status line %q", line)
-	}
-	status, ok := atoiBytes(line[9:12])
-	if !ok {
-		return r, fmt.Errorf("malformed status line %q", line)
-	}
-	r.status = status
-	contentLen := -1
-	chunked, closeAfter := false, false
-	for {
-		line, err = p.readLine()
-		if err != nil {
-			return r, err
-		}
-		if len(line) == 0 {
-			break
-		}
-		colon := bytes.IndexByte(line, ':')
-		if colon < 0 {
-			continue
-		}
-		key, val := line[:colon], bytes.TrimSpace(line[colon+1:])
-		switch {
-		case headerIs(key, "content-length"):
-			if n, ok := atoiBytes(val); ok {
-				contentLen = n
-			}
-		case headerIs(key, "transfer-encoding"):
-			chunked = headerIs(val, "chunked")
-		case headerIs(key, "connection"):
-			closeAfter = headerIs(val, "close")
-		case headerIs(key, "retry-after"):
-			if n, ok := atoiBytes(val); ok {
-				r.retryAfter = time.Duration(n) * time.Second
-			}
-		case headerIs(key, "location"):
-			r.location = string(val) // copied: the line buffer is reused
-		case headerIs(key, "x-pd2-route-version"):
-			if n, ok := atoiBytes(val); ok {
-				r.routeVersion = int64(n)
-			}
-		}
-	}
-	p.body = p.body[:0]
-	switch {
-	case chunked:
-		for {
-			line, err = p.readLine()
-			if err != nil {
-				return r, err
-			}
-			size, ok := htoiBytes(line)
-			if !ok {
-				return r, fmt.Errorf("malformed chunk size %q", line)
-			}
-			if size == 0 {
-				for { // trailers end at an empty line
-					line, err = p.readLine()
-					if err != nil {
-						return r, err
-					}
-					if len(line) == 0 {
-						break
-					}
-				}
-				break
-			}
-			if err := p.readBody(size); err != nil {
-				return r, err
-			}
-			if line, err = p.readLine(); err != nil {
-				return r, err
-			} else if len(line) != 0 {
-				return r, fmt.Errorf("chunk not terminated by CRLF")
-			}
-		}
-	case contentLen >= 0:
-		if err := p.readBody(contentLen); err != nil {
-			return r, err
-		}
-	case status == http.StatusNoContent || status == http.StatusNotModified:
-		// no body
-	case closeAfter:
-		if p.body, err = io.ReadAll(p.br); err != nil {
-			return r, err
-		}
-	default:
-		return r, fmt.Errorf("response %d has neither Content-Length nor chunked framing", status)
-	}
-	r.body = p.body
-	if closeAfter {
-		p.close()
-	}
-	return r, nil
-}
-
-// readBody appends n bytes from the connection to p.body.
-func (p *pconn) readBody(n int) error {
-	off := len(p.body)
-	if cap(p.body) < off+n {
-		grown := make([]byte, off+n, 2*(off+n))
-		copy(grown, p.body)
-		p.body = grown
-	} else {
-		p.body = p.body[:off+n]
-	}
-	_, err := io.ReadFull(p.br, p.body[off:])
-	return err
-}
-
-// readLine reads one CRLF-terminated line; the slice is valid until the
-// next read.
-func (p *pconn) readLine() ([]byte, error) {
-	line, err := p.br.ReadSlice('\n')
-	if err != nil {
-		return nil, err
-	}
-	line = line[:len(line)-1]
-	if n := len(line); n > 0 && line[n-1] == '\r' {
-		line = line[:n-1]
-	}
-	return line, nil
-}
-
-// headerIs reports whether b equals the lower-case token name,
-// ASCII-case-insensitively.
-func headerIs(b []byte, name string) bool {
-	if len(b) != len(name) {
-		return false
-	}
-	for i := 0; i < len(b); i++ {
-		c := b[i]
-		if 'A' <= c && c <= 'Z' {
-			c += 'a' - 'A'
-		}
-		if c != name[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func atoiBytes(b []byte) (int, bool) {
-	if len(b) == 0 {
-		return 0, false
-	}
-	n := 0
-	for _, c := range b {
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		n = n*10 + int(c-'0')
-	}
-	return n, true
-}
-
-func htoiBytes(b []byte) (int, bool) {
-	if len(b) == 0 {
-		return 0, false
-	}
-	n := 0
-	for _, c := range b {
-		switch {
-		case c >= '0' && c <= '9':
-			n = n<<4 | int(c-'0')
-		case c >= 'a' && c <= 'f':
-			n = n<<4 | int(c-'a'+10)
-		case c >= 'A' && c <= 'F':
-			n = n<<4 | int(c-'A'+10)
-		case c == ';': // chunk extension: ignore the rest
-			return n, true
-		default:
-			return 0, false
-		}
-	}
-	return n, true
 }
 
 // auditReport aggregates the per-shard post-run audit. admissionClean
@@ -1269,21 +903,10 @@ func audit(client *http.Client, resolve resolver, shards int) (auditReport, erro
 
 // getStatus decodes shard s's status reply into v.
 func getStatus(client *http.Client, base string, s int, v any) error {
-	resp, err := client.Get(fmt.Sprintf("%s/v1/shards/%d", base, s))
-	if err != nil {
-		return err
+	if err := getJSON(client, fmt.Sprintf("%s/v1/shards/%d", base, s), v); err != nil {
+		return fmt.Errorf("shard %d status: %w", s, err)
 	}
-	body, rerr := io.ReadAll(resp.Body)
-	if cerr := resp.Body.Close(); cerr != nil {
-		return cerr
-	}
-	if rerr != nil {
-		return rerr
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("shard %d status: %d: %s", s, resp.StatusCode, body)
-	}
-	return json.Unmarshal(body, v)
+	return nil
 }
 
 // post marshals v and POSTs it, returning status and body.
@@ -1292,16 +915,61 @@ func post(client *http.Client, url string, v any) (int, []byte, error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	resp, err := client.Post(url, "application/json", bytes.NewReader(data))
+	resp, body, err := send(client, http.MethodPost, url, data, true)
 	if err != nil {
 		return 0, nil, err
 	}
-	body, rerr := io.ReadAll(resp.Body)
-	if cerr := resp.Body.Close(); cerr != nil {
-		return 0, nil, cerr
-	}
-	if rerr != nil {
-		return 0, nil, rerr
-	}
 	return resp.StatusCode, body, nil
+}
+
+// getJSON GETs url, following redirects, and decodes a 200 reply into v.
+func getJSON(client *http.Client, url string, v any) error {
+	resp, body, err := send(client, http.MethodGet, url, nil, true)
+	if err != nil {
+		return err
+	}
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("%d: %s", resp.StatusCode, body)
+	}
+	return json.Unmarshal(body, v)
+}
+
+// maxFollow bounds the redirects send follows, as a default
+// http.Client does.
+const maxFollow = 10
+
+// send issues one request and returns the reply with its body read in
+// full and closed, so keep-alive reuses the connection. The client hands
+// 307s back unfollowed; with follow set, send chases their Location
+// itself, up to maxFollow hops — what the setup, drain, audit and verify
+// helpers need when a shard moves under them.
+func send(client *http.Client, method, url string, body []byte, follow bool) (*http.Response, []byte, error) {
+	for hops := 0; ; hops++ {
+		req, err := http.NewRequest(method, url, bytes.NewReader(body))
+		if err != nil {
+			return nil, nil, err
+		}
+		if body != nil {
+			req.Header.Set("Content-Type", "application/json")
+		}
+		resp, err := client.Do(req)
+		if err != nil {
+			return nil, nil, err
+		}
+		reply, rerr := io.ReadAll(resp.Body)
+		if cerr := resp.Body.Close(); cerr != nil && rerr == nil {
+			rerr = cerr
+		}
+		if rerr != nil {
+			return nil, nil, rerr
+		}
+		if !follow || resp.StatusCode != http.StatusTemporaryRedirect || hops >= maxFollow {
+			return resp, reply, nil
+		}
+		loc, err := resp.Location()
+		if err != nil {
+			return resp, reply, nil
+		}
+		url = loc.String()
+	}
 }

@@ -3,11 +3,13 @@ package main
 import (
 	"encoding/json"
 	"fmt"
-	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httputil"
+	"net/url"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -170,7 +172,7 @@ func TestNoteReroute(t *testing.T) {
 
 // TestDriveFollowsReroute points a worker at a server that answers 307
 // with a Location on the real daemon: the batch must be requeued
-// through the backoff path, the connection retargeted, and every
+// through the backoff path, the worker retargeted, and every
 // command still delivered exactly once. With a router attached, the
 // redirect must also refresh the cached table.
 func TestDriveFollowsReroute(t *testing.T) {
@@ -208,15 +210,9 @@ func TestDriveFollowsReroute(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	addr, host, err := parseBase(old.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pc := &pconn{addr: addr, host: host}
-	defer pc.close()
 	g := &genState{kind: genUniform, prefix: "RR", shards: 1, tasks: 4,
 		rng: stats.NewStream(1, 0), rt: rt}
-	st := g.drive(pc, 32, 8, 0, 2)
+	st := g.drive(newClient(1), old.URL, 32, 8, 0)
 	if st.sent != 32 || st.transportErrs != 0 || st.serverErrors != 0 {
 		t.Fatalf("rerouted run not clean: %+v", st)
 	}
@@ -240,15 +236,9 @@ func TestDriveRerouteCap(t *testing.T) {
 		w.WriteHeader(http.StatusTemporaryRedirect)
 	}))
 	defer self.Close()
-	addr, host, err := parseBase(self.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pc := &pconn{addr: addr, host: host}
-	defer pc.close()
 	g := &genState{kind: genUniform, prefix: "RC", shards: 1, tasks: 4,
 		rng: stats.NewStream(1, 0), rerouteCap: 3}
-	st := g.drive(pc, 8, 8, 0, 1)
+	st := g.drive(newClient(1), self.URL, 8, 8, 0)
 	if st.transportErrs != 1 {
 		t.Fatalf("redirect loop did not fail the worker: %+v", st)
 	}
@@ -260,65 +250,66 @@ func TestDriveRerouteCap(t *testing.T) {
 	}
 }
 
-// serveResponse writes a canned HTTP response to whoever connects, for
-// exercising pconn framing without a real server.
-func serveResponse(t *testing.T, raw string) *pconn {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	go func() {
-		c, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		c.Write([]byte(raw))
-		c.Close()
-	}()
-	pc := &pconn{addr: ln.Addr().String(), host: "test"}
-	if err := pc.ensure(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(pc.close)
-	return pc
-}
+// TestDriveRetriesBackpressure puts a front in front of a real daemon
+// that refuses the first k command posts — 429 for a single daemon, 503
+// for a routed worker (cluster backpressure) — then forwards everything.
+// The worker must retry each refused batch through the backoff path and
+// still deliver exactly its budget.
+func TestDriveRetriesBackpressure(t *testing.T) {
+	const k = 3
+	for _, tc := range []struct {
+		name   string
+		code   int
+		routed bool
+	}{
+		{"429", http.StatusTooManyRequests, false},
+		{"routed-503", http.StatusServiceUnavailable, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			daemon := startTestDaemon(t, 1, 2)
+			client := newClient(1)
+			if err := setup(client, fixedResolver(daemon), "BP", 1, 4); err != nil {
+				t.Fatal(err)
+			}
+			target, err := url.Parse(daemon)
+			if err != nil {
+				t.Fatal(err)
+			}
+			proxy := httputil.NewSingleHostReverseProxy(target)
+			var refused atomic.Int32
+			front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if strings.HasSuffix(r.URL.Path, "/commands") && refused.Add(1) <= k {
+					w.Header().Set("Retry-After", "0")
+					w.WriteHeader(tc.code)
+					return
+				}
+				proxy.ServeHTTP(w, r)
+			}))
+			defer front.Close()
 
-func TestReadRespContentLength(t *testing.T) {
-	pc := serveResponse(t, "HTTP/1.1 429 Too Many Requests\r\nRetry-After: 3\r\nContent-Length: 2\r\n\r\n{}")
-	resp, err := pc.readResp()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.status != 429 || resp.retryAfter != 3*time.Second || string(resp.body) != "{}" {
-		t.Fatalf("got status=%d retryAfter=%v body=%q", resp.status, resp.retryAfter, resp.body)
-	}
-}
-
-func TestReadRespChunked(t *testing.T) {
-	pc := serveResponse(t, "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"+
-		"5\r\nhello\r\n6\r\n world\r\n0\r\n\r\n")
-	resp, err := pc.readResp()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.status != 200 || string(resp.body) != "hello world" {
-		t.Fatalf("got status=%d body=%q", resp.status, resp.body)
-	}
-}
-
-func TestReadRespConnectionClose(t *testing.T) {
-	pc := serveResponse(t, "HTTP/1.1 413 Payload Too Large\r\nConnection: close\r\nContent-Length: 4\r\n\r\nbody")
-	resp, err := pc.readResp()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.status != 413 || string(resp.body) != "body" {
-		t.Fatalf("got status=%d body=%q", resp.status, resp.body)
-	}
-	if pc.c != nil {
-		t.Fatal("connection not closed after Connection: close")
+			g := &genState{kind: genUniform, prefix: "BP", shards: 1, tasks: 4, rng: stats.NewStream(1, 0)}
+			if tc.routed {
+				coord := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+					_ = json.NewEncoder(w).Encode(routeTable{Version: 1,
+						Shards: []routeShard{{Shard: 0, Primary: "n"}}, Nodes: map[string]string{"n": front.URL}})
+				}))
+				defer coord.Close()
+				g.rt = newRouter(coord.URL, client)
+				if err := g.rt.waitReady(2 * time.Second); err != nil {
+					t.Fatal(err)
+				}
+			}
+			st := g.drive(client, front.URL, 40, 8, 4)
+			if st.sent != 40 {
+				t.Errorf("delivered %d commands, want exactly 40", st.sent)
+			}
+			if st.retries != k || st.backoff <= 0 {
+				t.Errorf("got %d retries over %v backoff, want %d retries and a positive backoff", st.retries, st.backoff, k)
+			}
+			if st.rejected != 0 || st.serverErrors != 0 || st.transportErrs != 0 {
+				t.Errorf("not clean: %+v", st)
+			}
+		})
 	}
 }
 
@@ -338,16 +329,16 @@ func TestExactDeliveryEndToEnd(t *testing.T) {
 		srv.Stop()
 	}()
 
-	cases := []struct{ requests, workers, batch, pipeline int }{
-		{1003, 7, 8, 4}, // 1003 = 7*143 + 2: two workers carry one extra
-		{37, 5, 8, 2},   // budget smaller than a worker's first window
-		{5, 8, 3, 1},    // more workers than requests: some sit idle
+	cases := []struct{ requests, workers, batch int }{
+		{1003, 7, 8}, // 1003 = 7*143 + 2: two workers carry one extra
+		{37, 5, 8},   // the last batch of every worker is a partial one
+		{5, 8, 3},    // more workers than requests: some sit idle
 	}
 	for i, tc := range cases {
 		prefix := fmt.Sprintf("E%d", i)
 		tot, err := run(config{
 			base: ts.URL, shards: 4, workers: tc.workers, requests: tc.requests,
-			batch: tc.batch, tasks: 4, advEvery: 16, pipeline: tc.pipeline,
+			batch: tc.batch, tasks: 4, advEvery: 16,
 			seed: 1, prefix: prefix,
 		})
 		if err != nil {
@@ -421,7 +412,7 @@ func TestTemplateRunsEndToEnd(t *testing.T) {
 			base := startTestDaemon(t, 2, 2)
 			tot, err := run(config{
 				base: base, shards: 2, workers: 2, requests: 400,
-				batch: 8, tasks: 4, advEvery: 8, pipeline: 2,
+				batch: 8, tasks: 4, advEvery: 8,
 				seed: 1, prefix: "T", template: tc.template,
 			})
 			if err != nil {
@@ -446,7 +437,7 @@ func TestShapeRunEndToEnd(t *testing.T) {
 	base := startTestDaemon(t, 2, 2)
 	tot, err := run(config{
 		base: base, shards: 2, workers: 2, requests: 300,
-		batch: 8, tasks: 4, advEvery: 8, pipeline: 2,
+		batch: 8, tasks: 4, advEvery: 8,
 		seed: 1, prefix: "S", shape: "idle=2:0:1:0,busy=4:1.5:4:0.2",
 	})
 	if err != nil {
@@ -467,7 +458,7 @@ func TestRecordReplayThroughCLI(t *testing.T) {
 	base := startTestDaemon(t, 2, 2)
 	if _, err := run(config{
 		base: base, shards: 2, workers: 2, requests: 200,
-		batch: 8, tasks: 4, advEvery: 8, pipeline: 2,
+		batch: 8, tasks: 4, advEvery: 8,
 		seed: 1, prefix: "R", record: tracePath,
 	}); err != nil {
 		t.Fatal(err)
@@ -487,7 +478,7 @@ func TestVerifyDigests(t *testing.T) {
 	base := startTestDaemon(t, 2, 2)
 	if _, err := run(config{
 		base: base, shards: 2, workers: 2, requests: 100,
-		batch: 8, tasks: 4, advEvery: 8, pipeline: 2, seed: 1, prefix: "V",
+		batch: 8, tasks: 4, advEvery: 8, seed: 1, prefix: "V",
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -565,7 +556,7 @@ func TestRouteModeEndToEnd(t *testing.T) {
 	coordURL := startTestCluster(t, 2, 2)
 	tot, err := run(config{
 		route: coordURL, shards: 2, workers: 2, requests: 200,
-		batch: 8, tasks: 4, advEvery: 8, pipeline: 2, seed: 1, prefix: "CL",
+		batch: 8, tasks: 4, advEvery: 8, seed: 1, prefix: "CL",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -585,7 +576,7 @@ func TestRouteModeEndToEnd(t *testing.T) {
 func TestModeFlagValidation(t *testing.T) {
 	if _, err := run(config{
 		base: "http://127.0.0.1:1", shards: 1, workers: 1, requests: 1, batch: 1,
-		tasks: 1, pipeline: 1, shape: "diurnal", template: "reweight-storm",
+		tasks: 1, shape: "diurnal", template: "reweight-storm",
 	}); err == nil {
 		t.Error("-shape with -template accepted")
 	}
@@ -600,7 +591,7 @@ func TestModeFlagValidation(t *testing.T) {
 	}
 	if _, err := run(config{
 		base: "http://127.0.0.1:1", shards: 1, workers: 1, requests: 1, batch: 1,
-		tasks: 1, pipeline: 1, shape: "idle=4:0:1:0",
+		tasks: 1, shape: "idle=4:0:1:0",
 	}); err == nil {
 		t.Error("an all-idle shape should be rejected up front")
 	}

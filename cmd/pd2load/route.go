@@ -1,15 +1,13 @@
 // Cluster routing for pd2load: a cached copy of the coordinator's
 // versioned routing table (mirrored locally so the generator keeps
 // sharing no code with the system under test), per-shard primary
-// resolution for the pipelined workers and the plain-client helpers,
+// resolution for the workers and the setup, drain and audit helpers,
 // and the -verify differential check that replays every shard's full
 // log and compares digests.
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 	"time"
@@ -63,22 +61,8 @@ func newRouter(coord string, client *http.Client) *router {
 // refresh fetches the coordinator's current table and keeps it if newer
 // than the cached one.
 func (rt *router) refresh() error {
-	resp, err := rt.client.Get(rt.coord + "/v1/cluster/route")
-	if err != nil {
-		return err
-	}
-	body, rerr := io.ReadAll(resp.Body)
-	if cerr := resp.Body.Close(); cerr != nil && rerr == nil {
-		rerr = cerr
-	}
-	if rerr != nil {
-		return rerr
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("route fetch: %d: %s", resp.StatusCode, body)
-	}
 	var tab routeTable
-	if err := json.Unmarshal(body, &tab); err != nil {
+	if err := getJSON(rt.client, rt.coord+"/v1/cluster/route", &tab); err != nil {
 		return fmt.Errorf("route fetch: %w", err)
 	}
 	rt.mu.Lock()
@@ -144,22 +128,6 @@ func (rt *router) noteVersion(v int64) {
 	}
 }
 
-// retarget points the pconn at a new base URL (scheme://host; any path
-// is ignored), closing the current connection so the next ensure()
-// redials. A no-op when the target is unchanged.
-func (p *pconn) retarget(rawURL string) error {
-	addr, host, err := parseBase(rawURL)
-	if err != nil {
-		return err
-	}
-	if addr == p.addr && host == p.host {
-		return nil
-	}
-	p.close()
-	p.addr, p.host = addr, host
-	return nil
-}
-
 // postShard posts v to shard s's op endpoint through the resolver,
 // retrying backpressure (429) and transient cluster unavailability
 // (503 while a table propagates, a migration gate drains, or a
@@ -189,8 +157,7 @@ func postShard(client *http.Client, resolve resolver, s int, op string, v any) (
 // on a fresh engine (serve.VerifyTail): the differential check that a
 // shard's live state — wherever routing placed it — is exactly
 // core.Replay of its log. Prints one MATCH/MISMATCH line per shard.
-func runVerify(cfg config) error {
-	client := &http.Client{Timeout: 60 * time.Second}
+func runVerify(client *http.Client, cfg config) error {
 	resolve := fixedResolver(cfg.base)
 	if cfg.route != "" {
 		rt := newRouter(cfg.route, client)
@@ -206,22 +173,8 @@ func runVerify(cfg config) error {
 		if err != nil {
 			return fmt.Errorf("shard %d: %w", s, err)
 		}
-		resp, err := client.Get(fmt.Sprintf("%s/v1/shards/%d/log?from=0", base, s))
-		if err != nil {
-			return fmt.Errorf("shard %d log: %w", s, err)
-		}
-		body, rerr := io.ReadAll(resp.Body)
-		if cerr := resp.Body.Close(); cerr != nil && rerr == nil {
-			rerr = cerr
-		}
-		if rerr != nil {
-			return fmt.Errorf("shard %d log: %w", s, rerr)
-		}
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("shard %d log: %d: %s", s, resp.StatusCode, body)
-		}
 		var tl serve.Tail
-		if err := json.Unmarshal(body, &tl); err != nil {
+		if err := getJSON(client, fmt.Sprintf("%s/v1/shards/%d/log?from=0", base, s), &tl); err != nil {
 			return fmt.Errorf("shard %d log: %w", s, err)
 		}
 		digest, err := serve.VerifyTail(&tl)

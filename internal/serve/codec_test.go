@@ -398,3 +398,35 @@ func BenchmarkWirePath(b *testing.B) {
 	}
 	_ = out
 }
+
+// BenchmarkWirePathJSON runs BenchmarkWirePath's round trip through the
+// pre-codec encoding/json path (legacyDecodeCommands, then a
+// json.Encoder). The gap between the two is the codec's justification,
+// recorded in docs/SERVE.md; it is deliberately not in BENCH_core.json.
+func BenchmarkWirePathJSON(b *testing.B) {
+	const n = 32
+	sh := wirePathShard(b, n)
+	body := reweightBatchBody(n)
+	var (
+		results []CommandResult
+		out     bytes.Buffer
+	)
+	enc := json.NewEncoder(&out)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cmds, _, err := legacyDecodeCommands(body)
+		if err != nil {
+			b.Fatal(err)
+		}
+		results = results[:0]
+		for j := range cmds {
+			results = append(results, sh.admit(&cmds[j], false))
+		}
+		sh.batch = sh.batch[:0]
+		out.Reset()
+		if err := enc.Encode(results); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
