@@ -41,7 +41,7 @@ bench-check:
 		| $(GO) run ./cmd/benchjson -check -out BENCH_core.json
 
 # Lint-suite perf gate: one warm full-module pd2lint pass (load,
-# typecheck, all 13 checks, interprocedural call graph and per-function
+# typecheck, all 12 checks, interprocedural call graph and per-function
 # CFGs included) must stay within 50% of the committed LintModule ns/op
 # in BENCH_core.json, and a fresh CFG construction pass over every
 # module function (CFGBuild) within 50% of its committed number.
@@ -78,10 +78,10 @@ figures:
 demos:
 	$(GO) run ./cmd/pd2trace
 
-# Invariant checks (all thirteen: the AST pattern checks, the dataflow
-# checks poolescape/heapkey/gocapture/eventexhaust, the interprocedural
-# checks hotalloc/detflow/lockorder, and the CFG flow-sensitive check
-# ownxfer — see docs/LINT.md). Strict mode also flags stale
+# Invariant checks (all twelve: the AST pattern checks, the dataflow
+# checks heapkey/gocapture/eventexhaust, the interprocedural checks
+# hotalloc/detflow/lockorder, and the CFG flow-sensitive pooled-record
+# check ownxfer — see docs/LINT.md). Strict mode also flags stale
 # //lint:allow directives so the allowlist cannot rot.
 lint:
 	$(GO) run ./cmd/pd2lint -strict-suppress ./...

@@ -1,7 +1,7 @@
 // Command pd2lint runs the repository's invariant checks: a stdlib-only
 // static-analysis suite that keeps the PD² simulator on exact rational
 // arithmetic, a deterministic, replayable schedule, and a sound pooled
-// wire path — thirteen checks across AST, dataflow, call-graph, and
+// wire path — twelve checks across AST, dataflow, call-graph, and
 // CFG flow-sensitive layers (see docs/LINT.md for the full rationale
 // and the suppression syntax).
 //

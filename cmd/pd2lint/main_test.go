@@ -267,14 +267,23 @@ func TestUsageErrors(t *testing.T) {
 	}
 }
 
+// TestListChecks requires -list to print exactly the registry, one
+// check per line, in registry order.
 func TestListChecks(t *testing.T) {
 	code, stdout, _ := runCLI(t, "-list")
 	if code != 0 {
 		t.Fatalf("-list: exit %d, want 0", code)
 	}
-	for _, name := range []string{"fracexact", "poolescape", "heapkey", "gocapture", "eventexhaust"} {
-		if !strings.Contains(stdout, name) {
-			t.Errorf("-list output missing %s:\n%s", name, stdout)
+	var got, want []string
+	for _, line := range strings.Split(stdout, "\n") {
+		if f := strings.Fields(line); len(f) > 0 {
+			got = append(got, f[0])
 		}
+	}
+	for _, a := range analysis.All() {
+		want = append(want, a.Name)
+	}
+	if strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Errorf("-list names %v, want analysis.All() %v", got, want)
 	}
 }

@@ -11,7 +11,7 @@
 // reproduced figures. This package turns those implicit rules into
 // machine-checked ones.
 //
-// Thirteen checks are provided (see docs/LINT.md for the full
+// Twelve checks are provided (see docs/LINT.md for the full
 // rationale), in four layers:
 //
 // AST pattern matchers:
@@ -28,9 +28,8 @@
 //   - panicdoc:    panics in library packages must carry a message that
 //     names the violated invariant (or propagate an error value).
 //
-// Intraprocedural dataflow (dataflow.go):
+// Intraprocedural, on the shared helpers of dataflow.go:
 //
-//   - poolescape:  pooled records never escape their slot unstamped.
 //   - heapkey:     heap ordering keys are written only by their owners.
 //   - gocapture:   goroutine closures do not race on captured state.
 //   - eventexhaust: switches over //lint:exhaustive enums stay total.
@@ -47,13 +46,14 @@
 //
 // Flow-sensitive, on per-function CFGs (cfg.go):
 //
-//   - ownxfer: pooled-record ownership transfers exactly once per
-//     path — no use after a record is sent/freed, no double free, no
-//     acquire path that leaks the record (annotations.go's
-//     ownerXferTable). lockorder's held-set facts and poolescape's
-//     use-after-free rule are also computed on the CFG, so conditional
-//     unlocks, early returns, and loop-carried aliases are analyzed
-//     path-sensitively.
+//   - ownxfer: pooled records transfer ownership exactly once per
+//     path and never escape unstamped — no use after a record is sent,
+//     or freed on any path; no double free; no acquire path that leaks
+//     the record; no store outside the owner fields; no sink literal
+//     without the reuse stamp (annotations.go's ownerXferTable).
+//     lockorder's held-set facts and gocapture's mutex guard run on
+//     the same engine, so conditional unlocks, early returns, and
+//     loop-carried frees are analyzed path-sensitively.
 //
 // Diagnostics can be suppressed per line with
 //
@@ -135,7 +135,7 @@ type Analyzer struct {
 }
 
 // All is the full pd2lint suite in reporting order: the five v1
-// AST-pattern checks, the four v2 dataflow checks, the three v3
+// AST-pattern checks, the three v2 dataflow checks, the three v3
 // interprocedural checks built on the call-graph layer (interp.go),
 // and the v4 flow-sensitive ownership check built on the CFG layer
 // (cfg.go).
@@ -146,7 +146,6 @@ func All() []*Analyzer {
 		Determinism(),
 		ErrDrop(),
 		PanicDoc(),
-		PoolEscape(),
 		HeapKey(),
 		GoCapture(),
 		EventExhaust(),

@@ -81,7 +81,7 @@ func heapKeySpecsFor(pkgPath string) []heapKeySpec {
 }
 
 // ---------------------------------------------------------------------
-// poolescape annotations.
+// ownxfer annotations: the pooled-record table.
 
 // poolSink is a long-lived struct that may hold a pooled pointer only
 // together with its reuse stamp: a composite literal that sets PtrField
@@ -92,85 +92,6 @@ type poolSink struct {
 	PtrField   string
 	StampField string
 }
-
-// poolSpec registers one free-list pool: where pooled pointers are born
-// (Alloc), where they die (Free), which struct they point to, and the
-// only places they may be stored.
-type poolSpec struct {
-	Pkg        string
-	Alloc      string // function/method whose call yields a pooled pointer
-	Free       string // function/method retiring a pointer to the pool
-	Elem       string // pooled record type
-	StampField string // reuse-generation field on Elem
-	Sinks      []poolSink
-	// OwnerFields lists "Type.field" stores that are the ownership
-	// structure itself (the task's subtask chain, the pool's free list):
-	// they are retired through Free and therefore need no stamp.
-	OwnerFields []string
-	Why         string
-}
-
-// poolTable registers the scheduler's subtask pool and the self-test
-// fixture. Keep in sync with docs/LINT.md.
-var poolTable = []poolSpec{
-	{
-		Pkg:        "repro/internal/core",
-		Alloc:      "newSubtask",
-		Free:       "freeSubtask",
-		Elem:       "subtask",
-		StampField: "stamp",
-		Sinks: []poolSink{
-			{Struct: "tevent", PtrField: "sub", StampField: "stamp"},
-		},
-		OwnerFields: []string{
-			"taskState.lastReleased", // head of the one-generation chain
-			"taskState.live",         // I_SW live set, trimmed by syncAccrual
-			"taskState.history",      // RecordSubtasks mode: records are never freed
-			"taskState.retired",      // one-release grace slot before freeSubtask
-			"subtask.prev",           // the chain link itself
-			"Scheduler.subPool",      // the free list
-		},
-		Why: "calendar events outlive slots; only stamped tevents and the owning chain may hold subtask pointers",
-	},
-	{
-		Pkg:        "repro/internal/serve",
-		Alloc:      "newPending",
-		Free:       "freePending",
-		Elem:       "pending",
-		StampField: "stamp",
-		OwnerFields: []string{
-			"pendingPool.free", // the free list
-		},
-		Why: "mailbox records are recycled across requests; the stamp generation catches an HTTP handler touching a record after freePending recycled it",
-	},
-	// Fixture entry (internal/analysis/testdata/src/poolescape).
-	{
-		Pkg:        "repro/internal/analysis/testdata/src/poolescape",
-		Alloc:      "alloc",
-		Free:       "free",
-		Elem:       "rec",
-		StampField: "stamp",
-		Sinks: []poolSink{
-			{Struct: "event", PtrField: "sub", StampField: "stamp"},
-		},
-		OwnerFields: []string{"owner.last", "owner.live", "owner.pool"},
-		Why:         "fixture: miniature subtask pool with reuse stamps",
-	},
-}
-
-// poolSpecsFor returns the table entries applying to pkgPath.
-func poolSpecsFor(pkgPath string) []poolSpec {
-	var out []poolSpec
-	for _, s := range poolTable {
-		if s.Pkg == pkgPath {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// ---------------------------------------------------------------------
-// ownxfer annotations: pooled-record ownership transfer.
 
 // ownXferFunc registers one in-package function or method through which
 // ownership of a pooled record leaves (or returns to) the caller. A
@@ -188,31 +109,41 @@ type ownXferFunc struct {
 	Why        string
 }
 
-// ownXferSpec registers the ownership protocol of one pooled record
-// type: where owned records are born and die (mirroring the poolTable
-// entry for the same Elem) and the functions that move ownership across
-// a goroutine or call boundary. ownxfer verifies that after a record is
-// sent into a channel, handed to a Transfers function, or released, no
-// path in the sender reads, writes or re-frees it, and that every
-// acquire->release path disposes of the record exactly once.
+// ownXferSpec registers one free-list pool and the protocol of its
+// record type: where owned records are born (Acquire) and die
+// (Release), the functions that move ownership across a goroutine or
+// call boundary (Transfers), and the only places a record may be
+// parked — an owner field, or a sink struct together with its stamp.
+// ownxfer verifies that after a record is sent into a channel, handed
+// to a Transfers function, or released, no path in the sender reads,
+// writes or re-frees it, that every acquire->release path disposes of
+// the record exactly once, and that a freshly acquired record never
+// escapes into a field, container or closure that outlives the slot.
 type ownXferSpec struct {
-	Pkg       string
-	Elem      string // pooled record type (a poolTable Elem)
-	Acquire   string // function whose call result is a fresh owned record
-	Release   string // function retiring an owned record to the pool
-	Transfers []ownXferFunc
-	Why       string
+	Pkg        string
+	Elem       string // pooled record type
+	Acquire    string // function whose call result is a fresh owned record
+	Release    string // function retiring an owned record to the pool
+	StampField string // reuse-generation field on Elem
+	Transfers  []ownXferFunc
+	Sinks      []poolSink
+	// OwnerFields lists "Type.field" stores that are the ownership
+	// structure itself (the task's subtask chain, the pool's free list):
+	// they are retired through Release and therefore need no stamp.
+	OwnerFields []string
+	Why         string
 }
 
 // ownerXferTable registers the mailbox wire path, the scheduler's
-// subtask pool, and the self-test fixture. Keep in sync with
+// subtask pool, and the self-test fixtures. Keep in sync with
 // docs/LINT.md.
 var ownerXferTable = []ownXferSpec{
 	{
-		Pkg:     "repro/internal/serve",
-		Elem:    "pending",
-		Acquire: "newPending",
-		Release: "freePending",
+		Pkg:        "repro/internal/serve",
+		Elem:       "pending",
+		Acquire:    "newPending",
+		Release:    "freePending",
+		StampField: "stamp",
 		Transfers: []ownXferFunc{
 			{Func: "Shard.submit", Cond: true, BoolResult: 0, OwnerWhen: false,
 				Why: "true means the record entered the mailbox and the shard goroutine owns it until the reply is sent; false means the mailbox was full and the caller still holds it"},
@@ -225,23 +156,39 @@ var ownerXferTable = []ownXferSpec{
 			{Func: "Shard.handle",
 				Why: "replies on the record's channel, handing ownership back to the blocked submitter"},
 		},
-		Why: "pooled pending records cross the handler/shard goroutine boundary twice per request; a sender touching a record after handing it off races the shard and breaks byte-exact replay",
+		OwnerFields: []string{
+			"pendingPool.free", // the free list
+		},
+		Why: "pooled pending records cross the handler/shard goroutine boundary twice per request and are recycled across requests; a sender touching a record after handing it off races the shard, and a handler touching it after freePending sees the stamp bump, either way breaking byte-exact replay",
 	},
 	{
-		Pkg:     "repro/internal/core",
-		Elem:    "subtask",
-		Acquire: "newSubtask",
-		Release: "freeSubtask",
+		Pkg:        "repro/internal/core",
+		Elem:       "subtask",
+		Acquire:    "newSubtask",
+		Release:    "freeSubtask",
+		StampField: "stamp",
 		// No Transfers: subtask records never cross a goroutine; they are
-		// parked in the owning chain (poolTable OwnerFields) or freed.
-		Why: "subtask records are recycled through the scheduler free list; releasing one twice or touching it after freeSubtask corrupts a later task's schedule",
+		// parked in the owning chain or freed.
+		Sinks: []poolSink{
+			{Struct: "tevent", PtrField: "sub", StampField: "stamp"},
+		},
+		OwnerFields: []string{
+			"taskState.lastReleased", // head of the one-generation chain
+			"taskState.live",         // I_SW live set, trimmed by syncAccrual
+			"taskState.history",      // RecordSubtasks mode: records are never freed
+			"taskState.retired",      // one-release grace slot before freeSubtask
+			"subtask.prev",           // the chain link itself
+			"Scheduler.subPool",      // the free list
+		},
+		Why: "subtask records are recycled through the scheduler free list and calendar events outlive slots; only stamped tevents and the owning chain may hold them, and releasing one twice or touching it after freeSubtask corrupts a later task's schedule",
 	},
 	// Fixture entry (internal/analysis/testdata/src/ownxfer).
 	{
-		Pkg:     "repro/internal/analysis/testdata/src/ownxfer",
-		Elem:    "rec",
-		Acquire: "get",
-		Release: "put",
+		Pkg:        "repro/internal/analysis/testdata/src/ownxfer",
+		Elem:       "rec",
+		Acquire:    "get",
+		Release:    "put",
+		StampField: "stamp",
 		Transfers: []ownXferFunc{
 			{Func: "svc.post", Cond: true, BoolResult: 0, OwnerWhen: false,
 				Why: "fixture: conditional mailbox submit"},
@@ -249,6 +196,19 @@ var ownerXferTable = []ownXferSpec{
 				Why: "fixture: unconditional hand-off"},
 		},
 		Why: "fixture: miniature mailbox protocol with a reply channel",
+	},
+	// Fixture entry (internal/analysis/testdata/src/poolescape).
+	{
+		Pkg:        "repro/internal/analysis/testdata/src/poolescape",
+		Elem:       "rec",
+		Acquire:    "alloc",
+		Release:    "free",
+		StampField: "stamp",
+		Sinks: []poolSink{
+			{Struct: "event", PtrField: "sub", StampField: "stamp"},
+		},
+		OwnerFields: []string{"owner.last", "owner.live", "owner.pool"},
+		Why:         "fixture: miniature subtask pool with reuse stamps",
 	},
 }
 
@@ -388,7 +348,7 @@ func isAllocFree(obj *types.Func) bool {
 }
 
 // ---------------------------------------------------------------------
-// Table validation (shared by heapkey and poolescape).
+// Table validation (shared by heapkey and ownxfer).
 
 // lookupStruct resolves a package-scope struct type by name.
 func lookupStruct(pkg *types.Package, name string) (*types.Struct, bool) {

@@ -1,9 +1,10 @@
-// Control-flow graphs and the generic forward dataflow engine: the
-// flow-sensitive layer under ownxfer and the CFG-based rewrites of
-// lockorder's held-lock facts and poolescape's use-after-free rule.
+// Control-flow graphs and the generic forward dataflow engine: pd2lint's
+// one dataflow engine, under every flow rule — ownxfer's pooled-record
+// states, lockorder's held-lock facts (interp.go), and gocapture's
+// must-held mutex guard.
 //
-// buildCFG lowers one function body to basic blocks connected by
-// labelled edges. The shape is deliberately small:
+// buildCFG lowers one function or function-literal body to basic
+// blocks connected by labelled edges. The shape is deliberately small:
 //
 //   - A block holds the nodes evaluated when control passes through it
 //     (simple statements, if/for/switch Init statements, branch
@@ -32,10 +33,12 @@
 // flow-sensitive check inherits the determinism the byte-identical
 // diagnostics property test demands.
 //
-// Function literal bodies are not lowered into the enclosing graph
-// (matching nestedStmtLists: a literal body runs whenever the value is
-// invoked, not where it is written). Flow-sensitive checks see the
-// whole *ast.FuncLit as one node of the block that evaluates it.
+// Function literal bodies are not lowered into the enclosing graph (a
+// literal body runs whenever the value is invoked, not where it is
+// written). Flow-sensitive checks see the whole *ast.FuncLit as one
+// node of the block that evaluates it, and build the literal's own
+// graph from its body when they need one (gocapture's goroutine
+// closures).
 package analysis
 
 import (
@@ -85,7 +88,6 @@ type cfgBlock struct {
 // blocks[0]; exit and panicExit are ordinary members of blocks with no
 // successors.
 type cfg struct {
-	fn        *ast.FuncDecl
 	blocks    []*cfgBlock
 	entry     *cfgBlock
 	exit      *cfgBlock // normal returns and body fall-off
@@ -94,13 +96,13 @@ type cfg struct {
 }
 
 // funcCFG returns the control-flow graph of fd's body, cached per
-// package — lockorder, poolescape and ownxfer all walk the same
+// package — lockorder, ownxfer and gocapture all walk the same
 // functions and must not pay for three builds.
 func (pkg *Package) funcCFG(fd *ast.FuncDecl) *cfg {
 	if g, ok := pkg.cfgs[fd]; ok {
 		return g
 	}
-	g := buildCFG(fd, pkg.Info)
+	g := buildCFG(fd.Body, pkg.Info)
 	if pkg.cfgs == nil {
 		pkg.cfgs = make(map[*ast.FuncDecl]*cfg)
 	}
@@ -141,19 +143,19 @@ type cfgBuilder struct {
 	gotos  []pendingGoto
 }
 
-// buildCFG lowers fd's body. A nil body yields the trivial
-// entry->exit graph.
-func buildCFG(fd *ast.FuncDecl, info *types.Info) *cfg {
-	g := &cfg{fn: fd}
+// buildCFG lowers a function or function-literal body. A nil body
+// yields the trivial entry->exit graph.
+func buildCFG(body *ast.BlockStmt, info *types.Info) *cfg {
+	g := &cfg{}
 	b := &cfgBuilder{g: g, info: info, labels: make(map[string]*cfgLabel)}
 	g.entry = b.newBlock()
 	g.exit = b.newBlock()
 	g.panicExit = b.newBlock()
-	if fd.Body == nil {
+	if body == nil {
 		link(g.entry, g.exit, edgeFall)
 		return g
 	}
-	if out := b.stmts(fd.Body.List, g.entry, flowCtx{}); out != nil {
+	if out := b.stmts(body.List, g.entry, flowCtx{}); out != nil {
 		link(out, g.exit, edgeFall)
 	}
 	for _, pg := range b.gotos {

@@ -159,7 +159,7 @@ func checkCFGInvariants(t *testing.T, g *cfg, fd *ast.FuncDecl, info *types.Info
 				pos(st), st, count[st])
 		}
 	}
-	if again := renderCFG(buildCFG(fd, info)); again != renderCFG(g) {
+	if again := renderCFG(buildCFG(fd.Body, info)); again != renderCFG(g) {
 		t.Errorf("rebuild of %s produced a different graph; construction must be deterministic", fd.Name.Name)
 	}
 }
@@ -212,7 +212,7 @@ func FuzzCFG(f *testing.F) {
 		info := fuzzTypeInfo(fset, file)
 		for _, d := range file.Decls {
 			if fd, ok := d.(*ast.FuncDecl); ok {
-				checkCFGInvariants(t, buildCFG(fd, info), fd, info)
+				checkCFGInvariants(t, buildCFG(fd.Body, info), fd, info)
 			}
 		}
 	})
@@ -226,7 +226,7 @@ func TestCFGInvariantsOnModule(t *testing.T) {
 		for _, f := range pkg.Files {
 			for _, d := range f.Decls {
 				if fd, ok := d.(*ast.FuncDecl); ok {
-					checkCFGInvariants(t, buildCFG(fd, pkg.Info), fd, pkg.Info)
+					checkCFGInvariants(t, buildCFG(fd.Body, pkg.Info), fd, pkg.Info)
 				}
 			}
 		}
@@ -256,7 +256,7 @@ func BenchmarkCFGBuild(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, u := range units {
-			buildCFG(u.fd, u.info)
+			buildCFG(u.fd.Body, u.info)
 		}
 	}
 }

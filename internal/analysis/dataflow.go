@@ -1,22 +1,21 @@
 // The multi-pass layer: per-package facts shared by every analyzer in a
-// run, plus a lightweight intraprocedural dataflow toolkit (def/alias
-// tracking, lock-region tracking, position-ordered kill/use scanning)
-// built only on go/ast and go/types.
+// run, plus the expression and statement helpers the dataflow checks
+// share, built only on go/ast and go/types.
 //
 // pd2lint v1 checks were single-walk AST pattern matchers. The
 // event-driven engine's invariants (pool reuse stamps, heap-key
 // discipline, goroutine capture safety) are *dataflow* properties: they
 // concern where a value came from and where it is still live, not what
-// one expression looks like. The helpers here stay deliberately modest —
-// flow-insensitive may-alias sets and lexical lock spans, all
-// intraprocedural — because every diagnostic they feed is suppressible
-// and reviewed; soundness beyond the function boundary is documented as
-// out of scope in docs/LINT.md.
+// one expression looks like. Those flow rules all run on one engine,
+// the per-function CFG and forward solver of cfg.go; everything here is
+// the shared vocabulary they are written in. The analyses stay
+// intraprocedural, because every diagnostic they feed is suppressible
+// and reviewed; soundness beyond the function boundary is documented
+// as out of scope in docs/LINT.md.
 package analysis
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 )
@@ -174,166 +173,7 @@ func namedTypeName(t types.Type, pkg *types.Package) string {
 }
 
 // ---------------------------------------------------------------------
-// Def/alias tracking.
-
-// aliasSet is the result of one intraprocedural def/alias pass: local
-// objects that may alias a seeded value, with the position where each
-// first joined the set.
-type aliasSet struct {
-	objs map[types.Object]token.Pos
-}
-
-// contains reports whether e is an identifier aliasing a seeded value.
-func (s *aliasSet) contains(info *types.Info, e ast.Expr) bool {
-	id, ok := unparen(e).(*ast.Ident)
-	if !ok {
-		return false
-	}
-	obj := identObj(info, id)
-	if obj == nil {
-		return false
-	}
-	_, in := s.objs[obj]
-	return in
-}
-
-// trackAliases runs forward def/alias propagation over body: a variable
-// assigned from an expression for which seed returns true — or from an
-// existing alias — joins the set. Propagation iterates to a fixpoint so
-// aliases established lexically later still flow through loops. The
-// analysis is flow-insensitive (reassignment from a clean value does not
-// remove an object): the result is a may-alias set, which is the right
-// polarity for a linter whose false positives are suppressible.
-func trackAliases(body ast.Node, info *types.Info, seed func(ast.Expr) bool) *aliasSet {
-	s := &aliasSet{objs: make(map[types.Object]token.Pos)}
-	if body == nil {
-		return s
-	}
-	tainted := func(e ast.Expr) bool {
-		e = unparen(e)
-		if seed(e) {
-			return true
-		}
-		return s.contains(info, e)
-	}
-	add := func(id *ast.Ident) bool {
-		if id == nil || id.Name == "_" {
-			return false
-		}
-		obj := identObj(info, id)
-		if obj == nil {
-			return false
-		}
-		if _, ok := s.objs[obj]; ok {
-			return false
-		}
-		s.objs[obj] = id.Pos()
-		return true
-	}
-	for round := 0; round < 8; round++ { // fixpoint; depth 8 covers any sane chain
-		changed := false
-		ast.Inspect(body, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.AssignStmt:
-				if len(n.Lhs) != len(n.Rhs) {
-					return true // tuple-from-call: seeds are single-valued here
-				}
-				for i, rhs := range n.Rhs {
-					if !tainted(rhs) {
-						continue
-					}
-					if id, ok := unparen(n.Lhs[i]).(*ast.Ident); ok && add(id) {
-						changed = true
-					}
-				}
-			case *ast.ValueSpec:
-				if len(n.Names) != len(n.Values) {
-					return true
-				}
-				for i, v := range n.Values {
-					if tainted(v) && add(n.Names[i]) {
-						changed = true
-					}
-				}
-			}
-			return true
-		})
-		if !changed {
-			break
-		}
-	}
-	return s
-}
-
-// ---------------------------------------------------------------------
-// Lock-region tracking.
-
-// span is a half-open source interval.
-type span struct{ from, to token.Pos }
-
-// spanSet answers "is this position inside a held-lock region".
-type spanSet []span
-
-func (ss spanSet) contains(p token.Pos) bool {
-	for _, s := range ss {
-		if s.from <= p && p < s.to {
-			return true
-		}
-	}
-	return false
-}
-
-// lockedSpans computes the source spans of body during which a
-// sync.Mutex / sync.RWMutex / sync.Locker is lexically held: from an
-// x.Lock() (or x.RLock()) statement to the matching x.Unlock()
-// (x.RUnlock()) later in the same statement list, or — for the
-// Lock-then-defer-Unlock idiom — to the end of the surrounding body.
-// Nested blocks inherit the region by position containment.
-func lockedSpans(body *ast.BlockStmt, info *types.Info) spanSet {
-	var spans spanSet
-	if body == nil {
-		return spans
-	}
-	var scan func(list []ast.Stmt, end token.Pos)
-	scan = func(list []ast.Stmt, end token.Pos) {
-		var start token.Pos // NoPos = not currently locked
-		for _, st := range list {
-			switch st := st.(type) {
-			case *ast.ExprStmt:
-				switch lockCallKind(st.X, info) {
-				case "Lock", "RLock":
-					if start == token.NoPos {
-						start = st.End()
-					}
-				case "Unlock", "RUnlock":
-					if start != token.NoPos {
-						spans = append(spans, span{start, st.Pos()})
-						start = token.NoPos
-					}
-				}
-			case *ast.DeferStmt:
-				switch lockCallKind(st.Call, info) {
-				case "Unlock", "RUnlock":
-					if start != token.NoPos {
-						spans = append(spans, span{start, end})
-						start = token.NoPos
-					}
-				}
-			}
-			// Recurse into nested statement lists; a Lock held at this
-			// level covers them by position containment, so the nested
-			// scan only needs to discover locks taken inside.
-			for _, nested := range nestedStmtLists(st) {
-				scan(nested, end)
-			}
-		}
-		if start != token.NoPos {
-			spans = append(spans, span{start, end})
-		}
-	}
-	scan(body.List, body.End())
-	return spans
-}
+// Statement structure and lock calls.
 
 // nestedStmtLists returns the statement lists directly nested in st.
 func nestedStmtLists(st ast.Stmt) [][]ast.Stmt {

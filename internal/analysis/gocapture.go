@@ -6,6 +6,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 )
 
 // GoCapture flags data races latent in `go func() { ... }()` closures:
@@ -24,8 +25,10 @@ import (
 // The targets are internal/expr's worker pools: every per-scheme slice
 // must be filled through the index idiom or joined behind Wait before
 // the spawner aggregates it, or the 61-run experiment streams stop
-// being replayable. Both rules are intraprocedural and lexical
-// (documented in docs/LINT.md); suppression is the escape hatch for
+// being replayable. Both rules are intraprocedural (documented in
+// docs/LINT.md): the mutex guard is a must-held lock flow on the CFG of
+// the spawner or the closure body, while spawn order and Wait barriers
+// are compared by source position. Suppression is the escape hatch for
 // protocols the analysis cannot see.
 func GoCapture() *Analyzer {
 	return &Analyzer{
@@ -57,12 +60,12 @@ func runGoCapture(p *Pass) []Diagnostic {
 		if len(spawns) == 0 {
 			continue
 		}
-		outerLocks := lockedSpans(body, info)
+		outerGuard := guardedWrites(p.Pkg.funcCFG(fi.Decl), info)
 		waits := waitBarriers(body, info, spawns)
 
 		// Rule 1: writes inside each goroutine to captured variables.
 		for _, g := range spawns {
-			innerLocks := lockedSpans(g.lit.Body, info)
+			innerGuard := guardedWrites(buildCFG(g.lit.Body, info), info)
 			seen := make(map[ast.Node]bool)
 			ast.Inspect(g.lit.Body, func(n ast.Node) bool {
 				var targets []ast.Expr
@@ -79,7 +82,7 @@ func runGoCapture(p *Pass) []Diagnostic {
 					if obj == nil || !g.captures[obj] {
 						continue
 					}
-					if innerLocks.contains(lhs.Pos()) {
+					if innerGuard[n] {
 						continue // guarded inside the closure
 					}
 					if indexedByClosureLocal(info, lhs, g.lit) {
@@ -124,7 +127,7 @@ func runGoCapture(p *Pass) []Diagnostic {
 					continue
 				}
 				pos := lhs.Pos()
-				if outerLocks.contains(pos) {
+				if outerGuard[n] {
 					continue
 				}
 				for _, g := range spawns {
@@ -147,6 +150,65 @@ func runGoCapture(p *Pass) []Diagnostic {
 		})
 	}
 	return diags
+}
+
+// guardedWrites returns the assignments and inc/dec statements of g's
+// body that run while a sync lock is held on every path reaching them:
+// a must-held lock flow, keyed by the locked expression. Statements
+// inside a function literal inherit the locks held where the literal
+// is written.
+func guardedWrites(g *cfg, info *types.Info) map[ast.Node]bool {
+	apply := func(n ast.Node, held map[string]bool) {
+		walkEvaluated(n, func(m ast.Node) bool {
+			switch m := m.(type) {
+			case *ast.FuncLit, *ast.DeferStmt:
+				return false // runs when invoked, or at return
+			case *ast.CallExpr:
+				switch lockCallKind(m, info) {
+				case "Lock", "RLock":
+					held[types.ExprString(m.Fun.(*ast.SelectorExpr).X)] = true
+				case "Unlock", "RUnlock":
+					delete(held, types.ExprString(m.Fun.(*ast.SelectorExpr).X))
+				}
+			}
+			return true
+		})
+	}
+	in, reached := solveForward(g, flowFns[map[string]bool]{
+		init:  map[string]bool{},
+		clone: maps.Clone[map[string]bool],
+		join: func(dst, src map[string]bool) (map[string]bool, bool) {
+			n := len(dst)
+			maps.DeleteFunc(dst, func(k string, _ bool) bool { return !src[k] })
+			return dst, len(dst) != n
+		},
+		transfer: func(b *cfgBlock, held map[string]bool) map[string]bool {
+			for _, n := range b.nodes {
+				apply(n, held)
+			}
+			return held
+		},
+	})
+	guarded := make(map[ast.Node]bool)
+	for _, b := range g.blocks {
+		if !reached[b.id] {
+			continue
+		}
+		held := maps.Clone(in[b.id])
+		for _, n := range b.nodes {
+			if len(held) > 0 {
+				walkEvaluated(n, func(m ast.Node) bool {
+					switch m.(type) {
+					case *ast.AssignStmt, *ast.IncDecStmt:
+						guarded[m] = true
+					}
+					return true
+				})
+			}
+			apply(n, held)
+		}
+	}
+	return guarded
 }
 
 // collectSpawns finds every `go func(){...}(...)` in body and computes

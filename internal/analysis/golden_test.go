@@ -44,14 +44,33 @@ func loadFixture(t testing.TB, check string) *Package {
 	return pkg
 }
 
-// TestGolden runs each analyzer over its fixture package under
-// testdata/src/<check>/ and compares the rendered diagnostics against
-// testdata/<check>.golden. Suppressed lines (//lint:allow) must already
-// be filtered, so every fixture doubles as a suppression test.
-func TestGolden(t *testing.T) {
+// goldenFixture pairs a fixture package, testdata/src/<name>/, with
+// the analyzer whose diagnostics on it testdata/<name>.golden records.
+type goldenFixture struct {
+	name string
+	a    *Analyzer
+}
+
+// goldenFixtures lists every analyzer's own fixture, plus poolescape:
+// the pooled-record fixture (reuse stamps, a sink, owner fields), which
+// ownxfer checks next to its mailbox fixture.
+func goldenFixtures() []goldenFixture {
+	var fs []goldenFixture
 	for _, a := range All() {
-		t.Run(a.Name, func(t *testing.T) {
-			pkg := loadFixture(t, a.Name)
+		fs = append(fs, goldenFixture{a.Name, a})
+	}
+	return append(fs, goldenFixture{"poolescape", OwnXfer()})
+}
+
+// TestGolden runs each analyzer over its fixture packages and compares
+// the rendered diagnostics against the fixture's golden file.
+// Suppressed lines (//lint:allow) must already be filtered, so every
+// fixture doubles as a suppression test.
+func TestGolden(t *testing.T) {
+	for _, f := range goldenFixtures() {
+		a := f.a
+		t.Run(f.name, func(t *testing.T) {
+			pkg := loadFixture(t, f.name)
 			diags := RunChecks([]*Package{pkg}, []*Analyzer{a}, true)
 			var b strings.Builder
 			for _, d := range diags {
@@ -59,7 +78,7 @@ func TestGolden(t *testing.T) {
 			}
 			got := b.String()
 
-			goldenPath := filepath.Join("testdata", a.Name+".golden")
+			goldenPath := filepath.Join("testdata", f.name+".golden")
 			if *update {
 				if err := os.WriteFile(goldenPath, []byte(got), 0o644); err != nil {
 					t.Fatalf("update golden: %v", err)
@@ -81,8 +100,9 @@ func TestGolden(t *testing.T) {
 // least one violation of its own category — the acceptance criterion
 // that pd2lint exits non-zero on each check is anchored here.
 func TestGoldenFixturesSeedViolations(t *testing.T) {
-	for _, a := range All() {
-		pkg := loadFixture(t, a.Name)
+	for _, f := range goldenFixtures() {
+		a := f.a
+		pkg := loadFixture(t, f.name)
 		diags := RunChecks([]*Package{pkg}, []*Analyzer{a}, true)
 		if len(diags) == 0 {
 			t.Errorf("fixture %s produced no %s diagnostics", pkg.Dir, a.Name)

@@ -11,14 +11,14 @@ import (
 	"testing"
 )
 
-// loadAllFixtures loads every check's fixture package through the given
+// loadAllFixtures loads every golden fixture package through the given
 // loader, in the order requested.
 func loadAllFixtures(t *testing.T, loader *Loader, order []int) []*Package {
 	t.Helper()
-	checks := All()
-	pkgs := make([]*Package, 0, len(checks))
+	fixtures := goldenFixtures()
+	pkgs := make([]*Package, 0, len(fixtures))
 	for _, i := range order {
-		dir := "testdata/src/" + checks[i].Name
+		dir := "testdata/src/" + fixtures[i].name
 		pkg, err := loader.LoadDir(dir)
 		if err != nil {
 			t.Fatalf("LoadDir(%s): %v", dir, err)
@@ -48,7 +48,7 @@ func renderJSON(t *testing.T, diags []Diagnostic) []byte {
 // load order — the call graph sorts its inputs and the effect fixpoint
 // is a unique least fixpoint, so load order must not be observable.
 func TestDiagnosticsByteIdentical(t *testing.T) {
-	n := len(All())
+	n := len(goldenFixtures())
 	identity := make([]int, n)
 	for i := range identity {
 		identity[i] = i

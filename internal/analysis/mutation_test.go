@@ -88,7 +88,8 @@ func applyEdits(t *testing.T, root string, edits []srcEdit) {
 // TestSeededMutationsAreCaught is the acceptance test for the dataflow
 // and call-graph checks: reintroducing each of the silent-corruption
 // bugs the checks were built for — deleting the reuse-stamp guard,
-// mutating a heap ordering key in place, dropping an event kind from
+// parking a fresh pooled record outside its owner fields, mutating a
+// heap ordering key in place, dropping an event kind from
 // the dispatch switch, racing a worker pool on captured state, hiding
 // an allocation in the digest hot path, feeding the wall clock into the
 // replayable command surface, inverting a lock order, touching a pooled
@@ -104,12 +105,27 @@ func TestSeededMutationsAreCaught(t *testing.T) {
 	}{
 		{
 			name:  "delete-stamp-guard",
-			check: "poolescape",
+			check: "ownxfer",
 			load:  "internal/core",
 			edits: []srcEdit{{
 				file: "internal/core/scheduler.go",
 				old:  "sub: sub, stamp: sub.stamp}",
 				new:  "sub: sub}",
+			}},
+		},
+		{
+			// A release that should wait on its own window parks the
+			// fresh record in the pending release's waitD, a field the
+			// pool does not own and that carries no stamp: once the
+			// chain trims and frees the record, the pending release
+			// reads a recycled subtask.
+			name:  "park-fresh-subtask-in-non-owner-field",
+			check: "ownxfer",
+			load:  "internal/core",
+			edits: []srcEdit{{
+				file: "internal/core/scheduler.go",
+				old:  "\tts.nextRel = pendingRelease{at: model.NextRelease(d, b, 0)}\n",
+				new:  "\tts.nextRel = pendingRelease{at: model.NextRelease(d, b, 0)}\n\tts.nextRel.waitD = sub\n",
 			}},
 		},
 		{

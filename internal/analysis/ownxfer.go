@@ -1,5 +1,5 @@
-// The ownxfer check: pooled-record ownership must transfer exactly
-// once along every path.
+// The ownxfer check: pooled records transfer ownership exactly once
+// along every path and never outlive their reuse stamp.
 package analysis
 
 import (
@@ -7,47 +7,66 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 )
 
-// OwnXfer verifies the ownership protocol of pooled records on the
-// wire path, flow-sensitively over the CFG (cfg.go).
+// OwnXfer verifies the protocol of pooled free-list records, flow-
+// sensitively over the CFG (cfg.go), driven by the validated
+// ownerXferTable (annotations.go).
 //
-// The mailbox design moves one pooled record per request across the
-// handler/shard goroutine boundary and back: the handler acquires it,
-// submits it into the shard's mailbox, blocks on the record's reply
-// channel, and releases it after reading the reply. poolescape's
-// stamp/escape rules cannot see the hand-off — the record never escapes
-// into a long-lived field, it changes *owner*. A handler touching the
-// record while the shard holds it is a data race that corrupts the
-// byte-exact replay story without ever failing a test.
+// The engine recycles subtask records through a free list, and the
+// serving layer recycles mailbox records the same way. Calendar events
+// that reference a subtask capture its reuse stamp at push time and
+// are invalidated when the record is recycled; a mailbox record moves
+// across the handler/shard goroutine boundary and back — the handler
+// acquires it, submits it into the shard's mailbox, blocks on the
+// record's reply channel, and releases it after reading the reply. A
+// pointer that dangles into a recycled record, or a handler touching a
+// record while the shard holds it, silently corrupts a later task's
+// schedule or the byte-exact replay story without ever failing a test.
 //
 // ownxfer tracks each record's may-state along every path of the
-// owning function, driven by the validated ownerXferTable
-// (annotations.go):
+// owning function:
 //
 //   - Records are born owned at an Acquire call result or a receive
 //     from a channel of records; parameters of the record type enter
-//     owned (a borrow — the caller enforces its own protocol).
+//     owned (a borrow — the caller enforces its own protocol). Copies
+//     alias the record: every alias shares its fate.
 //   - Ownership leaves through a send into a channel, a send on a
 //     channel rooted at the record itself (the reply hand-back), a
 //     registered transfer function, a return of the record, or a store
-//     into a field (poolescape's owner-field rules police where).
+//     into a field or container (the record is parked there).
 //     Conditional transfers (Shard.submit, Server.exchange) bind the
 //     outcome to the callee's bool result and the state is refined
 //     along the branch edges that test it.
 //   - A receive from a channel rooted at the record re-acquires it
 //     (reading the reply channel is the sanctioned hand-back).
 //
-// Violations: any read or write of a record that was freed or handed
-// off on every path reaching the use; releasing a record twice or
-// after a hand-off; and a record born from Acquire or a receive that
-// can reach a normal return still owned (a pool leak). Paths ending in
-// panic are exempt — the process is dying.
+// Violations:
+//
+//  1. A composite literal of a registered sink struct (tevent) that
+//     sets the pointer field without also setting the stamp field from
+//     that pointer's stamp.
+//  2. A record born at Acquire stored anywhere but the registered owner
+//     fields (the subtask chain, the free list) — another field, or an
+//     element of a container held in a field — or captured by a
+//     closure that is not invoked in place.
+//  3. A use of a record that was freed on some path reaching the use
+//     (a free on one branch, or at the bottom of a loop iteration,
+//     poisons the join), or that was handed off on every such path;
+//     releasing a record twice or after a hand-off; and a record born
+//     from Acquire or a receive that can reach a normal return still
+//     owned (a pool leak). Paths ending in panic are exempt — the
+//     process is dying.
+//
+// The analysis is intraprocedural: records received as parameters or
+// read from fields are trusted to already be owned, and a callee's
+// effect on a record is known only through the transfer table.
 func OwnXfer() *Analyzer {
 	return &Analyzer{
 		Name: "ownxfer",
-		Doc:  "pooled-record ownership must transfer exactly once per path: no use after send/free, no double free, no leaked acquire (annotation table)",
+		Doc:  "pooled records transfer ownership exactly once per path and never escape unstamped: no use after send/free, no double free, no leaked acquire, no store outside the owner fields (annotation table)",
 		AppliesTo: func(pkgPath string) bool {
 			return len(ownXferSpecsFor(pkgPath)) > 0
 		},
@@ -63,12 +82,18 @@ func runOwnXfer(p *Pass) []Diagnostic {
 	var diags []Diagnostic
 	specs = validateOwnXferSpecs(p, specs, &diags)
 	for i := range specs {
-		c := &ownxferChecker{p: p, spec: &specs[i], xfers: make(map[string]*ownXferFunc)}
-		for j := range specs[i].Transfers {
-			xf := &specs[i].Transfers[j]
-			c.xfers[xf.Func] = xf
+		spec := &specs[i]
+		c := &ownxferChecker{p: p, spec: spec, xfers: make(map[string]*ownXferFunc)}
+		for j := range spec.Transfers {
+			c.xfers[spec.Transfers[j].Func] = &spec.Transfers[j]
 		}
 		for _, fi := range p.Funcs() {
+			// Rule 1 is purely syntactic on the literal, so it also
+			// catches pointers the flow cannot see (e.g. a chain head
+			// stored into a calendar event).
+			for _, sink := range spec.Sinks {
+				p.checkSinkLiterals(fi.Decl.Body, spec, sink, &diags)
+			}
 			c.checkFunc(fi, &diags)
 		}
 	}
@@ -89,10 +114,13 @@ const (
 	ownStored                     // parked in an owner field/container
 )
 
-// ownState is the flow state of one tracked object.
+// ownState is the flow state of one tracked record. Aliases of a
+// record (q := r) share one *ownState, so freeing, handing off or
+// parking the record through any alias applies to every alias.
 type ownState struct {
 	bits     ownBits
 	acquired bool         // born in this function: the leak rule applies
+	fresh    bool         // born at an Acquire call: the escape rule applies
 	acqNode  ast.Node     // birth site, anchors leak reports
 	site     ast.Node     // earliest discharge site (free/hand-off)
 	siteDesc string       // how it was discharged, for messages
@@ -103,13 +131,25 @@ type ownState struct {
 
 type ownMap map[types.Object]*ownState
 
+// cloneOwnMap deep-copies s, keeping aliases that share a state in s
+// sharing one copy.
 func cloneOwnMap(s ownMap) ownMap {
 	out := make(ownMap, len(s))
+	copies := make(map[*ownState]*ownState, len(s))
 	for k, v := range s {
-		cp := *v
-		out[k] = &cp
+		out[k] = copyShared(v, copies)
 	}
 	return out
+}
+
+// copyShared returns the one copy of st recorded in copies.
+func copyShared(st *ownState, copies map[*ownState]*ownState) *ownState {
+	if cp := copies[st]; cp != nil {
+		return cp
+	}
+	cp := *st
+	copies[st] = &cp
+	return &cp
 }
 
 // mergeOwn joins src into dst (may-union), reporting change. Earliest
@@ -122,6 +162,10 @@ func mergeOwn(dst, src *ownState) bool {
 	}
 	if src.acquired && !dst.acquired {
 		dst.acquired = true
+		changed = true
+	}
+	if src.fresh && !dst.fresh {
+		dst.fresh = true
 		changed = true
 	}
 	if src.deferRel && !dst.deferRel {
@@ -156,6 +200,7 @@ const (
 	candDoubleFree
 	candFreeAfterXfer
 	candLeak
+	candEscape // rule 1-2 findings: deduplicated per site, not per object
 )
 
 type ownCand struct {
@@ -192,16 +237,17 @@ func (c *ownxferChecker) checkFunc(fi *funcInfo, diags *[]Diagnostic) {
 		clone: cloneOwnMap,
 		join: func(dst, src ownMap) (ownMap, bool) {
 			changed := false
+			var copies map[*ownState]*ownState
 			for obj, st := range src {
 				if d, ok := dst[obj]; ok {
-					if mergeOwn(d, st) {
-						changed = true
-					}
-				} else {
-					cp := *st
-					dst[obj] = &cp
-					changed = true
+					changed = mergeOwn(d, st) || changed
+					continue
 				}
+				if copies == nil {
+					copies = make(map[*ownState]*ownState)
+				}
+				dst[obj] = copyShared(st, copies)
+				changed = true
 			}
 			return dst, changed
 		},
@@ -230,14 +276,23 @@ func (c *ownxferChecker) checkFunc(fi *funcInfo, diags *[]Diagnostic) {
 	}
 
 	// Leaks: records born here that can reach a normal return still
-	// owned, with no deferred release pending.
-	if reached[g.exit.id] && in[g.exit.id] != nil {
-		for obj, st := range in[g.exit.id] {
-			if st.acquired && st.bits&ownOwned != 0 && !st.deferRel {
+	// owned, with no deferred release pending — reported once per
+	// record, under its first-declared alias.
+	if exit := in[g.exit.id]; reached[g.exit.id] && exit != nil {
+		objs := make([]types.Object, 0, len(exit))
+		for obj := range exit {
+			objs = append(objs, obj)
+		}
+		sort.Slice(objs, func(i, j int) bool { return objs[i].Pos() < objs[j].Pos() })
+		seen := make(map[*ownState]bool)
+		for _, obj := range objs {
+			st := exit[obj]
+			if !seen[st] && st.acquired && st.bits&ownOwned != 0 && !st.deferRel {
 				c.cand(obj, candLeak, st.acqNode,
 					"pooled %s %s acquired here is still owned when %s returns on some path; every acquire path must release or hand off the record exactly once",
 					c.spec.Elem, obj.Name(), fi.Name)
 			}
+			seen[st] = true
 		}
 	}
 	c.emit(diags)
@@ -472,8 +527,8 @@ func (c *ownxferChecker) node(n ast.Node, s ownMap) {
 }
 
 // assign handles the binding forms: acquire results, conditional
-// transfers with a bound outcome, receives, alias copies, owner-field
-// stores, and kills.
+// transfers with a bound outcome, receives, alias copies, stores, and
+// kills.
 func (c *ownxferChecker) assign(as *ast.AssignStmt, s ownMap) {
 	if len(as.Rhs) == 1 {
 		rhs := unparen(as.Rhs[0])
@@ -483,7 +538,7 @@ func (c *ownxferChecker) assign(as *ast.AssignStmt, s ownMap) {
 				c.clearCondBindings(as, s)
 				c.killTargets(as, s)
 				if obj := c.defOf(as.Lhs[0]); obj != nil {
-					s[obj] = &ownState{bits: ownOwned, acquired: true, acqNode: call}
+					s[obj] = &ownState{bits: ownOwned, acquired: true, fresh: true, acqNode: call}
 				}
 				return
 			}
@@ -532,15 +587,18 @@ func (c *ownxferChecker) assign(as *ast.AssignStmt, s ownMap) {
 			if obj == nil {
 				continue
 			}
-			cp := *s[obj]
-			moved[i] = &cp
-			if _, plain := unparen(as.Lhs[i]).(*ast.Ident); !plain {
-				// Stored into a field, element or dereference: ownership
-				// parks there (poolescape polices which fields qualify).
-				st := s[obj]
-				st.bits = ownStored
-				st.condVar = nil
+			st := s[obj]
+			if _, plain := unparen(as.Lhs[i]).(*ast.Ident); plain {
+				moved[i] = st // an alias: it shares the record's fate
+				continue
 			}
+			// Stored into a field, element or dereference: ownership
+			// parks there, which rule 2 allows only in owner fields.
+			if st.fresh {
+				c.checkStore(as, obj, as.Lhs[i])
+			}
+			st.bits = ownStored
+			st.condVar = nil
 		}
 	}
 	c.killTargets(as, s)
@@ -563,7 +621,8 @@ func (c *ownxferChecker) killTargets(as *ast.AssignStmt, s ownMap) {
 	}
 }
 
-// decl handles var declarations, seeding acquire-call initializers.
+// decl handles var declarations, seeding acquire-call initializers and
+// aliasing record-valued ones.
 func (c *ownxferChecker) decl(ds *ast.DeclStmt, s ownMap) {
 	gd, ok := ds.Decl.(*ast.GenDecl)
 	if !ok {
@@ -584,10 +643,13 @@ func (c *ownxferChecker) decl(ds *ast.DeclStmt, s ownMap) {
 				continue
 			}
 			delete(s, obj)
-			if i < len(vs.Values) {
-				if call, ok := unparen(vs.Values[i]).(*ast.CallExpr); ok && c.p.callsPoolFunc(call, c.spec.Acquire) {
-					s[obj] = &ownState{bits: ownOwned, acquired: true, acqNode: call}
-				}
+			if i >= len(vs.Values) {
+				continue
+			}
+			if call, ok := unparen(vs.Values[i]).(*ast.CallExpr); ok && c.p.callsPoolFunc(call, c.spec.Acquire) {
+				s[obj] = &ownState{bits: ownOwned, acquired: true, fresh: true, acqNode: call}
+			} else if src := c.trackedIdent(vs.Values[i], s); src != nil {
+				s[obj] = s[src]
 			}
 		}
 	}
@@ -652,24 +714,36 @@ func (c *ownxferChecker) xferArgs(call *ast.CallExpr, s ownMap) []types.Object {
 // state, and release/transfer/re-acquire operations nested in
 // expression position are applied. Function-literal bodies are scanned
 // for uses only — the literal runs elsewhere, so it must not mutate
-// this flow's state.
+// this flow's state — and, unless the literal is invoked in place, for
+// captured fresh records (rule 2).
 func (c *ownxferChecker) scan(n ast.Node, s ownMap, exempt map[types.Object]bool) {
 	if n == nil {
 		return
 	}
 	info := c.info()
 	reacq := make(map[types.Object]bool)
+	// The literal called right here, and the one a go statement spawns
+	// (which escapes although it is called).
+	var inPlace, spawned *ast.FuncLit
 	walkEvaluated(n, func(m ast.Node) bool {
 		switch m := m.(type) {
+		case *ast.GoStmt:
+			spawned, _ = unparen(m.Call.Fun).(*ast.FuncLit)
 		case *ast.FuncLit:
+			// Only the first fresh record a closure captures is named.
+			checked := m == inPlace
 			ast.Inspect(m.Body, func(mm ast.Node) bool {
 				if id, ok := mm.(*ast.Ident); ok {
+					checked = checked || c.captures(m, id, s)
 					c.useIdent(id, s, exempt, reacq)
 				}
 				return true
 			})
 			return false
 		case *ast.CallExpr:
+			if lit, ok := unparen(m.Fun).(*ast.FuncLit); ok && lit != spawned {
+				inPlace = lit
+			}
 			if c.p.callsPoolFunc(m, c.spec.Release) {
 				c.releaseCall(m, s)
 				return false
@@ -707,28 +781,63 @@ func (c *ownxferChecker) scan(n ast.Node, s ownMap, exempt map[types.Object]bool
 	})
 }
 
-// useIdent applies the use rule: touching a record that was freed or
-// handed off on every path reaching here (no path still owns it).
+// useIdent applies the use rule: touching a record that was freed on
+// some path reaching here, or handed off on every such path (a
+// conditional hand-off leaves it owned until the branch resolves).
 func (c *ownxferChecker) useIdent(id *ast.Ident, s ownMap, exempt, reacq map[types.Object]bool) {
 	obj := c.info().Uses[id]
 	if obj == nil || exempt[obj] || reacq[obj] {
 		return
 	}
 	st, ok := s[obj]
-	if !ok {
-		return
-	}
-	if st.bits&ownOwned != 0 || st.bits&(ownFreed|ownXfered) == 0 {
-		return
-	}
-	if st.bits&ownFreed != 0 {
+	switch {
+	case !ok:
+	case st.bits&ownFreed != 0:
 		c.cand(obj, candUseAfterFree, id,
 			"pooled %s %s used after %s released it (%s); the record may already be recycled",
 			c.spec.Elem, obj.Name(), c.spec.Release, c.sitePos(st))
-	} else {
+	case st.bits&(ownOwned|ownXfered) == ownXfered:
 		c.cand(obj, candUseAfterXfer, id,
 			"pooled %s %s used after it was %s (%s); the new owner may be touching it concurrently",
 			c.spec.Elem, obj.Name(), st.siteDesc, c.sitePos(st))
+	}
+}
+
+// captures applies rule 2 to id inside a closure that is not invoked in
+// place, reporting whether id names a fresh record (which the closure
+// then keeps alive beyond the slot).
+func (c *ownxferChecker) captures(lit *ast.FuncLit, id *ast.Ident, s ownMap) bool {
+	obj := c.info().Uses[id]
+	if st, ok := s[obj]; !ok || !st.fresh {
+		return false
+	}
+	c.cand(obj, candEscape, lit,
+		"pooled %s pointer %s captured by a closure that may outlive the slot; pass the (pointer, stamp) pair instead",
+		c.spec.Elem, obj.Name())
+	return true
+}
+
+// checkStore applies rule 2 to a store of a fresh record into lhs: only
+// the registered owner fields may hold it, directly or as an element.
+func (c *ownxferChecker) checkStore(as *ast.AssignStmt, obj types.Object, lhs ast.Expr) {
+	ix, isElem := unparen(lhs).(*ast.IndexExpr)
+	if isElem {
+		lhs = ix.X
+	}
+	sel, ok := unparen(lhs).(*ast.SelectorExpr)
+	if !ok {
+		return
+	}
+	switch name := c.p.fieldQualName(sel); {
+	case name == "" || slices.Contains(c.spec.OwnerFields, name):
+	case isElem:
+		c.cand(obj, candEscape, as,
+			"pooled %s pointer stored into element of %s, which outlives the slot without a reuse-stamp guard",
+			c.spec.Elem, name)
+	default:
+		c.cand(obj, candEscape, as,
+			"pooled %s pointer stored into %s, which outlives the slot without a reuse-stamp guard (owner fields: %s)",
+			c.spec.Elem, name, qualifyList(c.spec.OwnerFields))
 	}
 }
 
@@ -863,7 +972,7 @@ func (c *ownxferChecker) cand(obj types.Object, kind int, node ast.Node, msg str
 }
 
 // emit sorts the candidates by position and reports the earliest
-// witness per (object, kind).
+// witness per (object, kind) — per (object, site) for escapes.
 func (c *ownxferChecker) emit(diags *[]Diagnostic) {
 	sort.SliceStable(c.cands, func(i, j int) bool {
 		if c.cands[i].node.Pos() != c.cands[j].node.Pos() {
@@ -874,10 +983,14 @@ func (c *ownxferChecker) emit(diags *[]Diagnostic) {
 	type key struct {
 		obj  types.Object
 		kind int
+		site ast.Node
 	}
 	seen := make(map[key]bool)
 	for _, cd := range c.cands {
-		k := key{cd.obj, cd.kind}
+		k := key{obj: cd.obj, kind: cd.kind}
+		if cd.kind == candEscape {
+			k.site = cd.node
+		}
 		if seen[k] {
 			continue
 		}
@@ -888,36 +1001,108 @@ func (c *ownxferChecker) emit(diags *[]Diagnostic) {
 }
 
 // ---------------------------------------------------------------------
-// Table validation.
+// Rule 1 and table helpers.
+
+// checkSinkLiterals enforces rule 1 on every composite literal of the
+// sink struct in body.
+func (p *Pass) checkSinkLiterals(body *ast.BlockStmt, spec *ownXferSpec, sink poolSink, diags *[]Diagnostic) {
+	ast.Inspect(body, func(n ast.Node) bool {
+		lit, ok := n.(*ast.CompositeLit)
+		if !ok || namedTypeName(exprType(p.Pkg.Info, lit), p.Pkg.Types) != sink.Struct {
+			return true
+		}
+		setsPtr, stamped := false, false
+		for _, el := range lit.Elts {
+			kv, ok := el.(*ast.KeyValueExpr)
+			if !ok {
+				continue // positional literals of long-lived events are not used here
+			}
+			key, ok := kv.Key.(*ast.Ident)
+			if !ok {
+				continue
+			}
+			switch key.Name {
+			case sink.PtrField:
+				id, isIdent := unparen(kv.Value).(*ast.Ident)
+				setsPtr = !isIdent || id.Name != "nil"
+			case sink.StampField:
+				// The guard must read the stamp off a pooled record.
+				if sel, ok := unparen(kv.Value).(*ast.SelectorExpr); ok &&
+					sel.Sel.Name == spec.StampField {
+					stamped = true
+				}
+			}
+		}
+		if setsPtr && !stamped {
+			p.report(diags, "ownxfer", lit,
+				"pooled %s pointer stored into %s.%s without the %s reuse-stamp guard; a recycled record would alias a live event",
+				spec.Elem, sink.Struct, sink.PtrField, sink.StampField)
+		}
+		return true
+	})
+}
+
+// fieldQualName renders a selector store target as "Type.field" when
+// the selected object is a struct field of a named type of this
+// package; "" otherwise.
+func (p *Pass) fieldQualName(sel *ast.SelectorExpr) string {
+	s, ok := p.Pkg.Info.Selections[sel]
+	if !ok || s.Kind() != types.FieldVal {
+		return ""
+	}
+	tn := namedTypeName(exprType(p.Pkg.Info, sel.X), p.Pkg.Types)
+	if tn == "" {
+		return ""
+	}
+	return tn + "." + s.Obj().Name()
+}
+
+// callsPoolFunc reports whether call invokes a function or method of
+// this package with the given name (the table's Acquire/Release).
+func (p *Pass) callsPoolFunc(call *ast.CallExpr, name string) bool {
+	var id *ast.Ident
+	switch fun := unparen(call.Fun).(type) {
+	case *ast.Ident:
+		id = fun
+	case *ast.SelectorExpr:
+		id = fun.Sel
+	default:
+		return false
+	}
+	fn, ok := p.Pkg.Info.Uses[id].(*types.Func)
+	return ok && fn.Name() == name && fn.Pkg() == p.Pkg.Types
+}
 
 // validateOwnXferSpecs drops (and reports) stale table entries.
 func validateOwnXferSpecs(p *Pass, specs []ownXferSpec, diags *[]Diagnostic) []ownXferSpec {
 	var out []ownXferSpec
 	for _, s := range specs {
 		ok := true
-		if _, found := lookupStruct(p.Pkg.Types, s.Elem); !found {
-			p.reportAtPkg(diags, "ownxfer",
-				"stale annotation: owner-transfer table names record type %s.%s, which does not exist", s.Pkg, s.Elem)
+		stale := func(format string, args ...any) {
+			p.reportAtPkg(diags, "ownxfer", "stale annotation: pooled-record table "+format, args...)
 			ok = false
+		}
+		if st, found := lookupStruct(p.Pkg.Types, s.Elem); !found {
+			stale("names record type %s.%s, which does not exist", s.Pkg, s.Elem)
+		} else if !structHasField(st, s.StampField) {
+			stale("names stamp field %s.%s, which does not exist", s.Elem, s.StampField)
 		}
 		for _, fn := range []string{s.Acquire, s.Release} {
 			if !p.pkgDeclaresFunc(fn) {
-				p.reportAtPkg(diags, "ownxfer",
-					"stale annotation: owner-transfer table names %s in %s, which does not exist", fn, s.Pkg)
-				ok = false
+				stale("names %s in %s, which does not exist", fn, s.Pkg)
+			}
+		}
+		for _, sink := range s.Sinks {
+			sst, found := lookupStruct(p.Pkg.Types, sink.Struct)
+			if !found || !structHasField(sst, sink.PtrField) || !structHasField(sst, sink.StampField) {
+				stale("sink %s.%s/%s does not resolve in %s", sink.Struct, sink.PtrField, sink.StampField, s.Pkg)
 			}
 		}
 		for _, xf := range s.Transfers {
 			if !hasFuncNamed(p, xf.Func) {
-				p.reportAtPkg(diags, "ownxfer",
-					"stale annotation: owner-transfer table names %s in %s, which does not exist", xf.Func, s.Pkg)
-				ok = false
-				continue
-			}
-			if xf.Cond && !funcHasBoolResult(p, xf.Func, xf.BoolResult) {
-				p.reportAtPkg(diags, "ownxfer",
-					"stale annotation: owner-transfer entry %s in %s marks a conditional transfer but has no bool result at index %d", xf.Func, s.Pkg, xf.BoolResult)
-				ok = false
+				stale("names %s in %s, which does not exist", xf.Func, s.Pkg)
+			} else if xf.Cond && !funcHasBoolResult(p, xf.Func, xf.BoolResult) {
+				stale("entry %s in %s marks a conditional transfer but has no bool result at index %d", xf.Func, s.Pkg, xf.BoolResult)
 			}
 		}
 		if ok {
@@ -925,6 +1110,17 @@ func validateOwnXferSpecs(p *Pass, specs []ownXferSpec, diags *[]Diagnostic) []o
 		}
 	}
 	return out
+}
+
+// pkgDeclaresFunc reports whether any top-level function or method of
+// the package has the given bare name.
+func (p *Pass) pkgDeclaresFunc(name string) bool {
+	for _, fi := range p.Funcs() {
+		if fi.Decl.Name.Name == name {
+			return true
+		}
+	}
+	return false
 }
 
 // funcHasBoolResult checks the outcome-result contract of a Cond entry.

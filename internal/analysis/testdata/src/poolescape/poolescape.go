@@ -1,7 +1,7 @@
-// Fixture for the poolescape check: a miniature subtask pool with
-// reuse stamps, mirroring the scheduler's free list. The annotation
-// table (annotations.go) registers alloc/free/rec/stamp, the event
-// sink, and the owner fields last/live/pool.
+// Fixture for ownxfer's stamp and escape rules: a miniature subtask
+// pool with reuse stamps, mirroring the scheduler's free list. The
+// annotation table (annotations.go) registers alloc/free/rec/stamp,
+// the event sink, and the owner fields last/live/pool.
 package poolescape
 
 // rec is the pooled record; stamp is its reuse generation.
@@ -118,8 +118,8 @@ func (o *owner) okRealloc() *rec {
 }
 
 // ---------------------------------------------------------------------
-// Path-sensitive rule-3 cases: the dangling set comes from the CFG
-// dataflow, so a free poisons only the paths that run through it.
+// Path-sensitive rule-3 cases: a free poisons exactly the paths that
+// run through it, and every join those paths reach.
 
 // okFreeOnErrPath frees on the error branch only; the happy path never
 // runs through the free, so its reads are clean (TN).
@@ -152,5 +152,36 @@ func badLoopCarriedFree(o *owner, n int) int64 {
 // suppressedHold shows //lint:allow is honoured.
 func (o *owner) suppressedHold() {
 	r := o.alloc()
-	o.held = r //lint:allow poolescape fixture: suppression must be honoured
+	o.held = r //lint:allow ownxfer fixture: suppression must be honoured
+}
+
+// ---------------------------------------------------------------------
+// Aliases and borrowed records.
+
+// badClosureTwoAliases captures two aliases of one record; the finding
+// names the first captured alias in source order (rule 2).
+func (o *owner) badClosureTwoAliases() func() uint64 {
+	r := o.alloc()
+	q := r
+	o.last = r
+	return func() uint64 { return q.stamp + r.stamp }
+}
+
+// badAliasAfterFree frees the record through one alias and reads it
+// through others: every alias shares the record's fate (rule 3).
+func (o *owner) badAliasAfterFree() uint64 {
+	r := o.alloc()
+	q := r
+	var p = q
+	o.free(r)
+	return q.stamp + p.stamp
+}
+
+// okParkBorrowed parks records it did not acquire — one received from a
+// channel, one passed in — in non-owner fields, as Shard.drain does
+// with its mailbox records: rule 2 polices only records born at alloc.
+func (o *owner) okParkBorrowed(in chan *rec, p *rec) {
+	r := <-in
+	o.held = r
+	o.byID[p.key] = p
 }

@@ -8,7 +8,7 @@ import (
 
 // The mailbox is the only channel between HTTP handlers and a shard's
 // single-writer goroutine: a bounded chan of *pending records drawn
-// from a shard-local pool (registered in internal/analysis's poolescape
+// from a shard-local pool (registered in internal/analysis's ownxfer
 // table — handlers must not retain a record past freePending). A full
 // mailbox is surfaced to the client as 429 + Retry-After; the shard
 // side never blocks handlers and never drops a dequeued record without
@@ -63,9 +63,9 @@ type wireCmd struct {
 // pending is one pooled mailbox record. The reply channel is buffered
 // (capacity 1) and reused across generations: the shard sends exactly
 // one reply per dequeued record, the handler receives it and returns
-// the record to the pool. stamp counts generations for the poolescape
-// discipline; a handler holding a record across freePending would
-// observe the bump.
+// the record to the pool. stamp counts generations for ownxfer's
+// reuse-stamp discipline; a handler holding a record across
+// freePending would observe the bump.
 type pending struct {
 	stamp uint64
 	kind  pendingKind
