@@ -7,11 +7,14 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/serve"
 )
 
@@ -406,6 +409,14 @@ func TestFollowerCrashMidStream(t *testing.T) {
 	if code != http.StatusServiceUnavailable {
 		t.Fatalf("write with dead follower answered %d, want 503", code)
 	}
+	// The primary's lag gauge counts the slots the dead follower missed.
+	advance := fmt.Sprintf("%s/v1/shards/%d/advance", n1.ts.URL, shard)
+	if code, _ := postJSON(t, c, advance, `{"slots":3}`); code != http.StatusServiceUnavailable {
+		t.Fatalf("advance with dead follower answered %d, want 503", code)
+	}
+	if lag := fetchStatus(t, c, n1.ts.URL, shard).ReplLagSlots; lag <= 0 {
+		t.Fatalf("repl lag with the follower down reads %d, want > 0", lag)
+	}
 
 	// "Restart" the follower: a fresh process under a new base,
 	// re-registering with the same identity. It resyncs from index 0.
@@ -418,7 +429,7 @@ func TestFollowerCrashMidStream(t *testing.T) {
 	// absorbs transient 503s), and the log — including the un-acked "b"
 	// the primary kept — verifies clean after a boundary flush.
 	mustPost(t, c, url, `{"op":"join","task":"c","weight":"1/4"}`)
-	mustPost(t, c, fmt.Sprintf("%s/v1/shards/%d/advance", n1.ts.URL, shard), `{"slots":1}`)
+	mustPost(t, c, advance, `{"slots":1}`)
 	tail := verifyShard(t, c, n1.ts.URL, shard)
 	if tail.Total < 3 {
 		t.Fatalf("merged log holds %d commands, want >= 3", tail.Total)
@@ -427,6 +438,111 @@ func TestFollowerCrashMidStream(t *testing.T) {
 	st := fetchStatus(t, c, n1.ts.URL, shard)
 	if st.FailedApplies != 0 {
 		t.Fatalf("%d failed applies after follower restart", st.FailedApplies)
+	}
+	if st.ReplLagSlots != 0 {
+		t.Fatalf("repl lag after the follower resynced reads %d, want 0", st.ReplLagSlots)
+	}
+}
+
+// TestConcurrentWriters: clients writing one shard at once, each write
+// pushed to two followers in parallel, lose no acked write, and both
+// followers end in lockstep with the primary, engine and books.
+func TestConcurrentWriters(t *testing.T) {
+	const writers, perWriter = 4, 24
+	coord, err := NewCoordinator(CoordinatorOptions{
+		Shards: 1, Replicas: 2, MinNodes: 3,
+		Client: &http.Client{Timeout: 2 * time.Second},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cts := httptest.NewServer(coord.Handler())
+	defer cts.Close()
+	byID := map[string]*testNode{}
+	for _, id := range []string{"n1", "n2", "n3"} {
+		tn := newTestNode(t, id, 1)
+		defer tn.close(t)
+		if err := tn.node.Register(cts.URL); err != nil {
+			t.Fatal(err)
+		}
+		byID[id] = tn
+	}
+	route := coord.Table().Shards[0]
+	if len(route.Followers) != 2 {
+		t.Fatalf("shard 0 has followers %v, want 2", route.Followers)
+	}
+	base := byID[route.Primary].ts.URL
+
+	c := testClient()
+	acked := make([][]string, writers)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				path, body := "commands", fmt.Sprintf(`{"op":"join","task":"w%d-%d","weight":"1/256"}`, w, i)
+				if i%6 == 5 {
+					path, body = "advance", `{"slots":1}`
+				}
+				resp, err := c.Post(base+"/v1/shards/0/"+path, "application/json", strings.NewReader(body))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				_, _ = io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("writer %d %s answered %d", w, body, resp.StatusCode)
+					continue
+				}
+				if path == "commands" {
+					acked[w] = append(acked[w], fmt.Sprintf("w%d-%d", w, i))
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+
+	mustPost(t, c, base+"/v1/shards/0/advance", `{"slots":1}`) // flush the last batch into the log
+	tail := verifyShard(t, c, base, 0)
+	joined := map[string]bool{}
+	for _, cmd := range tail.Commands {
+		if cmd.Op == core.OpJoin {
+			joined[cmd.Task] = true
+		}
+	}
+	for w := range acked {
+		for _, name := range acked[w] {
+			if !joined[name] {
+				t.Fatalf("acked join %s is missing from the final log", name)
+			}
+		}
+	}
+	for _, id := range route.Followers {
+		st := &byID[id].node.states[0]
+		st.mu.Lock()
+		rep := st.replica
+		if rep == nil {
+			st.mu.Unlock()
+			t.Fatalf("follower %s holds no replica", id)
+		}
+		digest, logLen, now := rep.eng.StateDigest(), rep.Len(), rep.Now()
+		snap, err := rep.Snapshot()
+		st.mu.Unlock()
+		if err != nil {
+			t.Fatalf("follower %s replica is not promotable: %v", id, err)
+		}
+		if digest != tail.Digest || logLen != tail.Total || now != tail.Now {
+			t.Fatalf("follower %s at (log %d, now %d, %016x), primary at (log %d, now %d, %016x)",
+				id, logLen, now, digest, tail.Total, tail.Now, tail.Digest)
+		}
+		if !reflect.DeepEqual(snap.Admission, tail.Admission) {
+			t.Fatalf("follower %s books %+v, primary %+v", id, snap.Admission, tail.Admission)
+		}
 	}
 }
 

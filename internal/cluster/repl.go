@@ -3,11 +3,13 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log"
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/serve"
@@ -40,11 +42,14 @@ func (n *Node) replicateMode(shard int, force bool) error {
 	return n.replicatePush(shard, st, tab.Shards[shard], tab, force)
 }
 
-// replicatePush does the push with st.replMu held. st.mu is taken only
-// to snapshot and reconcile follower progress around the network round
-// trips, so reads and the gate path never wait on a follower, and two
-// transient primaries pushing the same shard at each other cannot
-// deadlock (handleRepl needs only st.mu, which is free mid-push).
+// replicatePush does the push with st.replMu held. It cuts one tail from
+// the slowest follower's index and pushes it to every follower at once,
+// so a write waits for the slowest follower rather than the sum of them.
+// st.mu is taken only to snapshot and reconcile follower progress
+// around the network round trips, so reads and the gate path never
+// wait on a follower, and two transient primaries pushing the same
+// shard at each other cannot deadlock (handleRepl needs only st.mu,
+// which is free mid-push).
 func (n *Node) replicatePush(shard int, st *shardState, route ShardRoute, tab *RouteTable, force bool) error {
 	type target struct {
 		id string
@@ -92,30 +97,40 @@ func (n *Node) replicatePush(shard int, st *shardState, route ShardRoute, tab *R
 			return err
 		}
 	}
+	errs := make([]error, len(targets))
+	push := func(i int) {
+		tg := &targets[i]
+		if !force && tg.fs.acked == tail.Total && tg.fs.now == tail.Now && !tg.fs.stale {
+			return // caught up (as far as log and clock can tell)
+		}
+		if base := tab.Nodes[tg.id]; base == "" {
+			errs[i] = errors.New("no known base")
+		} else {
+			errs[i] = n.pushToFollower(shard, base, tail, &tg.fs)
+		}
+		tg.fs.stale = errs[i] != nil
+	}
+	// Each push owns its target and error slot. The last one runs here,
+	// where the caller would otherwise only wait.
+	var wg sync.WaitGroup
+	for i := 0; i < len(targets)-1; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			push(i)
+		}()
+	}
+	push(len(targets) - 1)
+	wg.Wait()
 	var firstErr error
 	var maxLag int64
 	for i := range targets {
-		tg := &targets[i]
-		if !force && tg.fs.acked == tail.Total && tg.fs.now == tail.Now && !tg.fs.stale {
-			continue // caught up (as far as log and clock can tell)
+		if errs[i] != nil && firstErr == nil {
+			firstErr = fmt.Errorf("follower %s: %w", targets[i].id, errs[i])
 		}
-		base := tab.Nodes[tg.id]
-		if base == "" {
-			tg.fs.stale = true
-			if firstErr == nil {
-				firstErr = fmt.Errorf("follower %s has no known base", tg.id)
-			}
-			continue
-		}
-		if err := n.pushToFollower(shard, base, tail, &tg.fs); err != nil {
-			tg.fs.stale = true
-			if firstErr == nil {
-				firstErr = fmt.Errorf("follower %s: %w", tg.id, err)
-			}
-			continue
-		}
-		tg.fs.stale = false
-		if lag := tail.Now - tg.fs.now; lag > maxLag {
+		// From the last acked clock, so a follower whose push failed
+		// counts with the lag it really has.
+		if lag := tail.Now - targets[i].fs.now; lag > maxLag {
 			maxLag = lag
 		}
 	}

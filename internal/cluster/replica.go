@@ -9,19 +9,21 @@ import (
 
 // A Replica is a follower's warm copy of one shard: the full applied
 // command log plus a live engine kept in lockstep by replaying each
-// pushed tail. The engine is the digest-exchange witness — after every
-// tail the replica's StateDigest must equal the digest the primary
-// stamped on the tail, so divergence is caught at push time, not at
-// promotion time.
+// pushed tail, and the admission books folded from every tail. The
+// engine and the books are the digest-exchange witnesses — after every
+// tail the replica's StateDigest and books digest must equal the ones
+// the primary stamped on the tail, so divergence is caught at push
+// time, not at promotion time.
 //
-// Replicas are owned by the node's replMu; methods are not safe for
-// concurrent use.
+// A node touches its replicas only under the shard's shardState.mu;
+// methods are not safe for concurrent use.
 type Replica struct {
 	shard int
 	eng   *core.Scheduler
 	log   []core.Command
-	// last is the most recent applied tail; its pending sets and
-	// admission books make promotion lose no acknowledged command.
+	books *serve.Books
+	// last is the most recent applied tail; its pending sets, with the
+	// books, make promotion lose no acknowledged command.
 	last *serve.Tail
 }
 
@@ -41,7 +43,7 @@ func wantIndex(err error) (int, bool) {
 
 // NewReplica returns an empty replica that accepts only a complete
 // (From == 0) tail first.
-func NewReplica(shard int) *Replica { return &Replica{shard: shard} }
+func NewReplica(shard int) *Replica { return &Replica{shard: shard, books: serve.NewBooks()} }
 
 // Len returns the replicated log length — the index the replica wants
 // next.
@@ -56,12 +58,14 @@ func (r *Replica) Now() int64 {
 }
 
 // Apply folds one pushed tail into the replica: append the new
-// commands, replay them on the live engine up to the tail's clock, then
-// verify the engine digest against the primary's. A tail starting past
-// the log end is an errGap (the caller resyncs from the wanted index); a
+// commands, replay them on the live engine up to the tail's clock,
+// verify the engine digest against the primary's, then fold the tail's
+// book entries and verify the books digest. A tail starting past the
+// log end is an errGap (the caller resyncs from the wanted index); a
 // digest mismatch is a hard error (the caller must discard the replica
 // and resync from 0). Overlapping tails — From inside the log — are
-// fine: the overlap is skipped, only the suffix applies.
+// fine: the overlap is skipped, only the suffix applies, and the book
+// entries they carry are a superset of the ones the replica lacks.
 func (r *Replica) Apply(t *serve.Tail) error {
 	if t.Shard != r.shard {
 		return fmt.Errorf("cluster: tail for shard %d pushed to replica of %d", t.Shard, r.shard)
@@ -96,16 +100,19 @@ func (r *Replica) Apply(t *serve.Tail) error {
 		return fmt.Errorf("cluster: replica %d digest mismatch at t=%d: replica %016x, primary %016x",
 			r.shard, t.Now, got, t.Digest)
 	}
+	if err := r.books.Fold(t); err != nil {
+		return fmt.Errorf("cluster: replica %d: %w", r.shard, err)
+	}
 	r.last = t
 	return nil
 }
 
 // Snapshot assembles the full-shard snapshot a promotion installs: the
-// latest tail's pending sets and admission books over the complete
+// latest tail's pending sets and the folded books over the complete
 // replicated log. Nil until the first tail has applied.
 func (r *Replica) Snapshot() (*serve.Snapshot, error) {
 	if r.last == nil {
 		return nil, fmt.Errorf("cluster: replica %d has no tail to promote", r.shard)
 	}
-	return r.last.BuildSnapshot(r.log[:r.last.From])
+	return r.last.BuildSnapshot(r.log[:r.last.From], r.books)
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -26,6 +27,15 @@ import (
 // memory.
 type admission struct {
 	m frac.Rat // capacity: the shard's processor count
+
+	// at is the stamp every change to an entry carries, so a replication
+	// cut from log index i ships only the entries stamped >= i. It is the
+	// shard's log length, except inside a flush, where it stays at the
+	// length the flush started from (Shard.flush advances it when it
+	// returns). A follower that applied a cut taken at log length L needs
+	// every later change; no cut runs mid-flush, so each later change is
+	// stamped >= L.
+	at int
 
 	// tasks holds every task name ever admitted for a join; the entry
 	// outlives the task because the engine rejects re-joining a departed
@@ -53,6 +63,8 @@ type taskEntry struct {
 	// the engine leave actually succeeds (rule L may defer it), keeping
 	// the headroom conservative.
 	leaving bool
+	// at is admission.at as of the entry's last change.
+	at int
 }
 
 func newAdmission(m int) *admission {
@@ -91,8 +103,8 @@ func reject(kind, format string, args ...any) *admissionError {
 // lifetime (joins only; reweights and leaves hit existing entries).
 //
 //lint:allocok per-task-lifetime allocation: joins intern the name and entry once
-func newTaskEntry(raw []byte, w frac.Rat) *taskEntry {
-	return &taskEntry{name: string(raw), w: w, live: true, pending: true}
+func newTaskEntry(raw []byte, w frac.Rat, at int) *taskEntry {
+	return &taskEntry{name: string(raw), w: w, live: true, pending: true, at: at}
 }
 
 // posDelta bounds the worst-case increase in admitted weight if every
@@ -142,7 +154,7 @@ func (a *admission) admitJoin(raw []byte, w frac.Rat, checkW bool) (string, *adm
 		return "", rejectWeight(a.headroom(),
 			"join %s at weight %s exceeds property (W): headroom %s of M=%s", raw, w, a.headroom(), a.m)
 	}
-	e := newTaskEntry(raw, w)
+	e := newTaskEntry(raw, w, a.at)
 	a.tasks[e.name] = e
 	a.total = a.total.Add(w)
 	a.live++
@@ -172,7 +184,7 @@ func (a *admission) admitReweight(raw []byte, w frac.Rat, checkW bool) (string, 
 		return "", rejectWeight(a.headroom().Add(e.w),
 			"reweight %s from %s to %s exceeds property (W): total would be %s > M=%s", e.name, e.w, w, next, a.m)
 	}
-	e.w = w
+	e.w, e.at = w, a.at
 	a.total = next
 	return e.name, nil
 }
@@ -196,7 +208,7 @@ func (a *admission) admitLeave(raw []byte) (string, *admissionError) {
 	if e.leaving {
 		return "", reject(errConflict, "task %q is already leaving", raw)
 	}
-	e.leaving = true
+	e.leaving, e.at = true, a.at
 	return e.name, nil
 }
 
@@ -204,7 +216,7 @@ func (a *admission) admitLeave(raw []byte) (string, *admissionError) {
 // succeeded.
 func (a *admission) joinApplied(name string) {
 	if e := a.tasks[name]; e != nil {
-		e.pending = false
+		e.pending, e.at = false, a.at
 	}
 }
 
@@ -216,7 +228,7 @@ func (a *admission) abortJoin(name string) {
 	if e == nil {
 		return
 	}
-	e.pending = false
+	e.pending, e.at = false, a.at
 	if e.live {
 		a.total = a.total.Sub(e.w)
 		e.live = false
@@ -236,7 +248,7 @@ func (a *admission) completeLeave(name string) {
 		e.live = false
 		a.live--
 	}
-	e.leaving = false
+	e.leaving, e.at = false, a.at
 }
 
 // requested returns the live requested weight for name, if any — the
@@ -248,10 +260,11 @@ func (a *admission) requested(name string) (frac.Rat, bool) {
 	return frac.Rat{}, false
 }
 
-// state serializes the books for a snapshot; restore rebuilds the maps
-// from it. Slices are sorted so snapshots are byte-stable. The encoding
-// predates the single-map layout and is kept verbatim so snapshots
-// round-trip across versions.
+// state serializes the entries stamped >= from: all of them for a
+// snapshot (from 0), the ones changed since the cut a follower holds
+// for a replication tail. restore upserts them. Slices are sorted so the
+// encoding is byte-stable. It predates the single-map layout and is
+// kept verbatim so snapshots round-trip across versions.
 type admissionState struct {
 	Names     []string     `json:"names"`
 	Requested []taskWeight `json:"requested"`
@@ -264,10 +277,13 @@ type taskWeight struct {
 	Weight frac.Rat `json:"weight"`
 }
 
-func (a *admission) state() admissionState {
+func (a *admission) state(from int) admissionState {
 	var st admissionState
 	st.Names = make([]string, 0, len(a.tasks))
 	for name, e := range a.tasks {
+		if e.at < from {
+			continue
+		}
 		st.Names = append(st.Names, name)
 		if e.live {
 			st.Requested = append(st.Requested, taskWeight{Task: name, Weight: e.w})
@@ -286,16 +302,28 @@ func (a *admission) state() admissionState {
 	return st
 }
 
+// restore upserts the entries st carries: each one is replaced by its
+// state in st and stamped at a.at, and entries st does not name are
+// left alone. Into empty books this is a plain restore; a follower folds
+// every tail's changed entries the same way.
 func (a *admission) restore(st admissionState) {
+	reset := func(name string) *taskEntry {
+		e := a.tasks[name]
+		if e == nil {
+			e = &taskEntry{name: name}
+			a.tasks[name] = e
+		} else if e.live {
+			a.total = a.total.Sub(e.w)
+			a.live--
+		}
+		*e = taskEntry{name: e.name, at: a.at}
+		return e
+	}
 	for _, name := range st.Names {
-		a.tasks[name] = &taskEntry{name: name}
+		reset(name)
 	}
 	for _, tw := range st.Requested {
-		e := a.tasks[tw.Task]
-		if e == nil {
-			e = &taskEntry{name: tw.Task}
-			a.tasks[tw.Task] = e
-		}
+		e := reset(tw.Task) // a no-op for a listed name; guards a weight listed alone or twice
 		e.live = true
 		e.w = tw.Weight
 		a.total = a.total.Add(tw.Weight)
@@ -311,4 +339,46 @@ func (a *admission) restore(st admissionState) {
 			e.leaving = true
 		}
 	}
+}
+
+// digest is an order-independent digest of the whole books: the XOR of
+// one FNV-1a hash per entry over what state encodes of it, so books
+// rebuilt by folding the same entries in any order digest the same.
+func (a *admission) digest() uint64 {
+	var d uint64
+	for _, e := range a.tasks {
+		d ^= e.hash()
+	}
+	return d
+}
+
+// hash is FNV-1a over the entry's name, then its marks and requested
+// weight in a fixed-width tail (a dead entry's weight is not part of
+// the books), so distinct entries cannot encode alike.
+func (e *taskEntry) hash() uint64 {
+	var w frac.Rat
+	var marks byte
+	if e.live {
+		w, marks = e.w, 1
+	}
+	if e.pending {
+		marks |= 2
+	}
+	if e.leaving {
+		marks |= 4
+	}
+	var tail [17]byte
+	tail[0] = marks
+	binary.LittleEndian.PutUint64(tail[1:], uint64(w.Num()))
+	binary.LittleEndian.PutUint64(tail[9:], uint64(w.Den()))
+	// Inlined FNV-1a, as in core.StateDigest.
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	h := uint64(offset64)
+	for i := 0; i < len(e.name); i++ {
+		h = (h ^ uint64(e.name[i])) * prime64
+	}
+	for _, b := range tail {
+		h = (h ^ uint64(b)) * prime64
+	}
+	return h
 }

@@ -102,8 +102,9 @@ func (cs *ClusterStats) SetRole(shard int, role int32) {
 }
 
 // SetReplLag publishes the replication lag, in slots, for a shard: on a
-// primary the furthest-behind live follower, on a follower its own lag
-// behind the last pushed tail.
+// primary the furthest-behind follower, counted from the clock it last
+// acked (so a dead follower's lag keeps growing), on a follower its own
+// lag behind the last pushed tail.
 func (cs *ClusterStats) SetReplLag(shard int, slots int64) {
 	if shard >= 0 && shard < len(cs.replLag) {
 		cs.replLag[shard].Store(slots)

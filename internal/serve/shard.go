@@ -435,6 +435,7 @@ func (sh *Shard) flush() {
 		}
 	}
 	sh.batch = sh.batch[:0]
+	sh.adm.at = len(sh.log)
 	// Deferred-join depth peaks right after a flush that deferred work;
 	// track it here so multi-slot advances cannot hide a transient.
 	// Single-writer, so the load/store pair cannot race another writer.

@@ -112,19 +112,21 @@ func (sh *Shard) buildSnapshot() *Snapshot {
 		Batch:          toPendingCmds(sh.batch),
 		DeferredJoins:  toPendingCmds(sh.defJoins),
 		DeferredLeaves: append([]string(nil), sh.defLeaves...),
-		Admission:      sh.adm.state(),
+		Admission:      sh.adm.state(0),
 		Digest:         sh.eng.StateDigest(),
 	}
 }
 
 // A Tail is the replication wire unit: everything that changed on a
-// shard since log index From, plus the full admitted-but-unapplied
-// state (which is small and rides whole on every tail). A Tail with
-// From == 0 is a complete snapshot of the shard; a follower that holds
-// log[0:From) and applies Commands ends up with the primary's full log.
-// Digest and Now certify the engine state after the last carried
-// command — the follower's periodic digest exchange compares against
-// them after stepping its replica to Now.
+// shard since log index From. It carries the commands applied since
+// From, the admission-book entries changed since From, and the whole
+// admitted-but-unapplied queues, which are small. A Tail with From == 0
+// is a complete snapshot of the shard. A follower that holds log[0:From)
+// and applies Commands ends up with the primary's full log; one that
+// also folded every earlier tail into its Books ends up with the
+// primary's books. Digest and Now certify the engine state after the
+// last carried command, and BooksDigest the whole books; the follower
+// checks both on every tail.
 type Tail struct {
 	Shard  int          `json:"shard"`
 	Config ShardConfig  `json:"config"`
@@ -137,10 +139,15 @@ type Tail struct {
 	Digest   uint64         `json:"digest"`
 	Commands []core.Command `json:"commands,omitempty"`
 
-	Batch          []pendingCmd   `json:"batch,omitempty"`
-	DeferredJoins  []pendingCmd   `json:"deferred_joins,omitempty"`
-	DeferredLeaves []string       `json:"deferred_leaves,omitempty"`
-	Admission      admissionState `json:"admission"`
+	Batch          []pendingCmd `json:"batch,omitempty"`
+	DeferredJoins  []pendingCmd `json:"deferred_joins,omitempty"`
+	DeferredLeaves []string     `json:"deferred_leaves,omitempty"`
+	// Admission holds the book entries stamped >= From: every entry a
+	// follower that applied the cut at From lacks (names are never
+	// deleted, so upserting them is complete), and all of them when
+	// From == 0.
+	Admission   admissionState `json:"admission"`
+	BooksDigest uint64         `json:"books_digest"`
 }
 
 // buildTail serializes the shard's state from log index `from` on.
@@ -165,20 +172,51 @@ func (sh *Shard) buildTail(from int) (*Tail, error) {
 		Batch:          toPendingCmds(sh.batch),
 		DeferredJoins:  toPendingCmds(sh.defJoins),
 		DeferredLeaves: append([]string(nil), sh.defLeaves...),
-		Admission:      sh.adm.state(),
+		Admission:      sh.adm.state(from),
+		BooksDigest:    sh.adm.digest(),
 	}, nil
 }
 
-// BuildSnapshot assembles a full shard snapshot from this tail and the
-// log prefix the receiver already holds (len(prefix) must equal From).
-// It is how a promoted follower or a migration receiver turns its
-// replicated state back into something restoreShard (and therefore
-// Server.InstallShard) accepts — the restore replays the combined log
-// and verifies Digest, so a corrupt hand-off cannot be installed.
-func (t *Tail) BuildSnapshot(prefix []core.Command) (*Snapshot, error) {
+// Books is a follower's copy of one shard's admission books, rebuilt
+// from the tails it applies: Fold upserts each tail's entries and checks
+// the result against the tail's BooksDigest. Its layout stays private
+// to this package. Not safe for concurrent use.
+type Books struct{ adm *admission }
+
+// NewBooks returns empty books, ready for a complete (From == 0) tail.
+func NewBooks() *Books { return &Books{adm: newAdmission(0)} }
+
+// Fold upserts t's book entries and verifies the whole books against
+// t.BooksDigest. On a mismatch the books are left diverged; the caller
+// must discard them and resync from a complete tail.
+func (b *Books) Fold(t *Tail) error {
+	b.adm.restore(t.Admission)
+	return b.check(t)
+}
+
+func (b *Books) check(t *Tail) error {
+	if got := b.adm.digest(); got != t.BooksDigest {
+		return fmt.Errorf("serve: shard %d books digest mismatch at t=%d: folded %016x, primary %016x",
+			t.Shard, t.Now, got, t.BooksDigest)
+	}
+	return nil
+}
+
+// BuildSnapshot assembles a full shard snapshot from this tail, the log
+// prefix the receiver already holds (len(prefix) must equal From), and
+// the books folded from every tail up to this one, which must match the
+// tail's BooksDigest. It is how a promoted follower or a migration
+// receiver turns its replicated state back into something restoreShard
+// (and therefore Server.InstallShard) accepts — the restore replays the
+// combined log and verifies Digest, so a corrupt hand-off cannot be
+// installed.
+func (t *Tail) BuildSnapshot(prefix []core.Command, books *Books) (*Snapshot, error) {
 	if len(prefix) != t.From {
 		return nil, fmt.Errorf("serve: tail for shard %d starts at %d but prefix holds %d commands",
 			t.Shard, t.From, len(prefix))
+	}
+	if err := books.check(t); err != nil {
+		return nil, err
 	}
 	log := make([]core.Command, 0, len(prefix)+len(t.Commands))
 	log = append(log, prefix...)
@@ -193,7 +231,7 @@ func (t *Tail) BuildSnapshot(prefix []core.Command) (*Snapshot, error) {
 		Batch:          t.Batch,
 		DeferredJoins:  t.DeferredJoins,
 		DeferredLeaves: t.DeferredLeaves,
-		Admission:      t.Admission,
+		Admission:      books.adm.state(0),
 		Digest:         t.Digest,
 	}, nil
 }
@@ -249,6 +287,7 @@ func restoreShard(snap *Snapshot, mailboxCap int) (*Shard, error) {
 		mailboxCap = 1
 	}
 	adm := newAdmission(snap.Config.M)
+	adm.at = len(snap.Log)
 	adm.restore(snap.Admission)
 	sh := &Shard{
 		id:        snap.Shard,

@@ -130,8 +130,8 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 					t.Fatalf("seed %d: restored engine diverges at the cut:\n--- live ---\n%s--- restored ---\n%s",
 						seed, want, got)
 				}
-				la, _ := json.Marshal(live.adm.state())
-				ra, _ := json.Marshal(restored.adm.state())
+				la, _ := json.Marshal(live.adm.state(0))
+				ra, _ := json.Marshal(restored.adm.state(0))
 				if string(la) != string(ra) {
 					t.Fatalf("seed %d: admission books diverge:\nlive:     %s\nrestored: %s", seed, la, ra)
 				}

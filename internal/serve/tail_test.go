@@ -5,8 +5,12 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/frac"
+	"repro/internal/stats"
 )
 
 // driveSomeLoad joins tasks, reweights them, and advances the clock so
@@ -14,35 +18,44 @@ import (
 func driveSomeLoad(t *testing.T, ts *httptest.Server, shard int) {
 	t.Helper()
 	for i := 0; i < 4; i++ {
-		body := fmt.Sprintf(`{"op":"join","task":"T%d","weight":"1/8"}`, i)
-		resp, err := http.Post(fmt.Sprintf("%s/v1/shards/%d/commands", ts.URL, shard), "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("join %d: %d", i, resp.StatusCode)
-		}
+		post(t, ts, shard, "commands", fmt.Sprintf(`{"op":"join","task":"T%d","weight":"1/8"}`, i))
 	}
 	for s := 0; s < 3; s++ {
-		resp, err := http.Post(fmt.Sprintf("%s/v1/shards/%d/advance", ts.URL, shard), "application/json", strings.NewReader(`{"slots":2}`))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		body := fmt.Sprintf(`{"op":"reweight","task":"T%d","weight":"1/4"}`, s)
-		resp, err = http.Post(fmt.Sprintf("%s/v1/shards/%d/commands", ts.URL, shard), "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
+		post(t, ts, shard, "advance", `{"slots":2}`)
+		post(t, ts, shard, "commands", fmt.Sprintf(`{"op":"reweight","task":"T%d","weight":"1/4"}`, s))
 	}
+}
+
+// post sends one body to a shard endpoint and requires a 200.
+func post(t *testing.T, ts *httptest.Server, shard int, op, body string) {
+	t.Helper()
+	resp, err := http.Post(fmt.Sprintf("%s/v1/shards/%d/%s", ts.URL, shard, op), "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("%s %s: %d", op, body, resp.StatusCode)
+	}
+}
+
+// foldAll folds tails into fresh books, failing the test on a books
+// digest mismatch.
+func foldAll(t *testing.T, tails ...*Tail) *Books {
+	t.Helper()
+	books := NewBooks()
+	for _, tl := range tails {
+		if err := books.Fold(tl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return books
 }
 
 // TestTailRoundTrip: the /log endpoint's complete tail must replay
 // byte-identically (VerifyTail), an incremental tail must splice onto
-// its prefix, and InstallShard must accept the resulting snapshot and
-// serve the same digest.
+// the prefix and books of the cut before it, and InstallShard must
+// accept the resulting snapshot and serve the same digest and books.
 func TestTailRoundTrip(t *testing.T) {
 	srv, err := New(Options{Shards: 1, Config: ShardConfig{M: 2}})
 	if err != nil {
@@ -52,8 +65,6 @@ func TestTailRoundTrip(t *testing.T) {
 	defer srv.Stop()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-
-	driveSomeLoad(t, ts, 0)
 
 	fetch := func(from int) *Tail {
 		t.Helper()
@@ -72,6 +83,13 @@ func TestTailRoundTrip(t *testing.T) {
 		return &tail
 	}
 
+	// A task joined before the first cut and untouched after it: only
+	// the books the follower folded from that cut still hold it.
+	post(t, ts, 0, "commands", `{"op":"join","task":"U","weight":"1/8"}`)
+	post(t, ts, 0, "advance", `{"slots":1}`)
+	base := fetch(0)
+	driveSomeLoad(t, ts, 0)
+
 	full := fetch(0)
 	if full.Total == 0 || len(full.Commands) != full.Total {
 		t.Fatalf("full tail carries %d of %d commands", len(full.Commands), full.Total)
@@ -84,13 +102,18 @@ func TestTailRoundTrip(t *testing.T) {
 		t.Fatalf("replayed digest %016x != tail digest %016x", digest, full.Digest)
 	}
 
-	// Incremental tail splices onto the prefix it was cut from.
-	mid := full.Total / 2
-	delta := fetch(mid)
-	if delta.From != mid {
-		t.Fatalf("delta.From = %d, want %d", delta.From, mid)
+	// Incremental tail splices onto the log and books of the cut it
+	// follows.
+	delta := fetch(base.Total)
+	if delta.From != base.Total {
+		t.Fatalf("delta.From = %d, want %d", delta.From, base.Total)
 	}
-	snap, err := delta.BuildSnapshot(full.Commands[:mid])
+	for _, name := range delta.Admission.Names {
+		if name == "U" {
+			t.Fatalf("delta from %d carries U, untouched since log index %d", delta.From, base.Total)
+		}
+	}
+	snap, err := delta.BuildSnapshot(base.Commands, foldAll(t, base, delta))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,6 +138,10 @@ func TestTailRoundTrip(t *testing.T) {
 	if got.Digest != full.Digest || got.Now != full.Now {
 		t.Fatalf("installed shard at (now=%d, %016x), want (now=%d, %016x)",
 			got.Now, got.Digest, full.Now, full.Digest)
+	}
+	if !reflect.DeepEqual(got.Admission, full.Admission) || got.BooksDigest != full.BooksDigest {
+		t.Fatalf("installed books %+v (digest %016x), want %+v (digest %016x)",
+			got.Admission, got.BooksDigest, full.Admission, full.BooksDigest)
 	}
 
 	// A bad from is a clean 400, not a hang.
@@ -146,7 +173,7 @@ func TestInstallShardSwapsLive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, err := tail.BuildSnapshot(nil)
+	snap, err := tail.BuildSnapshot(nil, foldAll(t, tail))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,5 +198,106 @@ func TestInstallShardSwapsLive(t *testing.T) {
 	}
 	if got.Digest != tail.Digest {
 		t.Fatalf("slot 1 digest %016x, want %016x", got.Digest, tail.Digest)
+	}
+}
+
+// TestTailCarriesChangedBooks: a tail cut from the log index a follower
+// holds carries only the book entries changed since, so one reweight
+// ships one entry whatever the task count, while the books digest still
+// covers every entry. Books folded from the delta alone fail that digest.
+func TestTailCarriesChangedBooks(t *testing.T) {
+	for _, tasks := range []int{16, 1024} {
+		t.Run(fmt.Sprint(tasks), func(t *testing.T) {
+			srv, err := New(Options{Shards: 1, Config: ShardConfig{M: 2}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv.Start()
+			defer srv.Stop()
+			ts := httptest.NewServer(srv.Handler())
+			defer ts.Close()
+
+			joins := make([]string, tasks)
+			for i := range joins {
+				joins[i] = fmt.Sprintf(`{"op":"join","task":"T%d","weight":"1/2048"}`, i)
+			}
+			post(t, ts, 0, "commands", "["+strings.Join(joins, ",")+"]")
+			post(t, ts, 0, "advance", `{"slots":1}`)
+			cut, err := srv.ShardTail(0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cut.Total != tasks || len(cut.Admission.Names) != tasks {
+				t.Fatalf("complete tail: log %d, %d book entries; want %d of each", cut.Total, len(cut.Admission.Names), tasks)
+			}
+
+			post(t, ts, 0, "commands", `{"op":"reweight","task":"T7","weight":"1/1024"}`)
+			delta, err := srv.ShardTail(0, cut.Total)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := admissionState{Names: []string{"T7"}, Requested: []taskWeight{{Task: "T7", Weight: frac.New(1, 1024)}}}
+			if !reflect.DeepEqual(delta.Admission, want) {
+				t.Fatalf("delta carries books %+v, want only T7 at 1/1024", delta.Admission)
+			}
+			if delta.BooksDigest == cut.BooksDigest {
+				t.Fatal("books digest did not move with the reweight")
+			}
+			foldAll(t, cut, delta)
+			if err := NewBooks().Fold(delta); err == nil {
+				t.Fatal("books folded from the delta alone pass the whole-books digest")
+			}
+		})
+	}
+}
+
+// TestFoldedBooksTrackThePrimary: a follower that folds each tail cut
+// from the log index of the cut before it holds the primary's books
+// after every fold, so the stamps leave out no changed entry. Random
+// histories under every policy cover deferred joins and leaves, and
+// cuts land both between admissions and at slot boundaries.
+func TestFoldedBooksTrackThePrimary(t *testing.T) {
+	// One processor, so condition J defers some of genScript's joins.
+	cfgs := map[string]ShardConfig{
+		"oi":     {M: 1, Policy: "oi"},
+		"lj":     {M: 1, Policy: "lj"},
+		"hybrid": {M: 1, Policy: "hybrid", OIThreshold: frac.New(1, 8)},
+	}
+	for name, cfg := range cfgs {
+		t.Run(name, func(t *testing.T) {
+			for seed := uint64(1); seed <= 5; seed++ {
+				const horizon = 60
+				script := genScript(seed, horizon)
+				coin := stats.NewStream(seed, 11)
+				sh := testShard(t, cfg, 8)
+				books, from := NewBooks(), 0
+				maybeCut := func() {
+					if coin.Intn(2) == 0 {
+						return
+					}
+					tl, err := sh.buildTail(from)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := books.Fold(tl); err != nil {
+						t.Fatalf("seed %d at t=%d, cut from %d: %v", seed, tl.Now, from, err)
+					}
+					from = tl.Total
+				}
+				for slot := int64(0); slot < horizon; slot++ {
+					for _, s := range script {
+						if s.slot == slot {
+							admitScripted(sh, s.cmd)
+							maybeCut()
+						}
+					}
+					sh.advance(1)
+					maybeCut()
+				}
+				if got, want := books.adm.state(0), sh.adm.state(0); !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d: folded books %+v, primary %+v", seed, got, want)
+				}
+			}
+		})
 	}
 }
