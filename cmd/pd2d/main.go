@@ -268,7 +268,9 @@ func loadSnapshots(dir string) ([]*serve.Snapshot, error) {
 }
 
 // writeSnapshots persists one file per shard, via a temp file + rename
-// so a crash mid-write never leaves a truncated snapshot behind.
+// so a crash mid-write never leaves a truncated snapshot behind. Each
+// temp file is synced before its rename, and the directory after the
+// renames, so a power loss cannot persist a rename without its data.
 func writeSnapshots(dir string, snaps []*serve.Snapshot) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -280,12 +282,41 @@ func writeSnapshots(dir string, snaps []*serve.Snapshot) error {
 		}
 		path := snapshotPath(dir, snap.Shard)
 		tmp := path + ".tmp"
-		if err := os.WriteFile(tmp, data, 0o644); err != nil {
+		if err := writeSynced(tmp, data); err != nil {
 			return err
 		}
 		if err := os.Rename(tmp, path); err != nil {
 			return err
 		}
 	}
-	return nil
+	return syncDir(dir)
+}
+
+// writeSynced writes data to path and syncs it to stable storage.
+func writeSynced(path string, data []byte) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// syncDir syncs directory dir, making the renames inside it durable.
+func syncDir(dir string) error {
+	f, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = f.Sync()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

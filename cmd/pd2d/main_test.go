@@ -1,0 +1,71 @@
+package main
+
+import (
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"repro/internal/serve"
+)
+
+// TestSnapshotFilesRoundTrip: writeSnapshots then loadSnapshots gives
+// back every shard's snapshot unchanged, the loaded snapshots restore,
+// and no temp file is left behind.
+func TestSnapshotFilesRoundTrip(t *testing.T) {
+	opts := serve.Options{Shards: 2, Config: serve.ShardConfig{M: 2, Policy: "oi"}}
+	srv, err := serve.New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Start()
+	ts := httptest.NewServer(srv.Handler())
+	for shard := 0; shard < 2; shard++ {
+		for _, req := range []struct{ path, body string }{
+			{"commands", fmt.Sprintf(`{"op":"join","task":"T%d","weight":"1/4"}`, shard)},
+			{"advance", `{"slots":3}`},
+		} {
+			url := fmt.Sprintf("%s/v1/shards/%d/%s", ts.URL, shard, req.path)
+			resp, err := http.Post(url, "application/json", strings.NewReader(req.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			_ = resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("POST %s answered %d", url, resp.StatusCode)
+			}
+		}
+	}
+	ts.Close()
+	srv.Stop()
+
+	dir := filepath.Join(t.TempDir(), "snap")
+	want := srv.Snapshots()
+	if err := writeSnapshots(dir, want); err != nil {
+		t.Fatal(err)
+	}
+	got, err := loadSnapshots(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("loaded %d snapshots, wrote %d", len(got), len(want))
+	}
+	for i := range want {
+		w, _ := json.Marshal(want[i])
+		g, _ := json.Marshal(got[i])
+		if string(g) != string(w) {
+			t.Fatalf("shard %d snapshot changed on disk:\nwrote  %s\nloaded %s", i, w, g)
+		}
+	}
+	if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(tmps) != 0 {
+		t.Fatalf("temp files left behind: %v", tmps)
+	}
+	opts.Snapshots = got
+	if _, err := serve.New(opts); err != nil {
+		t.Fatalf("restoring the loaded snapshots: %v", err)
+	}
+}

@@ -17,52 +17,74 @@ import (
 	"repro/internal/serve"
 )
 
-// TestReplicaRejectsTamperedBooks: a tail whose book entry was altered
-// in transit replays to the right engine digest but fails the books
-// digest, which is a hard error (reset and resync from 0), not a gap.
-func TestReplicaRejectsTamperedBooks(t *testing.T) {
-	srv, err := serve.New(serve.Options{Shards: 1, Config: serve.ShardConfig{M: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.Start()
-	defer srv.Stop()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	c := testClient()
-	mustPost(t, c, ts.URL+"/v1/shards/0/commands", `{"op":"join","task":"a","weight":"1/4"}`)
-	mustPost(t, c, ts.URL+"/v1/shards/0/advance", `{"slots":1}`)
-	full, err := srv.ShardTail(0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := NewReplica(0)
-	if err := rep.Apply(full); err != nil {
-		t.Fatal(err)
-	}
+// tamperings alter a tail in transit. Both apply to a push cut between
+// slot boundaries, which carries a book entry but no command: one
+// alters that entry, the other the engine digest, which the follower
+// checks against the digest its untouched engine memoized.
+var tamperings = []struct {
+	name   string
+	tamper func(*serve.Tail)
+}{
+	{"book-entry", func(tl *serve.Tail) {
+		w := &tl.Admission.Requested[0].Weight
+		*w = w.Div(frac.FromInt(2))
+	}},
+	{"engine-digest", func(tl *serve.Tail) { tl.Digest ^= 1 }},
+}
 
-	mustPost(t, c, ts.URL+"/v1/shards/0/commands", `{"op":"join","task":"b","weight":"1/4"}`)
-	bad, err := srv.ShardTail(0, full.Total)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad.Admission.Requested[0].Weight = frac.New(1, 8)
-	err = rep.Apply(bad)
-	if err == nil {
-		t.Fatal("replica accepted a tampered book entry")
-	}
-	if _, gap := wantIndex(err); gap {
-		t.Fatalf("tampered books reported as a gap: %v", err)
+// TestReplicaRejectsTamperedBooks: a tail whose book entry or engine
+// digest was altered in transit fails the books or the engine digest,
+// which is a hard error (reset and resync from 0), not a gap.
+func TestReplicaRejectsTamperedBooks(t *testing.T) {
+	for _, tc := range tamperings {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, err := serve.New(serve.Options{Shards: 1, Config: serve.ShardConfig{M: 2}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv.Start()
+			defer srv.Stop()
+			ts := httptest.NewServer(srv.Handler())
+			defer ts.Close()
+			c := testClient()
+			mustPost(t, c, ts.URL+"/v1/shards/0/commands", `{"op":"join","task":"a","weight":"1/4"}`)
+			mustPost(t, c, ts.URL+"/v1/shards/0/advance", `{"slots":1}`)
+			full, err := srv.ShardTail(0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep := NewReplica(0)
+			if err := rep.Apply(full); err != nil {
+				t.Fatal(err)
+			}
+
+			mustPost(t, c, ts.URL+"/v1/shards/0/commands", `{"op":"join","task":"b","weight":"1/4"}`)
+			bad, err := srv.ShardTail(0, full.Total)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(bad.Commands) != 0 {
+				t.Fatalf("tail between boundaries carries %d commands, want none", len(bad.Commands))
+			}
+			tc.tamper(bad)
+			err = rep.Apply(bad)
+			if err == nil {
+				t.Fatal("replica accepted a tampered tail")
+			}
+			if _, gap := wantIndex(err); gap {
+				t.Fatalf("tampered tail reported as a gap: %v", err)
+			}
+		})
 	}
 }
 
-// tamperOnce is a node transport that, once armed, halves the first
-// requested weight of the next replication push and records the
-// follower's answer to it.
+// tamperOnce is a node transport that, once armed, applies tamper to
+// the next replication push and records the follower's answer to it.
 type tamperOnce struct {
-	armed atomic.Bool
-	code  atomic.Int32
-	want  atomic.Int32
+	tamper func(*serve.Tail)
+	armed  atomic.Bool
+	code   atomic.Int32
+	want   atomic.Int32
 }
 
 func (tp *tamperOnce) RoundTrip(r *http.Request) (*http.Response, error) {
@@ -73,8 +95,7 @@ func (tp *tamperOnce) RoundTrip(r *http.Request) (*http.Response, error) {
 	if err := json.NewDecoder(r.Body).Decode(&tl); err != nil {
 		return nil, err
 	}
-	w := &tl.Admission.Requested[0].Weight
-	*w = w.Div(frac.FromInt(2))
+	tp.tamper(&tl)
 	body, err := json.Marshal(&tl)
 	if err != nil {
 		return nil, err
@@ -98,19 +119,25 @@ func (tp *tamperOnce) RoundTrip(r *http.Request) (*http.Response, error) {
 	return resp, nil
 }
 
-// TestTamperedPushResyncs: a push whose books were altered in transit
-// draws 409 want 0, the primary's retry of the same push resyncs the
-// follower from a complete tail, the write is acked, and promoting the
-// follower installs the primary's books, not the tampered ones.
+// TestTamperedPushResyncs: a push altered in transit draws 409 want 0,
+// the primary's retry of the same push resyncs the follower from a
+// complete tail, the write is acked, and promoting the follower
+// installs the primary's engine and books, not the tampered ones.
 func TestTamperedPushResyncs(t *testing.T) {
+	for _, tc := range tamperings {
+		t.Run(tc.name, func(t *testing.T) { tamperedPushResyncs(t, tc.tamper) })
+	}
+}
+
+func tamperedPushResyncs(t *testing.T, tamper func(*serve.Tail)) {
 	const shards = 2
 	n1 := newTestNode(t, "n1", shards)
 	defer n1.close(t)
 	n2 := newTestNode(t, "n2", shards)
 	defer n2.close(t)
-	tamper := &tamperOnce{}
-	n1.node.client.Transport = tamper
-	n2.node.client.Transport = tamper
+	tp := &tamperOnce{tamper: tamper}
+	n1.node.client.Transport = tp
+	n2.node.client.Transport = tp
 	coord, err := NewCoordinator(CoordinatorOptions{
 		Shards: shards, Replicas: 1, MinNodes: 2,
 		Client: &http.Client{Timeout: time.Second},
@@ -135,14 +162,14 @@ func TestTamperedPushResyncs(t *testing.T) {
 	mustPost(t, c, commands, `{"op":"join","task":"a","weight":"1/4"}`)
 	mustPost(t, c, fmt.Sprintf("%s/v1/shards/%d/advance", primary.ts.URL, shard), `{"slots":1}`)
 
-	tamper.armed.Store(true)
+	tp.armed.Store(true)
 	if code, b := postJSON(t, c, commands, `{"op":"join","task":"b","weight":"1/4"}`); code != http.StatusOK {
 		t.Fatalf("write over a tampered push answered %d %s, want 200 after the resync", code, b)
 	}
-	if tamper.armed.Load() {
+	if tp.armed.Load() {
 		t.Fatal("the write made no push to tamper")
 	}
-	if code, want := tamper.code.Load(), tamper.want.Load(); code != http.StatusConflict || want != 0 {
+	if code, want := tp.code.Load(), tp.want.Load(); code != http.StatusConflict || want != 0 {
 		t.Fatalf("follower answered the tampered push %d want %d, want 409 want 0", code, want)
 	}
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"hash/fnv"
 	"testing"
 
 	"repro/internal/core/reference"
@@ -16,8 +17,10 @@ import (
 // randomized AIS histories — joins, leaves, reweight initiations,
 // intra-sporadic delays and AGIS absences — asserting byte-for-byte
 // identical schedules (including processor assignment), misses,
-// violations and exact-rational accounting every slot. CI additionally
-// runs it under the race detector (make test-race).
+// violations and exact-rational accounting every slot. Around every
+// mutation, Step and Metrics read it also requires StateDigest's memo
+// to match a fresh render. CI additionally runs it under the race
+// detector (make test-race).
 
 type diffConfig struct {
 	label  string
@@ -95,10 +98,28 @@ func diffRun(t *testing.T, dc diffConfig, seed uint64, horizon model.Time) {
 	}
 	nextJoin := len(tasks)
 
+	// memo primes the StateDigest memo, runs f, and requires the digest
+	// to match a fresh render: a mutator that leaves the memo standing
+	// returns the pre-f digest here.
+	memo := func(now model.Time, what string, f func()) {
+		s.StateDigest()
+		f()
+		h := fnv.New64a()
+		if err := s.WriteState(h); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := s.StateDigest(), h.Sum64(); got != want {
+			t.Fatalf("%s seed %d t=%d: StateDigest %016x after %s, render %016x (stale memo)",
+				dc.label, seed, now, got, what, want)
+		}
+	}
+
 	// both applies the same mutation to each engine and requires error
 	// parity: the engines must accept and reject identically.
 	both := func(now model.Time, what string, fNew, fRef func() error) bool {
-		e1, e2 := fNew(), fRef()
+		var e1 error
+		memo(now, what, func() { e1 = fNew() })
+		e2 := fRef()
 		if (e1 == nil) != (e2 == nil) {
 			t.Fatalf("%s seed %d t=%d: %s error divergence: new=%v ref=%v",
 				dc.label, seed, now, what, e1, e2)
@@ -146,7 +167,7 @@ func diffRun(t *testing.T, dc diffConfig, seed uint64, horizon model.Time) {
 				func() error { return ref.MarkAbsent(name, idx) })
 		}
 
-		s.Step()
+		memo(now, "Step", s.Step)
 		ref.Step()
 
 		// Schedules must match entry-for-entry, including CPUs.
@@ -164,7 +185,9 @@ func diffRun(t *testing.T, dc diffConfig, seed uint64, horizon model.Time) {
 		}
 		// Exact accounting must match for every task, every slot.
 		for _, name := range names {
-			m1, ok1 := s.Metrics(name)
+			var m1 TaskMetrics
+			var ok1 bool
+			memo(now, "Metrics "+name, func() { m1, ok1 = s.Metrics(name) })
 			m2, ok2 := ref.Metrics(name)
 			if ok1 != ok2 {
 				t.Fatalf("%s seed %d t=%d %s: presence %v vs %v", dc.label, seed, now, name, ok1, ok2)

@@ -148,8 +148,18 @@ func (s *Scheduler) WriteState(w io.Writer) error {
 // equality witness for "these two schedulers are in byte-identical
 // observable states".
 //
+// It renders at most once per engine change: the digest is memoized,
+// and every exported mutator (Join, Leave, Initiate, DelayNext,
+// MarkAbsent, Step) drops the memo on entry, error returns included.
+// Readers never drop it — the render syncs lazy accrual to Now, and
+// syncing again at the same clock changes nothing. WriteState always
+// renders.
+//
 //lint:noalloc digest path: hashed every slot by pd2d status reporting
 func (s *Scheduler) StateDigest() uint64 {
+	if s.digestOK {
+		return s.digest
+	}
 	s.stateBuf = s.appendState(s.stateBuf[:0])
 	// Inlined FNV-1a (hash/fnv's New64a allocates its state).
 	const offset64 = 14695981039346656037
@@ -159,5 +169,6 @@ func (s *Scheduler) StateDigest() uint64 {
 		h ^= uint64(c)
 		h *= prime64
 	}
+	s.digest, s.digestOK = h, true
 	return h
 }

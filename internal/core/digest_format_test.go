@@ -91,13 +91,18 @@ func TestRatAppendMatchesString(t *testing.T) {
 
 // TestStateDigestSteadyStateAllocs proves the digest path is
 // allocation-free once the render buffer is warm — the static hotalloc
-// check's runtime counterpart.
+// check's runtime counterpart. Each run Steps first, so StateDigest
+// renders instead of returning its memo; Step itself is allocation-free
+// at steady state (TestStepSteadyStateAllocs).
 func TestStateDigestSteadyStateAllocs(t *testing.T) {
 	cfg, sys := engineSystem(16)
 	s := mustNew(t, cfg, sys)
 	s.RunTo(100)
 	s.StateDigest() // size the retained buffer
-	avg := testing.AllocsPerRun(100, func() { s.StateDigest() })
+	avg := testing.AllocsPerRun(100, func() {
+		s.Step()
+		s.StateDigest()
+	})
 	if avg > 0.5 {
 		t.Errorf("steady-state StateDigest allocates %.2f objects/run, want ~0", avg)
 	}

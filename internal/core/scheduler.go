@@ -206,6 +206,11 @@ type Scheduler struct {
 	curRan   []*taskState // tasks scheduled in the current slot
 	stateBuf []byte       // scratch: retained canonical-state render (digest.go)
 
+	// digest memoizes StateDigest while digestOK; every exported
+	// mutator clears digestOK on entry.
+	digest   uint64
+	digestOK bool
+
 	subPool []*subtask // free list of retired subtask records
 }
 
@@ -450,6 +455,7 @@ var (
 // changes immediately — I_PS begins allocating at the new rate — while the
 // scheduling weight changes when the policy enacts the request.
 func (s *Scheduler) Initiate(name string, v frac.Rat) error {
+	s.digestOK = false
 	ts, ok := s.byName[name]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownTask, name)
@@ -666,6 +672,7 @@ func (s *Scheduler) halt(sub *subtask) {
 // Join adds a new task at the current time. The join condition J (total
 // weight at most M after joining) is enforced.
 func (s *Scheduler) Join(spec model.Spec) error {
+	s.digestOK = false
 	if err := spec.Validate(); err != nil {
 		return err
 	}
@@ -701,6 +708,7 @@ func (s *Scheduler) Join(spec model.Spec) error {
 // nothing to it, matching the IS-model semantics of Sec. 4.1. Delaying is
 // not allowed while a reweighting event is in flight.
 func (s *Scheduler) DelayNext(name string, sep int64) error {
+	s.digestOK = false
 	ts, ok := s.byName[name]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownTask, name)
@@ -751,6 +759,7 @@ func (s *Scheduler) DelayNext(name string, sep int64) error {
 // allocation, being complete at its release in every schedule. Removing a
 // subtask this way is the displacement operation of the paper's appendix.
 func (s *Scheduler) MarkAbsent(name string, absIndex int64) error {
+	s.digestOK = false
 	ts, ok := s.byName[name]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownTask, name)
@@ -770,6 +779,7 @@ func (s *Scheduler) MarkAbsent(name string, absIndex int64) error {
 // calling Leave earlier is an error. A released but unscheduled successor is
 // withdrawn (it becomes absent, exactly like a halted subtask).
 func (s *Scheduler) Leave(name string) error {
+	s.digestOK = false
 	ts, ok := s.byName[name]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownTask, name)
@@ -817,6 +827,7 @@ func (s *Scheduler) Leave(name string) error {
 //
 //lint:noalloc the slot loop; steady state must not allocate (TestStepSteadyStateAllocs)
 func (s *Scheduler) Step() {
+	s.digestOK = false
 	t := s.now
 
 	// Scheduled joins from the initial system.

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -44,6 +43,9 @@ type admission struct {
 	// total is the sum of live entries' requested weights.
 	total frac.Rat
 	live  int // live entries, for status reporting
+	// dig is the books digest: the XOR of every entry's h, kept
+	// running by touch and restore.
+	dig uint64
 }
 
 // taskEntry is one task's admission record.
@@ -65,6 +67,9 @@ type taskEntry struct {
 	leaving bool
 	// at is admission.at as of the entry's last change.
 	at int
+	// h is the entry's hash as of its last change, its share of
+	// admission.dig; 0 for an entry not yet hashed into it.
+	h uint64
 }
 
 func newAdmission(m int) *admission {
@@ -103,8 +108,19 @@ func reject(kind, format string, args ...any) *admissionError {
 // lifetime (joins only; reweights and leaves hit existing entries).
 //
 //lint:allocok per-task-lifetime allocation: joins intern the name and entry once
-func newTaskEntry(raw []byte, w frac.Rat, at int) *taskEntry {
-	return &taskEntry{name: string(raw), w: w, live: true, pending: true, at: at}
+func newTaskEntry(raw []byte, w frac.Rat) *taskEntry {
+	return &taskEntry{name: string(raw), w: w, live: true, pending: true}
+}
+
+// touch records a change to e, made just before: it stamps e at a.at
+// and swaps e's old hash in the running books digest for its new one.
+//
+//lint:noalloc hot admission path: one entry hash per admitted command
+func (a *admission) touch(e *taskEntry) {
+	e.at = a.at
+	a.dig ^= e.h
+	e.h = e.hash()
+	a.dig ^= e.h
 }
 
 // posDelta bounds the worst-case increase in admitted weight if every
@@ -154,7 +170,8 @@ func (a *admission) admitJoin(raw []byte, w frac.Rat, checkW bool) (string, *adm
 		return "", rejectWeight(a.headroom(),
 			"join %s at weight %s exceeds property (W): headroom %s of M=%s", raw, w, a.headroom(), a.m)
 	}
-	e := newTaskEntry(raw, w, a.at)
+	e := newTaskEntry(raw, w)
+	a.touch(e)
 	a.tasks[e.name] = e
 	a.total = a.total.Add(w)
 	a.live++
@@ -184,7 +201,8 @@ func (a *admission) admitReweight(raw []byte, w frac.Rat, checkW bool) (string, 
 		return "", rejectWeight(a.headroom().Add(e.w),
 			"reweight %s from %s to %s exceeds property (W): total would be %s > M=%s", e.name, e.w, w, next, a.m)
 	}
-	e.w, e.at = w, a.at
+	e.w = w
+	a.touch(e)
 	a.total = next
 	return e.name, nil
 }
@@ -208,7 +226,8 @@ func (a *admission) admitLeave(raw []byte) (string, *admissionError) {
 	if e.leaving {
 		return "", reject(errConflict, "task %q is already leaving", raw)
 	}
-	e.leaving, e.at = true, a.at
+	e.leaving = true
+	a.touch(e)
 	return e.name, nil
 }
 
@@ -216,7 +235,8 @@ func (a *admission) admitLeave(raw []byte) (string, *admissionError) {
 // succeeded.
 func (a *admission) joinApplied(name string) {
 	if e := a.tasks[name]; e != nil {
-		e.pending, e.at = false, a.at
+		e.pending = false
+		a.touch(e)
 	}
 }
 
@@ -228,12 +248,13 @@ func (a *admission) abortJoin(name string) {
 	if e == nil {
 		return
 	}
-	e.pending, e.at = false, a.at
+	e.pending = false
 	if e.live {
 		a.total = a.total.Sub(e.w)
 		e.live = false
 		a.live--
 	}
+	a.touch(e)
 }
 
 // completeLeave frees the task's weight after the engine leave
@@ -248,7 +269,8 @@ func (a *admission) completeLeave(name string) {
 		e.live = false
 		a.live--
 	}
-	e.leaving, e.at = false, a.at
+	e.leaving = false
+	a.touch(e)
 }
 
 // requested returns the live requested weight for name, if any — the
@@ -306,7 +328,16 @@ func (a *admission) state(from int) admissionState {
 // state in st and stamped at a.at, and entries st does not name are
 // left alone. Into empty books this is a plain restore; a follower folds
 // every tail's changed entries the same way.
+//
+// Every entry st rewrites is first taken out of the running digest
+// (detach leaves h == 0) and hashed back in once at the end, so the
+// digest stays the XOR over all entries even for a tail that lists a
+// name in one set but not another.
 func (a *admission) restore(st admissionState) {
+	detach := func(e *taskEntry) {
+		a.dig ^= e.h
+		e.h = 0
+	}
 	reset := func(name string) *taskEntry {
 		e := a.tasks[name]
 		if e == nil {
@@ -316,6 +347,7 @@ func (a *admission) restore(st admissionState) {
 			a.total = a.total.Sub(e.w)
 			a.live--
 		}
+		detach(e)
 		*e = taskEntry{name: e.name, at: a.at}
 		return e
 	}
@@ -331,26 +363,43 @@ func (a *admission) restore(st admissionState) {
 	}
 	for _, name := range st.Pending {
 		if e := a.tasks[name]; e != nil {
+			detach(e)
 			e.pending = true
 		}
 	}
 	for _, name := range st.Leaving {
 		if e := a.tasks[name]; e != nil {
+			detach(e)
 			e.leaving = true
 		}
+	}
+	// An entry whose true hash is 0 would be hashed again here; that
+	// XORs in 0, so the digest stays right.
+	attach := func(name string) {
+		if e := a.tasks[name]; e != nil && e.h == 0 {
+			e.h = e.hash()
+			a.dig ^= e.h
+		}
+	}
+	for _, name := range st.Names {
+		attach(name)
+	}
+	for _, tw := range st.Requested {
+		attach(tw.Task)
+	}
+	for _, name := range st.Pending {
+		attach(name)
+	}
+	for _, name := range st.Leaving {
+		attach(name)
 	}
 }
 
 // digest is an order-independent digest of the whole books: the XOR of
 // one FNV-1a hash per entry over what state encodes of it, so books
 // rebuilt by folding the same entries in any order digest the same.
-func (a *admission) digest() uint64 {
-	var d uint64
-	for _, e := range a.tasks {
-		d ^= e.hash()
-	}
-	return d
-}
+// touch and restore keep it running, so reading it costs nothing.
+func (a *admission) digest() uint64 { return a.dig }
 
 // hash is FNV-1a over the entry's name, then its marks and requested
 // weight in a fixed-width tail (a dead entry's weight is not part of
@@ -367,18 +416,21 @@ func (e *taskEntry) hash() uint64 {
 	if e.leaving {
 		marks |= 4
 	}
-	var tail [17]byte
-	tail[0] = marks
-	binary.LittleEndian.PutUint64(tail[1:], uint64(w.Num()))
-	binary.LittleEndian.PutUint64(tail[9:], uint64(w.Den()))
-	// Inlined FNV-1a, as in core.StateDigest.
+	// Inlined FNV-1a, as in core.StateDigest. The tail is the marks
+	// byte, then Num and Den as 8 little-endian bytes each, folded in
+	// with shifts.
 	const offset64, prime64 = 14695981039346656037, 1099511628211
 	h := uint64(offset64)
 	for i := 0; i < len(e.name); i++ {
 		h = (h ^ uint64(e.name[i])) * prime64
 	}
-	for _, b := range tail {
-		h = (h ^ uint64(b)) * prime64
+	h = (h ^ uint64(marks)) * prime64
+	num, den := uint64(w.Num()), uint64(w.Den())
+	for i := 0; i < 64; i += 8 {
+		h = (h ^ num>>i&0xff) * prime64
+	}
+	for i := 0; i < 64; i += 8 {
+		h = (h ^ den>>i&0xff) * prime64
 	}
 	return h
 }

@@ -135,6 +135,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 				if string(la) != string(ra) {
 					t.Fatalf("seed %d: admission books diverge:\nlive:     %s\nrestored: %s", seed, la, ra)
 				}
+				requireRunningBooksDigest(t, fmt.Sprintf("seed %d restored", seed), restored.adm)
 				if len(restored.batch) != len(live.batch) {
 					t.Fatalf("seed %d: restored batch %d entries, live %d",
 						seed, len(restored.batch), len(live.batch))

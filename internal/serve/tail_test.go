@@ -251,11 +251,27 @@ func TestTailCarriesChangedBooks(t *testing.T) {
 	}
 }
 
+// requireRunningBooksDigest fails unless the books' running digest
+// equals the XOR of every entry's hash recomputed from scratch.
+func requireRunningBooksDigest(t *testing.T, what string, a *admission) {
+	t.Helper()
+	var want uint64
+	for _, e := range a.tasks {
+		want ^= e.hash()
+	}
+	if got := a.digest(); got != want {
+		t.Fatalf("%s: running books digest %016x, recomputed %016x", what, got, want)
+	}
+}
+
 // TestFoldedBooksTrackThePrimary: a follower that folds each tail cut
 // from the log index of the cut before it holds the primary's books
 // after every fold, so the stamps leave out no changed entry. Random
 // histories under every policy cover deferred joins and leaves, and
-// cuts land both between admissions and at slot boundaries.
+// cuts land both between admissions and at slot boundaries. The
+// running books digest of both sides must equal one recomputed from
+// scratch after every admission, boundary and fold. (abortJoin is not
+// reached: it runs only when the engine refuses an admitted join.)
 func TestFoldedBooksTrackThePrimary(t *testing.T) {
 	// One processor, so condition J defers some of genScript's joins.
 	cfgs := map[string]ShardConfig{
@@ -272,6 +288,7 @@ func TestFoldedBooksTrackThePrimary(t *testing.T) {
 				sh := testShard(t, cfg, 8)
 				books, from := NewBooks(), 0
 				maybeCut := func() {
+					requireRunningBooksDigest(t, fmt.Sprintf("seed %d primary at t=%d", seed, sh.eng.Now()), sh.adm)
 					if coin.Intn(2) == 0 {
 						return
 					}
@@ -282,6 +299,7 @@ func TestFoldedBooksTrackThePrimary(t *testing.T) {
 					if err := books.Fold(tl); err != nil {
 						t.Fatalf("seed %d at t=%d, cut from %d: %v", seed, tl.Now, from, err)
 					}
+					requireRunningBooksDigest(t, fmt.Sprintf("seed %d folded at t=%d", seed, tl.Now), books.adm)
 					from = tl.Total
 				}
 				for slot := int64(0); slot < horizon; slot++ {
