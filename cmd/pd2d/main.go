@@ -18,6 +18,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -121,6 +122,13 @@ func run(addr string, shards, m int, policy, oiThreshold, driftBound string, ear
 	if err != nil {
 		return err
 	}
+	// Bind before anything starts: a taken address fails startup
+	// directly, and in cluster mode peers can reach the node as soon as
+	// it registers.
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return fmt.Errorf("listen on %s: %w", addr, err)
+	}
 	srv.Start()
 
 	// Cluster mode wraps the serve handler in the node middleware:
@@ -143,7 +151,6 @@ func run(addr string, shards, m int, policy, oiThreshold, driftBound string, ear
 	}
 
 	httpSrv := &http.Server{
-		Addr:              addr,
 		Handler:           handler,
 		ReadHeaderTimeout: 5 * time.Second,
 	}
@@ -178,19 +185,15 @@ func run(addr string, shards, m int, policy, oiThreshold, driftBound string, ear
 
 	errc := make(chan error, 1)
 	go func() {
-		errc <- httpSrv.ListenAndServe()
+		errc <- httpSrv.Serve(ln)
 	}()
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)
 
 	if node != nil {
-		// Register once the listener answers, retrying while the
-		// coordinator comes up; then start the anti-entropy pushes.
+		// Register, retrying while the coordinator comes up; then start
+		// the anti-entropy pushes.
 		go func() {
-			client := &http.Client{Timeout: 2 * time.Second}
-			if err := cluster.WaitHealthy(client, cc.Advertise, 10*time.Second); err != nil {
-				log.Printf("cluster: %v", err)
-			}
 			for attempt := 0; attempt < 40; attempt++ {
 				if err := node.Register(cc.Coordinator); err == nil {
 					log.Printf("cluster: registered as %s with %s", cc.ID, cc.Coordinator)
@@ -207,7 +210,7 @@ func run(addr string, shards, m int, policy, oiThreshold, driftBound string, ear
 	log.Printf("pd2d listening on %s: %d shard(s), M=%d, policy=%s, tick=%s", addr, shards, m, policy, tick)
 	select {
 	case err := <-errc:
-		return fmt.Errorf("listen on %s: %w", addr, err)
+		return fmt.Errorf("serve on %s: %w", addr, err)
 	case sig := <-sigc:
 		log.Printf("received %s; draining", sig)
 	}

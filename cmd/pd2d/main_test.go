@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -13,8 +14,9 @@ import (
 )
 
 // TestSnapshotFilesRoundTrip: writeSnapshots then loadSnapshots gives
-// back every shard's snapshot unchanged, the loaded snapshots restore,
-// and no temp file is left behind.
+// back every shard's snapshot unchanged, each file is a format-2 tail
+// carrying its books digest, the loaded snapshots restore, and no temp
+// file is left behind.
 func TestSnapshotFilesRoundTrip(t *testing.T) {
 	opts := serve.Options{Shards: 2, Config: serve.ShardConfig{M: 2, Policy: "oi"}}
 	srv, err := serve.New(opts)
@@ -59,6 +61,21 @@ func TestSnapshotFilesRoundTrip(t *testing.T) {
 		g, _ := json.Marshal(got[i])
 		if string(g) != string(w) {
 			t.Fatalf("shard %d snapshot changed on disk:\nwrote  %s\nloaded %s", i, w, g)
+		}
+		data, err := os.ReadFile(snapshotPath(dir, i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var file struct {
+			Version     int    `json:"version"`
+			BooksDigest uint64 `json:"books_digest"`
+		}
+		if err := json.Unmarshal(data, &file); err != nil {
+			t.Fatal(err)
+		}
+		if file.Version != 2 || file.BooksDigest == 0 {
+			t.Fatalf("shard %d file has version %d and books digest %016x, want version 2 and a books digest",
+				i, file.Version, file.BooksDigest)
 		}
 	}
 	if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(tmps) != 0 {

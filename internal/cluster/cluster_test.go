@@ -530,15 +530,15 @@ func TestConcurrentWriters(t *testing.T) {
 			st.mu.Unlock()
 			t.Fatalf("follower %s holds no replica", id)
 		}
-		digest, logLen, now := rep.eng.StateDigest(), rep.Len(), rep.Now()
-		snap, err := rep.Snapshot()
+		logLen, now := rep.Len(), rep.Now()
+		snap := rep.Snapshot()
 		st.mu.Unlock()
-		if err != nil {
-			t.Fatalf("follower %s replica is not promotable: %v", id, err)
+		if snap == nil {
+			t.Fatalf("follower %s replica is not promotable", id)
 		}
-		if digest != tail.Digest || logLen != tail.Total || now != tail.Now {
+		if snap.Digest != tail.Digest || logLen != tail.Total || now != tail.Now {
 			t.Fatalf("follower %s at (log %d, now %d, %016x), primary at (log %d, now %d, %016x)",
-				id, logLen, now, digest, tail.Total, tail.Now, tail.Digest)
+				id, logLen, now, snap.Digest, tail.Total, tail.Now, tail.Digest)
 		}
 		if !reflect.DeepEqual(snap.Admission, tail.Admission) {
 			t.Fatalf("follower %s books %+v, primary %+v", id, snap.Admission, tail.Admission)

@@ -418,7 +418,7 @@ func (c *Coordinator) CheckNodes() {
 
 	promoted := make(map[int]string, len(promos))
 	for _, p := range promos {
-		if _, err := c.postPromote(p.base, p.shard); err == nil {
+		if _, err := postPromote(c.client, p.base, p.shard); err == nil {
 			promoted[p.shard] = p.id
 			continue
 		} else {
@@ -435,7 +435,7 @@ func (c *Coordinator) CheckNodes() {
 			if base == "" {
 				continue
 			}
-			if _, err := c.postPromote(base, p.shard); err == nil {
+			if _, err := postPromote(c.client, base, p.shard); err == nil {
 				promoted[p.shard] = alt
 				break
 			}
@@ -475,24 +475,4 @@ func (c *Coordinator) CheckNodes() {
 	}
 	c.mu.Unlock()
 	c.pushTable(tab, bases)
-}
-
-// postPromote asks a node to take over a shard from its replica.
-func (c *Coordinator) postPromote(base string, shard int) (*PromoteResponse, error) {
-	url := fmt.Sprintf("%s/v1/cluster/shards/%d/promote", base, shard)
-	resp, err := c.client.Post(url, "application/json", nil)
-	if err != nil {
-		return nil, err
-	}
-	defer func() { _ = resp.Body.Close() }()
-	if resp.StatusCode != http.StatusOK {
-		var e struct{ Error, Reason string }
-		_ = json.NewDecoder(resp.Body).Decode(&e)
-		return nil, fmt.Errorf("promote answered %d (%s: %s)", resp.StatusCode, e.Error, e.Reason)
-	}
-	var prom PromoteResponse
-	if err := json.NewDecoder(resp.Body).Decode(&prom); err != nil {
-		return nil, err
-	}
-	return &prom, nil
 }

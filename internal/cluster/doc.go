@@ -3,10 +3,12 @@
 // by rendezvous hashing (rendezvous.go), every node hosts a serve
 // server with all shards and wraps it in routing/replication middleware
 // (node.go), primaries stream their applied command log to followers as
-// serve.Tail deltas (replica.go), and shards move between nodes by
+// serve.Tail deltas, which each follower applies to a warm
+// serve.Replica (repl.go), and shards move between nodes by
 // snapshot-stream + log-tail-replay with a digest check before the
-// routing table flips (migration in node.go, orchestrated by
-// coordinator.go).
+// routing table flips (migration in repl.go, orchestrated by
+// coordinator.go). This package holds only the protocol: the tail
+// format, its replay and its digest checks live in internal/serve.
 //
 // docs/CLUSTER.md is the normative protocol description; keep the two
 // in sync.

@@ -310,12 +310,8 @@ func (n *Node) UpdateTable(tab *RouteTable) {
 // the crown: promoting over stale or empty local state would silently
 // drop acknowledged commands. Requires st.mu.
 func (n *Node) takeTableCrownLocked(shard int, st *shardState, tab *RouteTable) bool {
-	if st.replica != nil && st.replica.last != nil {
-		snap, err := st.replica.Snapshot()
-		if err == nil {
-			err = n.srv.InstallShard(snap)
-		}
-		if err != nil {
+	if snap := st.replica.Snapshot(); snap != nil {
+		if err := n.srv.InstallShard(snap); err != nil {
 			log.Printf("cluster: node %s shard %d: refusing table promote, replica install failed: %v", n.id, shard, err)
 			return false
 		}

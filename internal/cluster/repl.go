@@ -8,9 +8,7 @@ import (
 	"log"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/serve"
 )
@@ -267,8 +265,8 @@ func (n *Node) handleRepl(w http.ResponseWriter, r *http.Request) {
 // handlePromote installs this node's replica as the live shard and
 // takes the primary role. Idempotent: an already-primary node re-acks
 // with its current state. The install path replays the full log and
-// verifies the digest (serve.InstallShard), so a diverged replica can
-// never take over silently.
+// verifies the engine and books digests (serve.InstallShard), so a
+// diverged replica can never take over silently.
 func (n *Node) handlePromote(w http.ResponseWriter, r *http.Request) {
 	shard, ok := n.clusterShard(w, r)
 	if !ok {
@@ -287,14 +285,10 @@ func (n *Node) handlePromote(w http.ResponseWriter, r *http.Request) {
 		writeJSONStatus(w, http.StatusOK, PromoteResponse{Shard: shard, Digest: tail.Digest, Now: tail.Now, Log: tail.Total})
 		return
 	}
-	if st.replica == nil || st.replica.last == nil {
+	snap := st.replica.Snapshot()
+	if snap == nil {
 		writeClusterError(w, http.StatusConflict, "no_replica",
 			fmt.Sprintf("shard %d has no replicated state to promote", shard))
-		return
-	}
-	snap, err := st.replica.Snapshot()
-	if err != nil {
-		writeClusterError(w, http.StatusInternalServerError, "promote", err.Error())
 		return
 	}
 	//lint:allow lockorder the verified install must land before the role flips to primary, so it runs under st.mu
@@ -307,7 +301,7 @@ func (n *Node) handlePromote(w http.ResponseWriter, r *http.Request) {
 	st.forward = ""
 	st.followers = make(map[string]*followerState)
 	n.cs.SetRole(shard, RolePrimary)
-	writeJSONStatus(w, http.StatusOK, PromoteResponse{Shard: shard, Digest: snap.Digest, Now: snap.Now, Log: len(snap.Log)})
+	writeJSONStatus(w, http.StatusOK, PromoteResponse{Shard: shard, Digest: snap.Digest, Now: snap.Now, Log: snap.Total})
 }
 
 // handleMigrate hands the shard to the target node: stream the full
@@ -432,7 +426,7 @@ func (n *Node) migrateHandoff(shard int, req *migrateRequest, fs *followerState)
 	if fs.acked != final.Total {
 		return PromoteResponse{}, "final push", fmt.Errorf("target acked %d of %d", fs.acked, final.Total)
 	}
-	prom, err := n.postPromote(req.TargetBase, shard)
+	prom, err := postPromote(n.client, req.TargetBase, shard)
 	if err != nil {
 		return PromoteResponse{}, "promote", err
 	}
@@ -457,10 +451,12 @@ func (n *Node) migrateHandoff(shard int, req *migrateRequest, fs *followerState)
 	return prom, "", nil
 }
 
-// postPromote asks a peer to take over the shard.
-func (n *Node) postPromote(base string, shard int) (PromoteResponse, error) {
+// postPromote asks the node at base to take over the shard from its
+// replica: the last step of a migration hand-off, and the coordinator's
+// failover.
+func postPromote(client *http.Client, base string, shard int) (PromoteResponse, error) {
 	url := fmt.Sprintf("%s/v1/cluster/shards/%d/promote", base, shard)
-	resp, err := n.client.Post(url, "application/json", nil)
+	resp, err := client.Post(url, "application/json", nil)
 	if err != nil {
 		return PromoteResponse{}, err
 	}
@@ -517,28 +513,4 @@ func writeJSONStatus(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(v)
-}
-
-// WaitHealthy polls a base's /healthz until it answers or the deadline
-// passes — a convenience for process orchestration (cmd, scripts).
-func WaitHealthy(client *http.Client, base string, deadline time.Duration) error {
-	//lint:allow determinism health polling is process orchestration, not simulation; the wall clock never reaches a scheduling decision
-	stop := time.Now().Add(deadline)
-	for {
-		resp, err := client.Get(strings.TrimRight(base, "/") + "/healthz")
-		if err == nil {
-			_ = resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return nil
-			}
-		}
-		//lint:allow determinism deadline check on the same orchestration clock
-		if time.Now().After(stop) {
-			if err != nil {
-				return fmt.Errorf("cluster: %s never became healthy: %w", base, err)
-			}
-			return fmt.Errorf("cluster: %s never became healthy", base)
-		}
-		time.Sleep(25 * time.Millisecond)
-	}
 }

@@ -17,10 +17,11 @@ import (
 	"repro/internal/serve"
 )
 
-// tamperings alter a tail in transit. Both apply to a push cut between
+// tamperings alter a tail in transit. All apply to a push cut between
 // slot boundaries, which carries a book entry but no command: one
-// alters that entry, the other the engine digest, which the follower
-// checks against the digest its untouched engine memoized.
+// alters that entry, one the engine digest, which the follower checks
+// against the digest its untouched engine memoized, and one the format
+// version.
 var tamperings = []struct {
 	name   string
 	tamper func(*serve.Tail)
@@ -30,11 +31,13 @@ var tamperings = []struct {
 		*w = w.Div(frac.FromInt(2))
 	}},
 	{"engine-digest", func(tl *serve.Tail) { tl.Digest ^= 1 }},
+	{"version", func(tl *serve.Tail) { tl.Version = 1 }},
 }
 
-// TestReplicaRejectsTamperedBooks: a tail whose book entry or engine
-// digest was altered in transit fails the books or the engine digest,
-// which is a hard error (reset and resync from 0), not a gap.
+// TestReplicaRejectsTamperedBooks: a tail whose book entry, engine
+// digest or version was altered in transit fails the books digest, the
+// engine digest or the version check, which is a hard error (reset and
+// resync from 0), not a gap.
 func TestReplicaRejectsTamperedBooks(t *testing.T) {
 	for _, tc := range tamperings {
 		t.Run(tc.name, func(t *testing.T) {

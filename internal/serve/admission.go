@@ -285,8 +285,7 @@ func (a *admission) requested(name string) (frac.Rat, bool) {
 // state serializes the entries stamped >= from: all of them for a
 // snapshot (from 0), the ones changed since the cut a follower holds
 // for a replication tail. restore upserts them. Slices are sorted so the
-// encoding is byte-stable. It predates the single-map layout and is
-// kept verbatim so snapshots round-trip across versions.
+// encoding is byte-stable. It predates the single-map layout.
 type admissionState struct {
 	Names     []string     `json:"names"`
 	Requested []taskWeight `json:"requested"`

@@ -28,10 +28,12 @@
 //
 // Snapshot/restore rides on the engine's determinism: a shard is fully
 // described by its seed system plus the log of commands actually
-// applied (core.Replay). A Snapshot additionally carries the admission
-// books and the not-yet-applied pending commands so a restored shard
-// resumes mid-stream without losing admitted work; the engine-state
-// digest recorded at snapshot time is re-verified after replay.
+// applied (core.Replay). A Snapshot is a complete Tail, the same unit
+// replication ships: it additionally carries the admission books and
+// the not-yet-applied pending commands so a restored shard resumes
+// mid-stream without losing admitted work. Restore applies it to a
+// fresh Replica, which re-verifies the engine-state digest after replay
+// and the books digest after the upsert.
 //
 // The package is deliberately deterministic (no wall clock, no global
 // randomness — enforced by pd2lint): time advances only by explicit

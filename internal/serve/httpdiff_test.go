@@ -144,11 +144,11 @@ func TestHTTPDifferentialAgainstDirectCore(t *testing.T) {
 	getJSON(t, ts2.URL+"/v1/shards/0/snapshot", &snap)
 
 	// Drive a fresh engine directly with that log.
-	ccfg, err := snap.Config.coreConfig()
+	ccfg, err := snap.Config.CoreConfig()
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := core.Replay(ccfg, snap.Seed, snap.Log, snap.Now)
+	direct, err := core.Replay(ccfg, snap.Seed, snap.Commands, snap.Now)
 	if err != nil {
 		t.Fatalf("direct replay of served log: %v", err)
 	}

@@ -39,11 +39,9 @@ const (
 	pendQuery
 	// pendState asks for the canonical engine-state dump and digest.
 	pendState
-	// pendSnapshot asks for a full serialized Snapshot.
-	pendSnapshot
-	// pendLog asks for the replication tail from a log index: the
-	// commands applied since, plus the admitted-but-unapplied sets and
-	// the admission books (see Tail in snapshot.go).
+	// pendLog asks for the tail from a log index: the commands applied
+	// since, plus the admitted-but-unapplied sets and the admission
+	// books (see Tail in snapshot.go). From 0 is the shard's snapshot.
 	pendLog
 )
 
@@ -93,7 +91,7 @@ type reply struct {
 	results []CommandResult // pendCommands: one per cmds entry
 	now     int64           // engine clock after handling
 	status  *ShardStatus    // pendQuery
-	state   []byte          // pendState (WriteState text), pendSnapshot (JSON)
+	state   []byte          // pendState (WriteState text)
 	digest  uint64          // pendState
 	tail    *Tail           // pendLog: fresh copy, not pooled
 	err     error           // request-level failure (draining, bad from)

@@ -1,0 +1,127 @@
+package serve
+
+import (
+	"fmt"
+
+	"repro/internal/core"
+)
+
+// A Replica is a copy of one shard rebuilt from the tails applied to
+// it: the full applied command log plus a live engine kept in lockstep
+// by replaying each tail, and the admission books upserted from every
+// tail. It is the one path from a tail to shard state: a cluster
+// follower applies each pushed tail to its warm Replica, and
+// restoreShard applies a snapshot to a fresh one. The engine and the
+// books are the digest-exchange witnesses — after every tail the
+// replica's StateDigest and books digest must equal the ones the
+// primary stamped on the tail, so divergence is caught when the tail
+// applies, not at promotion time.
+//
+// Not safe for concurrent use.
+type Replica struct {
+	shard int
+	eng   *core.Scheduler
+	log   []core.Command
+	adm   *admission
+	// last is the most recent applied tail; its pending sets, with the
+	// books, make promotion lose no acknowledged command.
+	last *Tail
+}
+
+// GapError reports that a tail starts past the replica's log end; a
+// follower answers the primary with the index it wants.
+type GapError struct{ Want int }
+
+func (e GapError) Error() string {
+	return fmt.Sprintf("serve: tail starts past the log end, want log index %d", e.Want)
+}
+
+// NewReplica returns an empty replica that accepts only a complete
+// (From == 0) tail first.
+func NewReplica(shard int) *Replica { return &Replica{shard: shard} }
+
+// Len returns the replicated log length — the index the replica wants
+// next.
+func (r *Replica) Len() int { return len(r.log) }
+
+// Now returns the replica engine's clock, or 0 before the first tail.
+func (r *Replica) Now() int64 {
+	if r.eng == nil {
+		return 0
+	}
+	return r.eng.Now()
+}
+
+// Apply folds one tail into the replica: append the new commands,
+// replay them on the live engine up to the tail's clock, verify the
+// engine digest against the primary's, then upsert the tail's book
+// entries and verify the books digest. A tail starting past the log
+// end is a GapError (the caller resyncs from the wanted index); a
+// version or shard mismatch, a replay failure or a digest mismatch is a
+// hard error (the caller must discard the replica and resync from 0).
+// Overlapping tails — From inside the log — are fine: the overlap is
+// skipped, only the suffix applies, and the book entries they carry
+// are a superset of the ones the replica lacks.
+func (r *Replica) Apply(t *Tail) error {
+	if t.Version != tailVersion {
+		return fmt.Errorf("serve: tail version %d, want %d", t.Version, tailVersion)
+	}
+	if t.Shard != r.shard {
+		return fmt.Errorf("serve: tail for shard %d applied to replica of %d", t.Shard, r.shard)
+	}
+	if r.eng == nil {
+		if t.From != 0 {
+			return GapError{Want: 0}
+		}
+		ccfg, err := t.Config.CoreConfig()
+		if err != nil {
+			return fmt.Errorf("serve: replica %d config: %w", r.shard, err)
+		}
+		eng, err := core.New(ccfg, t.Seed)
+		if err != nil {
+			return fmt.Errorf("serve: replica %d seed: %w", r.shard, err)
+		}
+		r.eng = eng
+		r.adm = newAdmission(t.Config.M)
+	}
+	if t.From > len(r.log) {
+		return GapError{Want: len(r.log)}
+	}
+	skip := len(r.log) - t.From
+	if skip > len(t.Commands) {
+		skip = len(t.Commands) // replica already past this tail's coverage
+	}
+	fresh := t.Commands[skip:]
+	if err := r.eng.ReplayLog(fresh, t.Now); err != nil {
+		return fmt.Errorf("serve: replica %d replay: %w", r.shard, err)
+	}
+	r.log = append(r.log, fresh...)
+	if got := r.eng.StateDigest(); got != t.Digest {
+		return fmt.Errorf("serve: replica %d digest mismatch at t=%d: replayed %016x, tail %016x",
+			r.shard, t.Now, got, t.Digest)
+	}
+	r.adm.at = len(r.log)
+	r.adm.restore(t.Admission)
+	if got := r.adm.digest(); got != t.BooksDigest {
+		return fmt.Errorf("serve: replica %d books digest mismatch at t=%d: replica %016x, tail %016x",
+			r.shard, t.Now, got, t.BooksDigest)
+	}
+	r.last = t
+	return nil
+}
+
+// Snapshot returns the complete tail a promotion installs: the whole
+// replicated log and books, with the latest tail's clock, digests and
+// pending sets. InstallShard replays it on a fresh engine. Nil for a
+// nil replica or one no tail has applied to yet.
+func (r *Replica) Snapshot() *Snapshot {
+	if r == nil || r.last == nil {
+		return nil
+	}
+	snap := *r.last
+	snap.From = 0
+	snap.Total = len(r.log)
+	snap.Commands = append([]core.Command(nil), r.log...)
+	snap.Admission = r.adm.state(0)
+	return &snap
+}

@@ -113,11 +113,12 @@ func (s *Server) Stop() {
 	}
 }
 
-// Snapshots serializes every shard. Call after Stop.
+// Snapshots returns every shard's snapshot, its complete tail. Call
+// after Stop.
 func (s *Server) Snapshots() []*Snapshot {
 	out := make([]*Snapshot, len(s.shards))
 	for i := range s.shards {
-		out[i] = s.shardAt(i).buildSnapshot()
+		out[i], _ = s.shardAt(i).buildTail(0) // from 0 is always in range
 	}
 	return out
 }
@@ -130,11 +131,13 @@ func (s *Server) ShardTick(i int) chan<- struct{} { return s.shardAt(i).TickC() 
 
 // InstallShard replaces slot snap.Shard with a shard restored from the
 // snapshot, started and ready for traffic. The restore replays the
-// snapshot log and verifies its digest, so a migration receiver or a
-// promoted follower cannot install corrupt state. The outgoing shard is
-// drained and stopped after the swap: handlers that already resolved it
-// finish against it (or get 503 once it is down), new requests see the
-// replacement. Returns the restore error without touching the slot.
+// snapshot log on a fresh engine and verifies its engine and books
+// digests, so a migration receiver or a promoted follower cannot
+// install corrupt state; a tail that is not complete (From != 0) is
+// refused. The outgoing shard is drained and stopped after the swap:
+// handlers that already resolved it finish against it (or get 503 once
+// it is down), new requests see the replacement. Returns the restore
+// error without touching the slot.
 func (s *Server) InstallShard(snap *Snapshot) error {
 	if snap.Shard < 0 || snap.Shard >= len(s.shards) {
 		return fmt.Errorf("serve: install for shard %d outside [0,%d)", snap.Shard, len(s.shards))
@@ -272,8 +275,8 @@ func writeError(w http.ResponseWriter, code int, kind, reason string) {
 }
 
 // writeRaw sends a pre-encoded body. Content-Length is set explicitly
-// so responses on the hot path are never chunked — pipelining clients
-// (cmd/pd2load) rely on it to frame responses cheaply.
+// because without it net/http chunks any reply larger than its 2 KB
+// buffer.
 func writeRaw(w http.ResponseWriter, code int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
@@ -474,24 +477,12 @@ func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// handleSnapshot serves the shard's snapshot: its complete tail, the
+// same reply as /log?from=0.
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	sh := s.shardFrom(w, r)
-	if sh == nil {
-		return
+	if sh := s.shardFrom(w, r); sh != nil {
+		s.writeTail(w, sh, 0)
 	}
-	p := sh.pool.newPending()
-	p.kind = pendSnapshot
-	rep, ok := s.exchange(w, sh, p)
-	if !ok {
-		return
-	}
-	sh.pool.freePending(p) // the snapshot reply is a fresh copy, not pooled
-	if rep.err != nil {
-		writeError(w, http.StatusInternalServerError, "snapshot", rep.err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(rep.state)
 }
 
 // handleLog serves the replication tail from ?from=N (default 0): the
@@ -512,6 +503,12 @@ func (s *Server) handleLog(w http.ResponseWriter, r *http.Request) {
 		}
 		from = n
 	}
+	s.writeTail(w, sh, from)
+}
+
+// writeTail cuts sh's tail from log index from through the mailbox, so
+// it is slot-atomic, and writes it; a from past the log end is a 400.
+func (s *Server) writeTail(w http.ResponseWriter, sh *Shard, from int) {
 	p := sh.pool.newPending()
 	p.kind = pendLog
 	p.from = from

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -33,7 +32,7 @@ type ShardConfig struct {
 	// instantaneous per-task |drift|: a slot boundary where any task
 	// exceeds it bumps pd2d_anomaly_drift_excursions_total. Exact
 	// rational so the comparison is deterministic. Observability only —
-	// it never influences scheduling, admission, or digests (coreConfig
+	// it never influences scheduling, admission, or digests (CoreConfig
 	// ignores it).
 	DriftBound frac.Rat `json:"drift_bound,omitempty"`
 }
@@ -57,17 +56,11 @@ func (c ShardConfig) policyName() string {
 	return c.Policy
 }
 
-// CoreConfig resolves the wire config into an engine config — the
-// exported face of coreConfig for the cluster layer, whose follower
-// replicas run bare engines against the same configuration a serve
-// shard would.
-func (c ShardConfig) CoreConfig() (core.Config, error) { return c.coreConfig() }
-
-// coreConfig resolves the wire config into an engine config. Policing
+// CoreConfig resolves the wire config into an engine config. Policing
 // is always on — property (W) is the service's admission contract — and
 // invariant checking is always on so violations are observable on the
 // status endpoint.
-func (c ShardConfig) coreConfig() (core.Config, error) {
+func (c ShardConfig) CoreConfig() (core.Config, error) {
 	pol, err := parsePolicy(c.Policy)
 	if err != nil {
 		return core.Config{}, err
@@ -128,7 +121,7 @@ type Shard struct {
 // newShard builds a stopped shard with an empty engine. Tasks arrive
 // through commands.
 func newShard(id int, cfg ShardConfig, mailboxCap int) (*Shard, error) {
-	ccfg, err := cfg.coreConfig()
+	ccfg, err := cfg.CoreConfig()
 	if err != nil {
 		return nil, err
 	}
@@ -279,9 +272,6 @@ func (sh *Shard) handle(p *pending, checkW bool) {
 		_ = sh.eng.WriteState(&b) // strings.Builder writes cannot fail
 		//lint:allow hotalloc the state reply is a caller-owned copy; the render itself reuses the engine's buffer
 		p.reply <- reply{state: []byte(b.String()), digest: sh.eng.StateDigest(), now: sh.eng.Now()}
-	case pendSnapshot:
-		data, err := json.Marshal(sh.buildSnapshot()) //lint:allow hotalloc snapshot serialization is a rare administrative operation
-		p.reply <- reply{state: data, err: err, now: sh.eng.Now()}
 	case pendLog:
 		t, err := sh.buildTail(p.from)
 		p.reply <- reply{tail: t, err: err, now: sh.eng.Now()}

@@ -113,7 +113,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 					}
 				}
 
-				data, err := json.Marshal(live.buildSnapshot())
+				data, err := json.Marshal(mustSnapshot(t, live))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -166,29 +166,54 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 }
 
 // TestRestoreRejectsTamperedSnapshot: a snapshot whose log no longer
-// matches its digest must be refused, not silently replayed.
+// matches its engine digest, or whose books no longer match its books
+// digest, must be refused, not silently restored.
 func TestRestoreRejectsTamperedSnapshot(t *testing.T) {
 	sh := testShard(t, ShardConfig{M: 2, RecordSchedule: true}, 8)
 	admitOne(sh, opJoin, "A", frac.New(1, 4))
 	admitOne(sh, opJoin, "B", frac.New(1, 3))
 	sh.advance(8)
-	snap := sh.buildSnapshot()
-	snap.Digest++
-	if _, err := restoreShard(snap, 8); err == nil {
-		t.Fatal("tampered digest restored without error")
+	for _, tc := range []struct {
+		name   string
+		tamper func(*Snapshot)
+	}{
+		{"digest", func(snap *Snapshot) { snap.Digest++ }},
+		{"book-entry", func(snap *Snapshot) {
+			w := &snap.Admission.Requested[0].Weight
+			*w = w.Div(frac.FromInt(2))
+		}},
+	} {
+		snap := mustSnapshot(t, sh)
+		tc.tamper(snap)
+		if _, err := restoreShard(snap, 8); err == nil {
+			t.Fatalf("tampered %s restored without error", tc.name)
+		}
 	}
-	snap.Digest--
-	if _, err := restoreShard(snap, 8); err != nil {
+	if _, err := restoreShard(mustSnapshot(t, sh), 8); err != nil {
 		t.Fatalf("clean snapshot refused: %v", err)
 	}
 }
 
-// TestRestoreRejectsBadVersion guards the format gate.
+// TestRestoreRejectsBadVersion guards the format gate: a version-1 file
+// (the format before a snapshot was a complete tail) and an unknown
+// version are both refused.
 func TestRestoreRejectsBadVersion(t *testing.T) {
 	sh := testShard(t, ShardConfig{M: 1}, 4)
-	snap := sh.buildSnapshot()
-	snap.Version = 99
-	if _, err := restoreShard(snap, 4); err == nil {
-		t.Fatal("unknown snapshot version restored without error")
+	for _, v := range []int{1, 99} {
+		snap := mustSnapshot(t, sh)
+		snap.Version = v
+		if _, err := restoreShard(snap, 4); err == nil {
+			t.Fatalf("snapshot version %d restored without error", v)
+		}
 	}
+}
+
+// mustSnapshot cuts sh's snapshot, its complete tail.
+func mustSnapshot(t *testing.T, sh *Shard) *Snapshot {
+	t.Helper()
+	snap, err := sh.buildTail(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap
 }

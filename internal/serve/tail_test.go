@@ -39,23 +39,23 @@ func post(t *testing.T, ts *httptest.Server, shard int, op, body string) {
 	}
 }
 
-// foldAll folds tails into fresh books, failing the test on a books
-// digest mismatch.
-func foldAll(t *testing.T, tails ...*Tail) *Books {
+// applyAll applies tails to a fresh replica of shard 0, failing the
+// test on any error.
+func applyAll(t *testing.T, tails ...*Tail) *Replica {
 	t.Helper()
-	books := NewBooks()
+	rep := NewReplica(0)
 	for _, tl := range tails {
-		if err := books.Fold(tl); err != nil {
+		if err := rep.Apply(tl); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return books
+	return rep
 }
 
 // TestTailRoundTrip: the /log endpoint's complete tail must replay
-// byte-identically (VerifyTail), an incremental tail must splice onto
-// the prefix and books of the cut before it, and InstallShard must
-// accept the resulting snapshot and serve the same digest and books.
+// byte-identically (VerifyTail), an incremental tail must apply onto a
+// replica of the cut before it, and InstallShard must accept the
+// replica's snapshot and serve the same digest and books.
 func TestTailRoundTrip(t *testing.T) {
 	srv, err := New(Options{Shards: 1, Config: ShardConfig{M: 2}})
 	if err != nil {
@@ -102,7 +102,7 @@ func TestTailRoundTrip(t *testing.T) {
 		t.Fatalf("replayed digest %016x != tail digest %016x", digest, full.Digest)
 	}
 
-	// Incremental tail splices onto the log and books of the cut it
+	// Incremental tail applies onto the log and books of the cut it
 	// follows.
 	delta := fetch(base.Total)
 	if delta.From != base.Total {
@@ -113,12 +113,9 @@ func TestTailRoundTrip(t *testing.T) {
 			t.Fatalf("delta from %d carries U, untouched since log index %d", delta.From, base.Total)
 		}
 	}
-	snap, err := delta.BuildSnapshot(base.Commands, foldAll(t, base, delta))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snap.Log) != full.Total {
-		t.Fatalf("spliced log has %d commands, want %d", len(snap.Log), full.Total)
+	snap := applyAll(t, base, delta).Snapshot()
+	if snap.From != 0 || len(snap.Commands) != full.Total {
+		t.Fatalf("replica snapshot from %d has %d commands, want from 0 and %d", snap.From, len(snap.Commands), full.Total)
 	}
 
 	// A second server installs the snapshot live and serves the digest.
@@ -157,7 +154,7 @@ func TestTailRoundTrip(t *testing.T) {
 
 // TestInstallShardSwapsLive: installing over a running shard keeps the
 // slot serving — the replaced shard's digest is gone, the snapshot's is
-// live.
+// live. A tail that is not complete is refused.
 func TestInstallShardSwapsLive(t *testing.T) {
 	src, err := New(Options{Shards: 2, Config: ShardConfig{M: 2}})
 	if err != nil {
@@ -173,7 +170,7 @@ func TestInstallShardSwapsLive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, err := tail.BuildSnapshot(nil, foldAll(t, tail))
+	part, err := src.ShardTail(1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +181,10 @@ func TestInstallShardSwapsLive(t *testing.T) {
 	}
 	dst.Start()
 	defer dst.Stop()
-	if err := dst.InstallShard(snap); err != nil {
+	if err := dst.InstallShard(part); err == nil {
+		t.Fatal("installed a tail with From != 0")
+	}
+	if err := dst.InstallShard(tail); err != nil {
 		t.Fatal(err)
 	}
 	// The other slot is untouched, the installed one answers with the
@@ -204,7 +204,8 @@ func TestInstallShardSwapsLive(t *testing.T) {
 // TestTailCarriesChangedBooks: a tail cut from the log index a follower
 // holds carries only the book entries changed since, so one reweight
 // ships one entry whatever the task count, while the books digest still
-// covers every entry. Books folded from the delta alone fail that digest.
+// covers every entry. A replica holding the whole log but only the
+// delta's book entries fails that digest.
 func TestTailCarriesChangedBooks(t *testing.T) {
 	for _, tasks := range []int{16, 1024} {
 		t.Run(fmt.Sprint(tasks), func(t *testing.T) {
@@ -243,9 +244,12 @@ func TestTailCarriesChangedBooks(t *testing.T) {
 			if delta.BooksDigest == cut.BooksDigest {
 				t.Fatal("books digest did not move with the reweight")
 			}
-			foldAll(t, cut, delta)
-			if err := NewBooks().Fold(delta); err == nil {
-				t.Fatal("books folded from the delta alone pass the whole-books digest")
+			applyAll(t, cut, delta)
+			alone := *delta
+			alone.From = 0
+			alone.Commands = cut.Commands
+			if err := NewReplica(0).Apply(&alone); err == nil || !strings.Contains(err.Error(), "books digest") {
+				t.Fatalf("the delta's book entries alone pass the whole-books digest (err %v)", err)
 			}
 		})
 	}
@@ -264,13 +268,13 @@ func requireRunningBooksDigest(t *testing.T, what string, a *admission) {
 	}
 }
 
-// TestFoldedBooksTrackThePrimary: a follower that folds each tail cut
+// TestFoldedBooksTrackThePrimary: a replica that applies each tail cut
 // from the log index of the cut before it holds the primary's books
-// after every fold, so the stamps leave out no changed entry. Random
+// after every apply, so the stamps leave out no changed entry. Random
 // histories under every policy cover deferred joins and leaves, and
 // cuts land both between admissions and at slot boundaries. The
 // running books digest of both sides must equal one recomputed from
-// scratch after every admission, boundary and fold. (abortJoin is not
+// scratch after every admission, boundary and apply. (abortJoin is not
 // reached: it runs only when the engine refuses an admitted join.)
 func TestFoldedBooksTrackThePrimary(t *testing.T) {
 	// One processor, so condition J defers some of genScript's joins.
@@ -286,7 +290,7 @@ func TestFoldedBooksTrackThePrimary(t *testing.T) {
 				script := genScript(seed, horizon)
 				coin := stats.NewStream(seed, 11)
 				sh := testShard(t, cfg, 8)
-				books, from := NewBooks(), 0
+				rep, from := NewReplica(0), 0
 				maybeCut := func() {
 					requireRunningBooksDigest(t, fmt.Sprintf("seed %d primary at t=%d", seed, sh.eng.Now()), sh.adm)
 					if coin.Intn(2) == 0 {
@@ -296,10 +300,10 @@ func TestFoldedBooksTrackThePrimary(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if err := books.Fold(tl); err != nil {
+					if err := rep.Apply(tl); err != nil {
 						t.Fatalf("seed %d at t=%d, cut from %d: %v", seed, tl.Now, from, err)
 					}
-					requireRunningBooksDigest(t, fmt.Sprintf("seed %d folded at t=%d", seed, tl.Now), books.adm)
+					requireRunningBooksDigest(t, fmt.Sprintf("seed %d applied at t=%d", seed, tl.Now), rep.adm)
 					from = tl.Total
 				}
 				for slot := int64(0); slot < horizon; slot++ {
@@ -312,8 +316,8 @@ func TestFoldedBooksTrackThePrimary(t *testing.T) {
 					sh.advance(1)
 					maybeCut()
 				}
-				if got, want := books.adm.state(0), sh.adm.state(0); !reflect.DeepEqual(got, want) {
-					t.Fatalf("seed %d: folded books %+v, primary %+v", seed, got, want)
+				if got, want := rep.adm.state(0), sh.adm.state(0); !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d: replica books %+v, primary %+v", seed, got, want)
 				}
 			}
 		})

@@ -82,8 +82,8 @@ func recordShard(client *http.Client, base string, shard int) (ShardTrace, error
 	if err := getJSON(client, fmt.Sprintf("%s/v1/shards/%d/snapshot", base, shard), &snap); err != nil {
 		return st, fmt.Errorf("workgen: record shard %d: %w", shard, err)
 	}
-	if snap.Version != 1 {
-		return st, fmt.Errorf("workgen: record shard %d: snapshot version %d, this recorder reads v1", shard, snap.Version)
+	if snap.Version != 2 {
+		return st, fmt.Errorf("workgen: record shard %d: snapshot version %d, this recorder reads v2", shard, snap.Version)
 	}
 	if snap.Shard != shard {
 		return st, fmt.Errorf("workgen: record shard %d: snapshot says shard %d", shard, snap.Shard)
