@@ -358,7 +358,9 @@ func countSince(t *serve.Tail, n int) int {
 
 // TestFollowerCrashMidStream: killing a follower mid-replication leaves
 // the shard routable (writes resume once the follower is back and
-// resynced) and digest-clean.
+// resynced) and digest-clean. It also pins the retry contract: a join
+// that got 503 stays admitted on the primary, so its retry answers 409
+// conflict (the name is burned) and the join is in the log once.
 func TestFollowerCrashMidStream(t *testing.T) {
 	const shards = 2
 	n1 := newTestNode(t, "n1", shards)
@@ -405,9 +407,10 @@ func TestFollowerCrashMidStream(t *testing.T) {
 	// Crash the follower mid-stream: the next write must NOT be acked
 	// (sync replication cannot reach the follower).
 	n2.crash()
-	code, _ := postJSON(t, c, url, `{"op":"join","task":"b","weight":"1/4"}`)
-	if code != http.StatusServiceUnavailable {
-		t.Fatalf("write with dead follower answered %d, want 503", code)
+	const joinB = `{"op":"join","task":"b","weight":"1/4"}`
+	code, body := postJSON(t, c, url, joinB)
+	if code != http.StatusServiceUnavailable || !strings.Contains(string(body), `"replication"`) {
+		t.Fatalf("write with dead follower answered %d %s, want 503 replication", code, body)
 	}
 	// The primary's lag gauge counts the slots the dead follower missed.
 	advance := fmt.Sprintf("%s/v1/shards/%d/advance", n1.ts.URL, shard)
@@ -425,14 +428,28 @@ func TestFollowerCrashMidStream(t *testing.T) {
 	if err := n2r.node.Register(cts.URL); err != nil {
 		t.Fatal(err)
 	}
+	code, body = postJSON(t, c, url, joinB)
+	var res serve.CommandResult
+	if err := json.Unmarshal(body, &res); err != nil || code != http.StatusConflict || res.Error != "conflict" {
+		t.Fatalf("retried join answered %d %s, want 409 conflict", code, body)
+	}
 	// Writes flow again (the first may race the table re-push; mustPost
 	// absorbs transient 503s), and the log — including the un-acked "b"
-	// the primary kept — verifies clean after a boundary flush.
+	// the primary kept, once — verifies clean after a boundary flush.
 	mustPost(t, c, url, `{"op":"join","task":"c","weight":"1/4"}`)
 	mustPost(t, c, advance, `{"slots":1}`)
 	tail := verifyShard(t, c, n1.ts.URL, shard)
 	if tail.Total < 3 {
 		t.Fatalf("merged log holds %d commands, want >= 3", tail.Total)
+	}
+	joinsB := 0
+	for _, cmd := range tail.Commands {
+		if cmd.Op == core.OpJoin && cmd.Task == "b" {
+			joinsB++
+		}
+	}
+	if joinsB != 1 {
+		t.Fatalf("join b is %d times in the merged log, want once", joinsB)
 	}
 	// And the follower's replica caught up to the full log.
 	st := fetchStatus(t, c, n1.ts.URL, shard)
@@ -445,8 +462,10 @@ func TestFollowerCrashMidStream(t *testing.T) {
 }
 
 // TestConcurrentWriters: clients writing one shard at once, each write
-// pushed to two followers in parallel, lose no acked write, and both
-// followers end in lockstep with the primary, engine and books.
+// pushed to two followers in parallel or carried by a concurrent
+// write's push, lose no acked write: at every 200 for a join, both
+// followers' replicas already hold it, and both followers end in
+// lockstep with the primary, engine and books.
 func TestConcurrentWriters(t *testing.T) {
 	const writers, perWriter = 4, 24
 	coord, err := NewCoordinator(CoordinatorOptions{
@@ -497,7 +516,13 @@ func TestConcurrentWriters(t *testing.T) {
 					continue
 				}
 				if path == "commands" {
-					acked[w] = append(acked[w], fmt.Sprintf("w%d-%d", w, i))
+					name := fmt.Sprintf("w%d-%d", w, i)
+					for _, id := range route.Followers {
+						if !replicaHolds(byID[id], 0, name) {
+							t.Errorf("join %s acked before follower %s held it", name, id)
+						}
+					}
+					acked[w] = append(acked[w], name)
 				}
 			}
 		}()

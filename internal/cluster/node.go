@@ -62,20 +62,31 @@ type RegisterRequest struct {
 	Base string `json:"base"`
 }
 
-// followerState is a primary's view of one follower's progress.
+// followerState is a primary's view of one follower's progress. A
+// shard's entries live from the moment it becomes primary until its
+// role changes or a table drops the follower, so seq is compared only
+// with sequences of the same follower set and shard instance.
 type followerState struct {
 	acked int   // log entries the follower confirmed
 	now   int64 // follower clock at last ack
+	seq   int64 // serve mutation sequence of the last tail it acked; -1 before the first
 	stale bool  // last push failed; anti-entropy keeps retrying
 }
+
+// behind reports whether the follower may lack a mutation the shard had
+// counted by sequence need. A follower that has acked nothing always is,
+// even at need 0 (a shard instance InstallShard just built); so is a
+// stale one: the failed push may have reset its replica since it acked
+// seq.
+func (fs *followerState) behind(need int64) bool { return fs.stale || fs.seq < need }
 
 // shardState is a node's cluster-side state for one shard slot. The
 // serve layer underneath holds the engine; this layer holds the role,
 // the replication progress (primary), the warm replica (follower), and
 // the migration gate.
 //
-// Lock order: Node.updateMu before Node.mu before shardState.replMu
-// before shardState.mu, never the reverse.
+// Lock order: Node.updateMu or shardState.replMu (never both), then
+// Node.mu, then shardState.mu, never the reverse.
 type shardState struct {
 	mu        sync.Mutex
 	role      int32
@@ -199,7 +210,7 @@ func (n *Node) Start(interval time.Duration) {
 				return
 			case <-t.C:
 				for s := range n.states {
-					_ = n.replicate(s) // stale followers retried next round
+					_ = n.catchUp(s) // stale followers retried next round
 				}
 			}
 		}
@@ -368,7 +379,7 @@ func (n *Node) TickPrimaries(slots int64) {
 		if _, err := n.srv.Advance(s, slots); err != nil {
 			continue
 		}
-		_ = n.replicate(s) // anti-entropy heals stale followers
+		_ = n.catchUp(s) // anti-entropy heals stale followers
 	}
 }
 
@@ -443,11 +454,17 @@ func (n *Node) route(w http.ResponseWriter, r *http.Request) {
 	bw := &bufWriter{}
 	n.srv.Handler().ServeHTTP(bw, r)
 	if bw.code == http.StatusOK {
-		if err := n.replicateSync(shard); err != nil {
+		// The handler returned, so the shard has counted this write, and
+		// any tail cut at or past this sequence carries it.
+		covered, err := n.replicate(shard, n.srv.ShardSeq(shard))
+		if err != nil {
 			w.Header().Set("Retry-After", "1")
 			writeClusterError(w, http.StatusServiceUnavailable, "replication",
 				fmt.Sprintf("not acked by all followers: %v", err))
 			return
+		}
+		if covered {
+			n.cs.CoveredWrite(shard)
 		}
 	}
 	bw.flush(w)

@@ -15,76 +15,92 @@ import (
 
 // Primary-side replication push and the follower/migration endpoints.
 
-// replicate is the anti-entropy push: skips followers that look caught
-// up (same log length and clock). An admitted-but-unapplied command
-// changes neither, so the mutation ack path must use replicateSync —
-// this cheap form only heals laggards and carries tick progress.
-func (n *Node) replicate(shard int) error { return n.replicateMode(shard, false) }
-
-// replicateSync pushes the shard's tail to every follower
-// unconditionally and returns nil only when all of them acked — the
-// condition a mutation ack waits on. Unconditional because a freshly
-// admitted command rides in the tail's pending batch without growing
-// the log, which the caught-up check cannot see.
-func (n *Node) replicateSync(shard int) error { return n.replicateMode(shard, true) }
-
-func (n *Node) replicateMode(shard int, force bool) error {
-	tab := n.Table()
-	if tab == nil || shard >= len(tab.Shards) {
-		return nil
-	}
+// replicate makes every follower of the current table hold what the
+// shard held at mutation sequence need (serve.Server.ShardSeq). Under
+// replMu, after the role and gate checks, it pushes one tail to exactly
+// the followers below need, and it returns at once when none is: a
+// write that a concurrent write's push already carried is acked with no
+// push of its own (covered is true). It returns nil only when every
+// follower acked a tail cut at or past need. A mutation's ack path
+// passes the sequence it read after its serve handler returned;
+// anti-entropy passes the current one (catchUp).
+func (n *Node) replicate(shard int, need int64) (covered bool, err error) {
 	st := &n.states[shard]
 	st.replMu.Lock()
 	defer st.replMu.Unlock()
 	//lint:allow lockorder replMu exists to serialize pushes against each other without st.mu: a slow follower round trip blocks only other pushes of the same shard, never reads or the migration gate
-	return n.replicatePush(shard, st, tab.Shards[shard], tab, force)
+	return n.replicatePush(shard, st, need)
 }
 
-// replicatePush does the push with st.replMu held. It cuts one tail from
-// the slowest follower's index and pushes it to every follower at once,
-// so a write waits for the slowest follower rather than the sum of them.
-// st.mu is taken only to snapshot and reconcile follower progress
-// around the network round trips, so reads and the gate path never
-// wait on a follower, and two transient primaries pushing the same
-// shard at each other cannot deadlock (handleRepl needs only st.mu,
-// which is free mid-push).
-func (n *Node) replicatePush(shard int, st *shardState, route ShardRoute, tab *RouteTable, force bool) error {
+// catchUp is the anti-entropy push: bring every follower to the shard's
+// current sequence. Stale followers are always pushed, so it heals
+// failed pushes; an advance counts as a mutation, so it carries tick
+// progress; and an idle shard whose followers acked its current
+// sequence cuts no tail.
+func (n *Node) catchUp(shard int) error {
+	_, err := n.replicate(shard, n.srv.ShardSeq(shard))
+	return err
+}
+
+// replicatePush does the push with st.replMu held. It reads the table
+// under the lock, so a follower that a newer table added is pushed even
+// when the write it serves was carried to the others already. It cuts
+// one tail from the slowest target's index and pushes it to every
+// target at once, so a write waits for the slowest follower rather than
+// the sum of them. st.mu is taken only to snapshot and reconcile
+// follower progress around the network round trips, so reads and the
+// gate path never wait on a follower, and two transient primaries
+// pushing the same shard at each other cannot deadlock (handleRepl
+// needs only st.mu, which is free mid-push).
+func (n *Node) replicatePush(shard int, st *shardState, need int64) (bool, error) {
 	type target struct {
 		id string
-		fs followerState // working copy; reconciled under st.mu after
+		fs *followerState // the entry the push reconciles into
+		w  followerState  // working copy the push updates
+	}
+	tab := n.Table()
+	if tab == nil || shard >= len(tab.Shards) {
+		return false, nil
 	}
 	st.mu.Lock()
 	if st.role != RolePrimary {
 		st.mu.Unlock()
-		return fmt.Errorf("cluster: shard %d is no longer primary here", shard)
+		return false, fmt.Errorf("cluster: shard %d is no longer primary here", shard)
 	}
 	if st.frozen {
 		st.mu.Unlock()
-		return fmt.Errorf("cluster: shard %d is handing off", shard)
+		return false, fmt.Errorf("cluster: shard %d is handing off", shard)
 	}
 	if st.followers == nil {
 		st.followers = make(map[string]*followerState)
 	}
 	var targets []target
-	minAcked := -1
-	for _, fid := range route.Followers {
+	followers, minAcked := 0, -1
+	for _, fid := range tab.Shards[shard].Followers {
 		if fid == n.id {
 			continue
 		}
+		followers++
 		fs, ok := st.followers[fid]
 		if !ok {
-			fs = &followerState{}
+			fs = &followerState{seq: -1}
 			st.followers[fid] = fs
 		}
-		targets = append(targets, target{id: fid, fs: *fs})
+		if !fs.behind(need) {
+			continue
+		}
+		targets = append(targets, target{id: fid, fs: fs, w: *fs})
 		if minAcked < 0 || fs.acked < minAcked {
 			minAcked = fs.acked
 		}
 	}
 	st.mu.Unlock()
-	if minAcked < 0 {
+	if followers == 0 {
 		n.cs.SetReplLag(shard, 0)
-		return nil // no followers configured
+		return false, nil
+	}
+	if len(targets) == 0 {
+		return true, nil // every follower acked a tail at or past need
 	}
 	tail, err := n.srv.ShardTail(shard, minAcked)
 	if err != nil {
@@ -92,21 +108,19 @@ func (n *Node) replicatePush(shard int, st *shardState, route ShardRoute, tab *R
 		// fall back to a complete tail.
 		tail, err = n.srv.ShardTail(shard, 0)
 		if err != nil {
-			return err
+			return false, err
 		}
 	}
+	n.cs.PushRound(shard)
 	errs := make([]error, len(targets))
 	push := func(i int) {
 		tg := &targets[i]
-		if !force && tg.fs.acked == tail.Total && tg.fs.now == tail.Now && !tg.fs.stale {
-			return // caught up (as far as log and clock can tell)
-		}
 		if base := tab.Nodes[tg.id]; base == "" {
 			errs[i] = errors.New("no known base")
 		} else {
-			errs[i] = n.pushToFollower(shard, base, tail, &tg.fs)
+			errs[i] = n.pushToFollower(shard, base, tail, &tg.w)
 		}
-		tg.fs.stale = errs[i] != nil
+		tg.w.stale = errs[i] != nil
 	}
 	// Each push owns its target and error slot. The last one runs here,
 	// where the caller would otherwise only wait.
@@ -121,31 +135,32 @@ func (n *Node) replicatePush(shard int, st *shardState, route ShardRoute, tab *R
 	push(len(targets) - 1)
 	wg.Wait()
 	var firstErr error
-	var maxLag int64
 	for i := range targets {
 		if errs[i] != nil && firstErr == nil {
 			firstErr = fmt.Errorf("follower %s: %w", targets[i].id, errs[i])
 		}
-		// From the last acked clock, so a follower whose push failed
-		// counts with the lag it really has.
-		if lag := tail.Now - targets[i].fs.now; lag > maxLag {
-			maxLag = lag
+	}
+	// Reconcile into the entries the push started from. A role change
+	// (demotion, promotion, a new shard instance) or a table that dropped
+	// the follower replaced or deleted its entry, and then these acks
+	// describe a follower set or shard instance that no longer exists.
+	// The lag is from each follower's last acked clock, so one whose push
+	// failed counts with the lag it really has.
+	var maxLag int64
+	st.mu.Lock()
+	for i := range targets {
+		if st.followers[targets[i].id] == targets[i].fs {
+			*targets[i].fs = targets[i].w
 		}
 	}
-	// Reconcile progress, unless the shard was demoted or its follower
-	// set replaced while we pushed — then the acks describe a role this
-	// node no longer holds.
-	st.mu.Lock()
-	if st.role == RolePrimary && st.followers != nil {
-		for i := range targets {
-			if fs, ok := st.followers[targets[i].id]; ok {
-				*fs = targets[i].fs
-			}
+	for _, fs := range st.followers {
+		if lag := tail.Now - fs.now; lag > maxLag {
+			maxLag = lag
 		}
 	}
 	st.mu.Unlock()
 	n.cs.SetReplLag(shard, maxLag)
-	return firstErr
+	return false, firstErr
 }
 
 // pushToFollower sends the sub-tail the follower needs, following at
@@ -168,7 +183,7 @@ func (n *Node) pushToFollower(shard int, base string, tail *serve.Tail, fs *foll
 		}
 		switch status {
 		case http.StatusOK:
-			fs.acked, fs.now = ack.Acked, ack.Now
+			fs.acked, fs.now, fs.seq = ack.Acked, ack.Now, sub.Seq()
 			return nil
 		case http.StatusConflict:
 			if ack.Want < 0 {

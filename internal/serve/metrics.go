@@ -23,6 +23,10 @@ type counters struct {
 	failedApplies atomic.Int64 // engine refusals of admitted commands (must stay 0)
 	advances      atomic.Int64 // slots stepped
 	queries       atomic.Int64 // status queries served
+	// mutations counts the command records and advances the shard has
+	// handled, bumped on the shard goroutine before it replies: the
+	// shard's mutation sequence (Server.ShardSeq, Tail.Seq).
+	mutations atomic.Int64
 
 	// Anomaly counters: slot-boundary windows in which the shard was
 	// observably degrading. They quantify *graceful* degradation — the
@@ -76,12 +80,15 @@ func RoleName(code int32) string {
 
 // ClusterStats is the per-node cluster observability surface the
 // cluster layer feeds and /metrics + the shard status JSON read:
-// per-shard role and replication lag gauges plus node-wide migration
-// counters. All fields are atomics — the writers are the cluster
-// node's reconcile/replication goroutines, the readers are handlers.
+// per-shard role and replication lag gauges, per-shard push and
+// covered-write counters, and node-wide migration counters. All fields
+// are atomics — the writers are the cluster node's
+// reconcile/replication goroutines, the readers are handlers.
 type ClusterStats struct {
 	roles          []atomic.Int32 // RoleNone / RoleFollower / RolePrimary per shard
 	replLag        []atomic.Int64 // slots the furthest-behind replica trails by
+	replPushes     []atomic.Int64 // push rounds run as primary
+	replCovered    []atomic.Int64 // writes acked with no push of their own
 	migrationsOK   atomic.Int64
 	migrationsFail atomic.Int64
 }
@@ -89,8 +96,10 @@ type ClusterStats struct {
 // NewClusterStats sizes the gauges for a node hosting `shards` slots.
 func NewClusterStats(shards int) *ClusterStats {
 	return &ClusterStats{
-		roles:   make([]atomic.Int32, shards),
-		replLag: make([]atomic.Int64, shards),
+		roles:       make([]atomic.Int32, shards),
+		replLag:     make([]atomic.Int64, shards),
+		replPushes:  make([]atomic.Int64, shards),
+		replCovered: make([]atomic.Int64, shards),
 	}
 }
 
@@ -108,6 +117,22 @@ func (cs *ClusterStats) SetRole(shard int, role int32) {
 func (cs *ClusterStats) SetReplLag(shard int, slots int64) {
 	if shard >= 0 && shard < len(cs.replLag) {
 		cs.replLag[shard].Store(slots)
+	}
+}
+
+// PushRound counts one replication push round for a shard: one tail
+// cut and pushed to every follower that had not acked it.
+func (cs *ClusterStats) PushRound(shard int) {
+	if shard >= 0 && shard < len(cs.replPushes) {
+		cs.replPushes[shard].Add(1)
+	}
+}
+
+// CoveredWrite counts one write acked with no push of its own, because
+// every follower had already acked a tail that carried it.
+func (cs *ClusterStats) CoveredWrite(shard int) {
+	if shard >= 0 && shard < len(cs.replCovered) {
+		cs.replCovered[shard].Add(1)
 	}
 }
 
@@ -133,6 +158,8 @@ func (cs *ClusterStats) fillStatus(shard int, st *ShardStatus) {
 	}
 	st.ClusterRole = RoleName(cs.roles[shard].Load())
 	st.ReplLagSlots = cs.replLag[shard].Load()
+	st.ReplPushes = cs.replPushes[shard].Load()
+	st.ReplCoveredWrites = cs.replCovered[shard].Load()
 	st.MigrationsOK = cs.migrationsOK.Load()
 	st.MigrationsFailed = cs.migrationsFail.Load()
 }
@@ -188,6 +215,12 @@ func writeMetrics(w io.Writer, shards []*Shard, cs *ClusterStats) error {
 		}
 		for i := range cs.replLag {
 			fmt.Fprintf(&b, "pd2d_repl_lag_slots{shard=\"%d\"} %d\n", i, cs.replLag[i].Load())
+		}
+		for i := range cs.replPushes {
+			fmt.Fprintf(&b, "pd2d_repl_pushes_total{shard=\"%d\"} %d\n", i, cs.replPushes[i].Load())
+		}
+		for i := range cs.replCovered {
+			fmt.Fprintf(&b, "pd2d_repl_covered_writes_total{shard=\"%d\"} %d\n", i, cs.replCovered[i].Load())
 		}
 		fmt.Fprintf(&b, "pd2d_migrations_total{result=\"ok\"} %d\n", cs.migrationsOK.Load())
 		fmt.Fprintf(&b, "pd2d_migrations_total{result=\"fail\"} %d\n", cs.migrationsFail.Load())

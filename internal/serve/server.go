@@ -173,6 +173,14 @@ func (s *Server) ShardTail(i, from int) (*Tail, error) {
 	return rep.tail, rep.err
 }
 
+// ShardSeq returns shard i's mutation sequence: the command records and
+// advances its current instance has handled. The shard counts a record
+// before it replies, so a sequence read after a mutation's handler
+// returned covers that mutation, and any tail whose Seq reaches it
+// carries the mutation. The count restarts at zero when InstallShard
+// replaces the instance.
+func (s *Server) ShardSeq(i int) int64 { return s.shardAt(i).ctr.mutations.Load() }
+
 // Advance steps shard i's clock by slots through the mailbox — the
 // in-process equivalent of POST /v1/shards/{shard}/advance, used by the
 // cluster layer's tick path so replicated advances stay slot-atomic.

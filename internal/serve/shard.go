@@ -259,6 +259,7 @@ func (sh *Shard) handle(p *pending, checkW bool) {
 			results = append(results, sh.admit(&p.cmds[i], checkW))
 		}
 		p.results = results
+		sh.ctr.mutations.Add(1)
 		p.reply <- reply{results: results, now: sh.eng.Now()}
 	case pendAdvance:
 		sh.advance(p.slots)
@@ -342,6 +343,7 @@ func (sh *Shard) advance(n int64) {
 		sh.eng.Step()
 		sh.ctr.advances.Add(1)
 	}
+	sh.ctr.mutations.Add(1)
 	sh.publishStatus()
 }
 

@@ -40,7 +40,18 @@ type Tail struct {
 	// From == 0.
 	Admission   admissionState `json:"admission"`
 	BooksDigest uint64         `json:"books_digest"`
+
+	// seq is the shard's mutation sequence at the cut (see Seq). It is
+	// never encoded.
+	seq int64
 }
+
+// Seq returns the shard's mutation sequence when buildTail cut the
+// tail: the tail carries every command record and advance the shard
+// had counted by then, so a tail whose Seq is at or past the ShardSeq a
+// write read after its handler returned carries that write. In process
+// only; a decoded tail reads 0.
+func (t *Tail) Seq() int64 { return t.seq }
 
 // A Snapshot is a complete tail (From == 0): the whole durable state of
 // one shard. It leans on the engine's determinism: instead of
@@ -142,6 +153,7 @@ func (sh *Shard) buildTail(from int) (*Tail, error) {
 		DeferredLeaves: append([]string(nil), sh.defLeaves...),
 		Admission:      sh.adm.state(from),
 		BooksDigest:    sh.adm.digest(),
+		seq:            sh.ctr.mutations.Load(),
 	}, nil
 }
 

@@ -115,10 +115,12 @@ type ShardStatus struct {
 	// Cluster gauges (see ClusterStats): present only when the cluster
 	// layer is attached. ClusterRole is this node's role for the shard;
 	// the migration counters are node-wide and repeat on every shard.
-	ClusterRole      string `json:"cluster_role,omitempty"`
-	ReplLagSlots     int64  `json:"repl_lag_slots,omitempty"`
-	MigrationsOK     int64  `json:"migrations_ok,omitempty"`
-	MigrationsFailed int64  `json:"migrations_failed,omitempty"`
+	ClusterRole       string `json:"cluster_role,omitempty"`
+	ReplLagSlots      int64  `json:"repl_lag_slots,omitempty"`
+	ReplPushes        int64  `json:"repl_pushes,omitempty"`
+	ReplCoveredWrites int64  `json:"repl_covered_writes,omitempty"`
+	MigrationsOK      int64  `json:"migrations_ok,omitempty"`
+	MigrationsFailed  int64  `json:"migrations_failed,omitempty"`
 
 	Tasks []TaskStatus `json:"tasks,omitempty"`
 }
