@@ -104,7 +104,7 @@ func main() {
 	printEndpoint(a, "PD2-LJ/pole")
 
 	fmt.Println("\nWorked-example checks:")
-	checkWorkedExamples()
+	verifyWorkedExamples()
 	fmt.Println("\nAll artifacts regenerated. Compare against EXPERIMENTS.md.")
 }
 
@@ -118,7 +118,7 @@ func printEndpoint(f repro.Figure, label string) {
 	}
 }
 
-func checkWorkedExamples() {
+func verifyWorkedExamples() {
 	check := func(name, got, want string) {
 		status := "ok "
 		if got != want {

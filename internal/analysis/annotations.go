@@ -151,8 +151,6 @@ var ownerXferTable = []ownXferSpec{
 				Why: "ok means the round trip completed and the handler owns the record again; on !ok exchange has already freed it or left it with the draining shard"},
 			{Func: "Server.exchangeErr",
 				Why: "the in-process exchange consumes the record on every path: replies carry fresh copies so it frees the record itself, or abandons it to the draining shard"},
-			{Func: "Shard.drainAndHandle",
-				Why: "consumes the mailbox record passed in: every drained record is handled and replied to"},
 			{Func: "Shard.handle",
 				Why: "replies on the record's channel, handing ownership back to the blocked submitter"},
 		},

@@ -31,7 +31,6 @@
 package analysis
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -1443,47 +1442,4 @@ func (ip *interp) sinkWitness(fn *interpFn) (ast.Node, string) {
 		}
 	}
 	return nil, ""
-}
-
-// effectTrail locates the intrinsic site a transitive effect bit comes
-// from, following first-in-source-order call edges. It returns the
-// describing site plus the chain of functions between fn and it.
-func (ip *interp) effectTrail(fn *interpFn, bit effect) (*effSite, []string) {
-	visited := make(map[*interpFn]bool)
-	var chain []string
-	for {
-		if visited[fn] {
-			return nil, nil
-		}
-		visited[fn] = true
-		if fn.intr&bit != 0 {
-			return fn.effSite[bit], chain
-		}
-		next := (*interpFn)(nil)
-		for _, cs := range fn.calls {
-			if cs.dynamic || cs.spawned {
-				continue
-			}
-			if callee := ip.fnOf(cs.callee); callee != nil && callee.eff&bit != 0 {
-				next = callee
-				break
-			}
-		}
-		if next == nil {
-			return nil, nil
-		}
-		chain = append(chain, next.short)
-		fn = next
-	}
-}
-
-// posOf renders a node's position in file:line form relative to its
-// package for compact cross-function messages.
-func (ip *interp) posOf(fn *interpFn, n ast.Node) string {
-	pos := fn.pkg.Fset.Position(n.Pos())
-	file := pos.Filename
-	if i := strings.LastIndexByte(file, '/'); i >= 0 {
-		file = file[i+1:]
-	}
-	return fmt.Sprintf("%s:%d", file, pos.Line)
 }

@@ -1341,7 +1341,6 @@ func (s *Scheduler) freeSubtask(sub *subtask) {
 // subtask: drift = A(I_PS, T, 0, u) - A(I_CSW, T, 0, u) (Eqn (5)).
 func (s *Scheduler) recordDrift(ts *taskState, u model.Time) {
 	ts.drift = ts.cumPS.Sub(ts.cumCSW)
-	ts.lastDriftAt = u
 	if ts.maxAbsDrift.Less(ts.drift.Abs()) {
 		ts.maxAbsDrift = ts.drift.Abs()
 	}

@@ -170,7 +170,6 @@ type taskState struct {
 
 	drift       frac.Rat // drift(T, now) per Eqn (5)
 	maxAbsDrift frac.Rat
-	lastDriftAt model.Time
 
 	initiations int64 // weight-change requests seen
 	enactments  int64 // weight changes enacted

@@ -42,7 +42,6 @@ type admission struct {
 	tasks map[string]*taskEntry
 	// total is the sum of live entries' requested weights.
 	total frac.Rat
-	live  int // live entries, for status reporting
 	// dig is the books digest: the XOR of every entry's h, kept
 	// running by touch and restore.
 	dig uint64
@@ -123,50 +122,15 @@ func (a *admission) touch(e *taskEntry) {
 	a.dig ^= e.h
 }
 
-// posDelta bounds the worst-case increase in admitted weight if every
-// command in cmds were admitted, measured against the current books:
-// joins contribute their full weight, reweights their positive delta
-// (or full weight when the task is not currently reweightable — a
-// conservative stand-in for join-then-reweight sequences), leaves
-// nothing (weight frees only at flush, never mid-drain). If headroom
-// covers this bound, every per-command property-(W) comparison in the
-// drain is guaranteed to pass — per-task deltas telescope, so each
-// prefix total stays under total+bound — and the per-command checks
-// can be skipped wholesale.
-//
-//lint:noalloc hot admission path: one bound evaluation per mailbox drain
-func (a *admission) posDelta(cmds []wireCmd) frac.Rat {
-	var bound frac.Rat
-	for i := range cmds {
-		c := &cmds[i]
-		switch c.op {
-		case opJoin:
-			bound = bound.Add(c.weight)
-		case opReweight:
-			if e := a.tasks[string(c.raw)]; e != nil && e.live && !e.pending && !e.leaving {
-				if e.w.Less(c.weight) {
-					bound = bound.Add(c.weight.Sub(e.w))
-				}
-			} else {
-				bound = bound.Add(c.weight)
-			}
-		case opLeave:
-		}
-	}
-	return bound
-}
-
 // admitJoin reserves name and weight for a joining task and returns the
-// canonical interned name. checkW=false skips the per-command
-// property-(W) comparison — only sound when the caller already covered
-// the drain's posDelta bound.
+// canonical interned name.
 //
 //lint:noalloc hot admission path; rejections and entry creation sit at allocok boundaries
-func (a *admission) admitJoin(raw []byte, w frac.Rat, checkW bool) (string, *admissionError) {
+func (a *admission) admitJoin(raw []byte, w frac.Rat) (string, *admissionError) {
 	if a.tasks[string(raw)] != nil {
 		return "", reject(errConflict, "task name %q was already used on this shard", raw)
 	}
-	if checkW && a.headroom().Less(w) {
+	if a.headroom().Less(w) {
 		return "", rejectWeight(a.headroom(),
 			"join %s at weight %s exceeds property (W): headroom %s of M=%s", raw, w, a.headroom(), a.m)
 	}
@@ -174,7 +138,6 @@ func (a *admission) admitJoin(raw []byte, w frac.Rat, checkW bool) (string, *adm
 	a.touch(e)
 	a.tasks[e.name] = e
 	a.total = a.total.Add(w)
-	a.live++
 	return e.name, nil
 }
 
@@ -182,7 +145,7 @@ func (a *admission) admitJoin(raw []byte, w frac.Rat, checkW bool) (string, *adm
 // task and returns the canonical interned name.
 //
 //lint:noalloc hot admission path; rejections sit at allocok boundaries
-func (a *admission) admitReweight(raw []byte, w frac.Rat, checkW bool) (string, *admissionError) {
+func (a *admission) admitReweight(raw []byte, w frac.Rat) (string, *admissionError) {
 	e := a.tasks[string(raw)]
 	if e == nil {
 		return "", reject(errUnknown, "task %q never joined this shard", raw)
@@ -197,7 +160,7 @@ func (a *admission) admitReweight(raw []byte, w frac.Rat, checkW bool) (string, 
 		return "", reject(errConflict, "task %q is leaving", raw)
 	}
 	next := a.total.Sub(e.w).Add(w)
-	if checkW && a.m.Less(next) {
+	if a.m.Less(next) {
 		return "", rejectWeight(a.headroom().Add(e.w),
 			"reweight %s from %s to %s exceeds property (W): total would be %s > M=%s", e.name, e.w, w, next, a.m)
 	}
@@ -252,7 +215,6 @@ func (a *admission) abortJoin(name string) {
 	if e.live {
 		a.total = a.total.Sub(e.w)
 		e.live = false
-		a.live--
 	}
 	a.touch(e)
 }
@@ -267,19 +229,9 @@ func (a *admission) completeLeave(name string) {
 	if e.live {
 		a.total = a.total.Sub(e.w)
 		e.live = false
-		a.live--
 	}
 	e.leaving = false
 	a.touch(e)
-}
-
-// requested returns the live requested weight for name, if any — the
-// deferred-join replay path in flush needs it.
-func (a *admission) requested(name string) (frac.Rat, bool) {
-	if e := a.tasks[name]; e != nil && e.live {
-		return e.w, true
-	}
-	return frac.Rat{}, false
 }
 
 // state serializes the entries stamped >= from: all of them for a
@@ -344,7 +296,6 @@ func (a *admission) restore(st admissionState) {
 			a.tasks[name] = e
 		} else if e.live {
 			a.total = a.total.Sub(e.w)
-			a.live--
 		}
 		detach(e)
 		*e = taskEntry{name: e.name, at: a.at}
@@ -358,7 +309,6 @@ func (a *admission) restore(st admissionState) {
 		e.live = true
 		e.w = tw.Weight
 		a.total = a.total.Add(tw.Weight)
-		a.live++
 	}
 	for _, name := range st.Pending {
 		if e := a.tasks[name]; e != nil {

@@ -299,7 +299,7 @@ func wirePathShard(t testing.TB, n int) *Shard {
 	for i := 0; i < n; i++ {
 		name := fmt.Sprintf("t%d", i)
 		c := wireCmd{op: opJoin, raw: []byte(name), weight: frac.New(1, 64)}
-		if res := sh.admit(&c, true); res.Status != "queued" {
+		if res := sh.admit(&c); res.Status != "queued" {
 			t.Fatalf("join %s: %+v", name, res)
 		}
 	}
@@ -343,7 +343,7 @@ func TestWirePathZeroAlloc(t *testing.T) {
 		}
 		results = results[:0]
 		for i := range cmds {
-			results = append(results, sh.admit(&cmds[i], false))
+			results = append(results, sh.admit(&cmds[i]))
 		}
 		sh.batch = sh.batch[:0] // keep the staged batch from growing across rounds
 		out = appendCommandResults(out[:0], results)
@@ -391,7 +391,7 @@ func BenchmarkWirePath(b *testing.B) {
 		}
 		results = results[:0]
 		for j := range cmds {
-			results = append(results, sh.admit(&cmds[j], false))
+			results = append(results, sh.admit(&cmds[j]))
 		}
 		sh.batch = sh.batch[:0]
 		out = appendCommandResults(out[:0], results)
@@ -421,7 +421,7 @@ func BenchmarkWirePathJSON(b *testing.B) {
 		}
 		results = results[:0]
 		for j := range cmds {
-			results = append(results, sh.admit(&cmds[j], false))
+			results = append(results, sh.admit(&cmds[j]))
 		}
 		sh.batch = sh.batch[:0]
 		out.Reset()

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -156,6 +157,28 @@ func TestBackpressure429(t *testing.T) {
 	if sh.ctr.backpressured.Load() != 1 {
 		t.Fatalf("backpressured counter = %d", sh.ctr.backpressured.Load())
 	}
+	// The counter counts refused requests, not commands: a 3-command
+	// batch and a status read add one each.
+	batch := strings.NewReader(`[{"op":"join","task":"B","weight":"1/8"},{"op":"join","task":"C","weight":"1/8"},{"op":"join","task":"D","weight":"1/8"}]`)
+	resp, err = http.Post(ts.URL+"/v1/shards/0/commands", "application/json", batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("full mailbox, batch: %d", resp.StatusCode)
+	}
+	resp, err = http.Get(ts.URL + "/v1/shards/0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("full mailbox, status read: %d", resp.StatusCode)
+	}
+	if got := sh.ctr.backpressured.Load(); got != 3 {
+		t.Fatalf("backpressured counter = %d after three refused requests, want 3", got)
+	}
 }
 
 func TestStoppedServerAnswers503(t *testing.T) {
@@ -224,6 +247,18 @@ func TestAdvanceQueryMetricsEndpoints(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
 			t.Errorf("GET %s: %d", path, resp.StatusCode)
+		}
+	}
+	// The shard list is each shard's index, policy and M, not its status.
+	var list []map[string]any
+	getJSON(t, ts.URL+"/v1/shards", &list)
+	if len(list) != 2 {
+		t.Fatalf("GET /v1/shards: %d entries, want 2", len(list))
+	}
+	for i, e := range list {
+		want := map[string]any{"shard": float64(i), "policy": "oi", "m": float64(2)}
+		if !reflect.DeepEqual(e, want) {
+			t.Errorf("GET /v1/shards entry %d = %v, want %v", i, e, want)
 		}
 	}
 }

@@ -107,7 +107,6 @@ type Shard struct {
 	batch     []wireCmd      // admitted this slot, applies at next boundary
 	defJoins  []wireCmd      // admitted joins awaiting condition-J headroom
 	defLeaves []string       // admitted leaves awaiting rule L
-	drain     []*pending     // reused scratch for one mailbox drain
 
 	// Anomaly-window baselines: counter values at the previous
 	// publishStatus, so noteAnomalies sees per-window deltas.
@@ -130,23 +129,23 @@ func newShard(id int, cfg ShardConfig, mailboxCap int) (*Shard, error) {
 	if err != nil {
 		return nil, err
 	}
+	sh := &Shard{id: id, cfg: cfg, eng: eng, adm: newAdmission(cfg.M), seed: seed}
+	sh.initLoop(mailboxCap)
+	return sh, nil
+}
+
+// initLoop gives a built shard the channels its loop reads (a mailbox
+// of mailboxCap records, at least one, and the tick, quit and done
+// channels) and publishes its first status. The shard is not started.
+func (sh *Shard) initLoop(mailboxCap int) {
 	if mailboxCap < 1 {
 		mailboxCap = 1
 	}
-	sh := &Shard{
-		id:    id,
-		cfg:   cfg,
-		mbox:  make(chan *pending, mailboxCap),
-		tickc: make(chan struct{}, 1),
-		quit:  make(chan struct{}),
-		done:  make(chan struct{}),
-		eng:   eng,
-		adm:   newAdmission(cfg.M),
-		seed:  seed,
-		drain: make([]*pending, 0, mailboxCap+1),
-	}
+	sh.mbox = make(chan *pending, mailboxCap)
+	sh.tickc = make(chan struct{}, 1)
+	sh.quit = make(chan struct{})
+	sh.done = make(chan struct{})
 	sh.publishStatus()
-	return sh, nil
 }
 
 // start launches the single-writer loop.
@@ -178,7 +177,9 @@ func (sh *Shard) submit(p *pending) bool {
 func (sh *Shard) TickC() chan<- struct{} { return sh.tickc }
 
 // run is the shard's single-writer loop: every engine and admission
-// mutation happens here, serialized by the mailbox.
+// mutation happens here, serialized by the mailbox. Each record is
+// answered as it is received, so a shard holds at most its mailbox
+// capacity plus one unanswered records.
 //
 //lint:noalloc the mailbox drain; per-request work must not allocate beyond the declared reply boundaries
 func (sh *Shard) run() {
@@ -186,7 +187,7 @@ func (sh *Shard) run() {
 	for {
 		select {
 		case p := <-sh.mbox:
-			sh.drainAndHandle(p)
+			sh.handle(p)
 		case <-sh.tickc:
 			sh.advance(1)
 		case <-sh.quit:
@@ -195,7 +196,7 @@ func (sh *Shard) run() {
 			for {
 				select {
 				case p := <-sh.mbox:
-					sh.drainAndHandle(p)
+					sh.handle(p)
 				default:
 					sh.publishStatus()
 					return
@@ -205,58 +206,14 @@ func (sh *Shard) run() {
 	}
 }
 
-// drainAndHandle empties the mailbox into the reused drain scratch and
-// answers every record. Contiguous runs of command records share one
-// property-(W) evaluation: posDelta bounds the run's worst-case weight
-// increase, and when headroom covers the bound, every per-command
-// weight comparison is provably redundant and skipped (checkW=false).
-// The drain is capped at the mailbox capacity so the scratch never
-// regrows and concurrent submitters cannot starve tick handling.
-//
-//lint:noalloc the mailbox drain; per-request work must not allocate beyond the declared reply boundaries
-func (sh *Shard) drainAndHandle(first *pending) {
-	sh.drain = append(sh.drain[:0], first)
-	for n := cap(sh.mbox); n > 0; n-- {
-		select {
-		case p := <-sh.mbox:
-			sh.drain = append(sh.drain, p)
-			continue
-		default:
-		}
-		break
-	}
-	for i := 0; i < len(sh.drain); {
-		if sh.drain[i].kind != pendCommands {
-			sh.handle(sh.drain[i], true)
-			i++
-			continue
-		}
-		j := i
-		var bound frac.Rat
-		for j < len(sh.drain) && sh.drain[j].kind == pendCommands {
-			bound = bound.Add(sh.adm.posDelta(sh.drain[j].cmds))
-			j++
-		}
-		checkW := sh.adm.headroom().Less(bound)
-		for ; i < j; i++ {
-			sh.handle(sh.drain[i], checkW)
-		}
-	}
-	for k := range sh.drain {
-		sh.drain[k] = nil
-	}
-	sh.drain = sh.drain[:0]
-}
-
 // handle answers one mailbox record. Every dequeued record gets exactly
-// one reply. checkW=false skips per-command property-(W) comparisons —
-// only sound when the caller's drain-wide posDelta bound fit headroom.
-func (sh *Shard) handle(p *pending, checkW bool) {
+// one reply.
+func (sh *Shard) handle(p *pending) {
 	switch p.kind {
 	case pendCommands:
 		results := p.results[:0]
 		for i := range p.cmds {
-			results = append(results, sh.admit(&p.cmds[i], checkW))
+			results = append(results, sh.admit(&p.cmds[i]))
 		}
 		p.results = results
 		sh.ctr.mutations.Add(1)
@@ -285,16 +242,16 @@ func (sh *Shard) handle(p *pending, checkW bool) {
 // on success, stages it for the next slot boundary. The staged copy
 // carries the admission layer's canonical interned name and drops the
 // raw alias, so the batch never retains pooled request memory.
-func (sh *Shard) admit(c *wireCmd, checkW bool) CommandResult {
+func (sh *Shard) admit(c *wireCmd) CommandResult {
 	var (
 		aerr *admissionError
 		name string
 	)
 	switch c.op {
 	case opJoin:
-		name, aerr = sh.adm.admitJoin(c.raw, c.weight, checkW)
+		name, aerr = sh.adm.admitJoin(c.raw, c.weight)
 	case opReweight:
-		name, aerr = sh.adm.admitReweight(c.raw, c.weight, checkW)
+		name, aerr = sh.adm.admitReweight(c.raw, c.weight)
 	case opLeave:
 		name, aerr = sh.adm.admitLeave(c.raw)
 	default:

@@ -21,7 +21,7 @@ func testShard(t *testing.T, cfg ShardConfig, mailboxCap int) *Shard {
 // goroutine (the test is the single writer until start() is called).
 func admitOne(sh *Shard, op pendingOp, task string, w frac.Rat) CommandResult {
 	c := wireCmd{op: op, raw: []byte(task), weight: w}
-	return sh.admit(&c, true)
+	return sh.admit(&c)
 }
 
 func TestAdmissionPropertyW(t *testing.T) {
@@ -116,10 +116,10 @@ func TestDeferredLeaveRuleL(t *testing.T) {
 	}
 	// Weight stays booked until the engine actually applies the leave
 	// (rule L can defer it past several boundaries).
-	for i := 0; i < 20 && sh.adm.live > 0; i++ {
+	for i := 0; i < 20 && sh.adm.tasks["A"].live; i++ {
 		sh.advance(1)
 	}
-	if sh.adm.live != 0 {
+	if sh.adm.tasks["A"].live {
 		t.Fatal("leave never applied within 20 slots")
 	}
 	if !sh.adm.total.IsZero() {
@@ -236,6 +236,100 @@ func TestShardLoopDrain(t *testing.T) {
 	}
 	if got := sh.ctr.queries.Load(); got != int64(total) {
 		t.Fatalf("shard counted %d queries, workers saw %d", got, total)
+	}
+}
+
+// TestQueuedRecordsPoliceW queues command records before the loop
+// starts, so it finds them all waiting. Each command fits the books the
+// loop starts from, but the records do not fit together: every join and
+// reweight must be checked against the headroom the commands answered
+// before it left.
+func TestQueuedRecordsPoliceW(t *testing.T) {
+	sh := testShard(t, ShardConfig{M: 1}, 8)
+	for _, name := range []string{"A", "B", "C"} {
+		if res := admitOne(sh, opJoin, name, frac.New(1, 4)); res.Status != "queued" {
+			t.Fatalf("join %s: %+v", name, res)
+		}
+	}
+	sh.advance(1) // A, B and C apply: total 3/4, headroom 1/4
+
+	cmd := func(op pendingOp, task string, w frac.Rat) wireCmd {
+		return wireCmd{op: op, raw: []byte(task), weight: w}
+	}
+	queued := CommandResult{Status: "queued", Slot: 1}
+	overW := func(headroom string) CommandResult {
+		return CommandResult{Status: "rejected", Code: 409, Error: errWeight, Headroom: headroom}
+	}
+	records := []struct {
+		cmds []wireCmd
+		want []CommandResult
+	}{
+		// B goes up to 1/2, which fills M, and back down to 1/4.
+		{[]wireCmd{cmd(opReweight, "B", frac.New(1, 2)), cmd(opReweight, "B", frac.New(1, 4))},
+			[]CommandResult{queued, queued}},
+		// D takes the last 1/4.
+		{[]wireCmd{cmd(opJoin, "D", frac.New(1, 4))},
+			[]CommandResult{queued}},
+		// Both fit the books the loop started from; neither fits now.
+		{[]wireCmd{cmd(opReweight, "C", frac.New(1, 2)), cmd(opJoin, "E", frac.New(1, 8))},
+			[]CommandResult{overW("1/4"), overW("0")}},
+		// F fits only because A's reweight down freed 1/8.
+		{[]wireCmd{cmd(opReweight, "A", frac.New(1, 8)), cmd(opJoin, "F", frac.New(1, 8))},
+			[]CommandResult{queued, queued}},
+		// C's leave frees its weight only at the slot boundary, so G is
+		// past capacity.
+		{[]wireCmd{cmd(opReweight, "A", frac.New(1, 16)), cmd(opLeave, "C", frac.Rat{}), cmd(opJoin, "G", frac.New(1, 8))},
+			[]CommandResult{queued, queued, overW("1/16")}},
+	}
+	var ps []*pending
+	for i, r := range records {
+		p := sh.pool.newPending()
+		p.kind = pendCommands
+		p.cmds = append(p.cmds, r.cmds...)
+		if !sh.submit(p) {
+			t.Fatalf("submit record %d rejected below capacity", i)
+		}
+		ps = append(ps, p)
+	}
+	q := sh.pool.newPending()
+	q.kind = pendQuery
+	if !sh.submit(q) {
+		t.Fatal("submit query rejected below capacity")
+	}
+
+	sh.start()
+	for i, p := range ps {
+		rep := <-p.reply
+		if len(rep.results) != len(records[i].want) {
+			t.Fatalf("record %d: %d results for %d commands", i, len(rep.results), len(records[i].want))
+		}
+		for j, got := range rep.results {
+			got.Reason = "" // the wording is not pinned here
+			if want := records[i].want[j]; got != want {
+				t.Errorf("record %d command %d: got %+v, want %+v", i, j, got, want)
+			}
+		}
+		sh.pool.freePending(p)
+	}
+	st := (<-q.reply).status
+	sh.pool.freePending(q)
+	if st.RequestedWt != "15/16" || st.Headroom != "1/16" {
+		t.Errorf("requested %s, headroom %s after the records; want 15/16 and 1/16", st.RequestedWt, st.Headroom)
+	}
+	adv := sh.pool.newPending()
+	adv.kind = pendAdvance
+	adv.slots = 1
+	if !sh.submit(adv) {
+		t.Fatal("submit advance rejected")
+	}
+	<-adv.reply
+	sh.pool.freePending(adv)
+	sh.stop()
+	if n := sh.ctr.failedApplies.Load(); n != 0 {
+		t.Fatalf("failedApplies = %d after the boundary", n)
+	}
+	if n := sh.ctr.rejectedW.Load(); n != 3 {
+		t.Fatalf("rejectedW = %d, want 3", n)
 	}
 }
 

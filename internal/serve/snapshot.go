@@ -193,16 +193,9 @@ func restoreShard(snap *Snapshot, mailboxCap int) (*Shard, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: shard %d snapshot joins: %w", snap.Shard, err)
 	}
-	if mailboxCap < 1 {
-		mailboxCap = 1
-	}
 	sh := &Shard{
 		id:        snap.Shard,
 		cfg:       snap.Config,
-		mbox:      make(chan *pending, mailboxCap),
-		tickc:     make(chan struct{}, 1),
-		quit:      make(chan struct{}),
-		done:      make(chan struct{}),
 		eng:       r.eng,
 		adm:       r.adm,
 		seed:      snap.Seed,
@@ -210,8 +203,7 @@ func restoreShard(snap *Snapshot, mailboxCap int) (*Shard, error) {
 		batch:     batch,
 		defJoins:  defJoins,
 		defLeaves: append([]string(nil), snap.DeferredLeaves...),
-		drain:     make([]*pending, 0, mailboxCap+1),
 	}
-	sh.publishStatus()
+	sh.initLoop(mailboxCap)
 	return sh, nil
 }

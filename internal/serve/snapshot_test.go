@@ -60,7 +60,7 @@ func genScript(seed uint64, horizon int64) []scripted {
 // the wire-name bytes the way the decoder would.
 func admitScripted(sh *Shard, c wireCmd) {
 	c.raw = []byte(c.task)
-	sh.admit(&c, true)
+	sh.admit(&c)
 }
 
 // playSlot admits every script entry for the given slot, then advances

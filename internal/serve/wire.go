@@ -145,15 +145,14 @@ type ErrorResponse struct {
 
 // Admission reason/error vocabulary shared by wire replies and tests.
 const (
-	errInvalid   = "invalid"      // malformed op, weight, or name (400)
-	errUnknown   = "unknown_task" // reweight/leave of a task never joined (404)
-	errConflict  = "conflict"     // duplicate name, join still pending, already leaving (409)
-	errWeight    = "weight"       // property-(W) violation; headroom attached (409)
-	errTooLarge  = "too_large"    // body exceeds the read limit (413)
-	errFull      = "mailbox_full" // bounded mailbox at capacity (429)
-	errDraining  = "draining"     // shard is shutting down (503)
-	errBadShard  = "unknown_shard"
-	errBadMethod = "method_not_allowed"
+	errInvalid  = "invalid"      // malformed op, weight, or name (400)
+	errUnknown  = "unknown_task" // reweight/leave of a task never joined (404)
+	errConflict = "conflict"     // duplicate name, join still pending, already leaving (409)
+	errWeight   = "weight"       // property-(W) violation; headroom attached (409)
+	errTooLarge = "too_large"    // body exceeds the read limit (413)
+	errFull     = "mailbox_full" // bounded mailbox at capacity (429)
+	errDraining = "draining"     // shard is shutting down (503)
+	errBadShard = "unknown_shard"
 )
 
 // parseCommand validates the wire form and resolves it to an op and an

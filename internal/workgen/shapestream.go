@@ -58,9 +58,6 @@ func NewShapeStream(shape *Shape, rng *stats.RNG, prefix string, anchor func(i i
 	return &ShapeStream{shape: shape, rng: rng, prefix: prefix, anchor: anchor, tasks: tasks, maxNum: maxNum}, nil
 }
 
-// PhaseName returns the name of the phase the next round falls into.
-func (ss *ShapeStream) PhaseName() string { return ss.shape.Phase(ss.round).Name }
-
 // NextBatch appends one round's commands to dst, sized by the current
 // phase's rate against base. An idle phase (rate 0) appends nothing —
 // the round still elapses, so the caller keeps pacing virtual time.
