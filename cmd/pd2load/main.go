@@ -29,9 +29,11 @@ import (
 	"net/http"
 	"os"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/stats"
 	"repro/internal/workgen"
 )
@@ -107,6 +109,9 @@ func run(cfg config) (workerStats, error) {
 	}
 	if cfg.shards < 1 || cfg.workers < 1 || cfg.batch < 1 || cfg.tasks < 1 {
 		return tot, fmt.Errorf("shards, workers, batch, tasks must all be >= 1")
+	}
+	if !plainPrefix(cfg.prefix) {
+		return tot, fmt.Errorf("-prefix %q: use only ASCII letters, digits, '_', '-' and '.'", cfg.prefix)
 	}
 	if cfg.shape != "" && cfg.template != "" {
 		return tot, fmt.Errorf("-shape and -template are mutually exclusive")
@@ -345,6 +350,16 @@ func backoffDelay(attempt int, hint time.Duration, rng *stats.RNG) time.Duration
 	return d + time.Duration(rng.Bounded(int(d/4)+1))
 }
 
+// plainPrefix reports whether p is non-empty and uses only ASCII
+// letters, digits, '_', '-' and '.': the characters a task name can
+// carry into a request body unescaped (appendBatch, appendCmds,
+// queuedMarker). A prefix with a '"' or '\' would make a body invalid
+// JSON or a different command.
+func plainPrefix(p string) bool {
+	const plain = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_-."
+	return p != "" && strings.TrimLeft(p, plain) == ""
+}
+
 // taskName is the canonical load-task name for (shard, index).
 func taskName(prefix string, shard, i int) string { return fmt.Sprintf("%s%d_%d", prefix, shard, i) }
 
@@ -439,7 +454,10 @@ func (g *genState) advanced() {
 }
 
 // appendCmds encodes workgen commands as a JSON array of wire commands.
-// Task names go through AppendQuote, so arbitrary names stay valid JSON.
+// The streams emit only join, leave and reweight. Every name they build
+// is a prefix run has checked (plainPrefix) plus ASCII letters, digits
+// and '-', so AppendQuote, whose quoting is JSON's only for printable
+// ASCII, adds nothing but the quotes.
 func appendCmds(b []byte, cmds []workgen.Cmd) []byte {
 	b = append(b, '[')
 	for i, c := range cmds {
@@ -447,19 +465,10 @@ func appendCmds(b []byte, cmds []workgen.Cmd) []byte {
 			b = append(b, ',')
 		}
 		b = append(b, `{"op":"`...)
-		switch c.Op {
-		case workgen.TraceJoin:
-			b = append(b, "join"...)
-		case workgen.TraceLeave:
-			b = append(b, "leave"...)
-		case workgen.TraceReweight:
-			b = append(b, "reweight"...)
-		default:
-			panic("pd2load: generator emitted a non-wire trace op")
-		}
+		b = append(b, c.Op.String()...)
 		b = append(b, `","task":`...)
 		b = strconv.AppendQuote(b, c.Task)
-		if c.Op != workgen.TraceLeave {
+		if c.Op != core.OpLeave {
 			b = append(b, `,"weight":"`...)
 			b = append(b, c.Weight.String()...)
 			b = append(b, '"')
@@ -646,8 +655,8 @@ func setup(client *http.Client, resolve resolver, prefix string, shards, tasks i
 }
 
 // queuedMarker counts accepted commands in a batch reply without a JSON
-// decode. Safe here because the generator only sends reweights of its
-// own alphanumeric task names, so the marker cannot appear inside a
+// decode. Safe here because every task name pd2load sends is built on a
+// plain prefix (plainPrefix), so the marker cannot appear inside a
 // rejection reason.
 var queuedMarker = []byte(`"status":"queued"`)
 
@@ -825,8 +834,8 @@ func retryAfter(resp *http.Response) time.Duration {
 
 // appendBatch encodes n reweight commands as a JSON array. Weights move
 // between 1/64 and 1/32 — always within the admitted budget, so a 409
-// under load is a server-side bug. Assumes an alphanumeric prefix (the
-// names are embedded without JSON escaping).
+// under load is a server-side bug. The names are embedded without JSON
+// escaping, which run's plainPrefix check makes safe.
 func appendBatch(b []byte, prefix string, shard, n, tasks int, rng *stats.RNG) []byte {
 	b = append(b, '[')
 	for i := 0; i < n; i++ {

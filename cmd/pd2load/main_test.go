@@ -576,7 +576,7 @@ func TestRouteModeEndToEnd(t *testing.T) {
 func TestModeFlagValidation(t *testing.T) {
 	if _, err := run(config{
 		base: "http://127.0.0.1:1", shards: 1, workers: 1, requests: 1, batch: 1,
-		tasks: 1, shape: "diurnal", template: "reweight-storm",
+		tasks: 1, prefix: "L", shape: "diurnal", template: "reweight-storm",
 	}); err == nil {
 		t.Error("-shape with -template accepted")
 	}
@@ -591,8 +591,35 @@ func TestModeFlagValidation(t *testing.T) {
 	}
 	if _, err := run(config{
 		base: "http://127.0.0.1:1", shards: 1, workers: 1, requests: 1, batch: 1,
-		tasks: 1, shape: "idle=4:0:1:0",
+		tasks: 1, prefix: "L", shape: "idle=4:0:1:0",
 	}); err == nil {
 		t.Error("an all-idle shape should be rejected up front")
+	}
+}
+
+// TestRunRefusesUnplainPrefix requires run to refuse, before it sends a
+// single request, a -prefix the body builders would embed unescaped: a
+// '"' makes the body invalid JSON or a different command.
+func TestRunRefusesUnplainPrefix(t *testing.T) {
+	var hits atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		http.Error(w, "no request expected", http.StatusTeapot)
+	}))
+	defer ts.Close()
+	for _, prefix := range []string{`a"b`, `x","op":"leave","task":"x`, `a\b`, "", "a b", "é"} {
+		for _, mode := range []config{{}, {template: "reweight-storm"}, {shape: "diurnal"}} {
+			mode.base, mode.shards, mode.workers, mode.requests = ts.URL, 1, 1, 8
+			mode.batch, mode.tasks, mode.seed, mode.prefix = 8, 4, 1, prefix
+			if _, err := run(mode); err == nil {
+				t.Errorf("prefix %q (template %q, shape %q) accepted", prefix, mode.template, mode.shape)
+			}
+		}
+	}
+	if n := hits.Load(); n != 0 {
+		t.Errorf("the server saw %d requests, want none", n)
+	}
+	if !plainPrefix("L-0_x.y") {
+		t.Error("a plain prefix was refused")
 	}
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/frac"
 	"repro/internal/stats"
 	"repro/internal/workgen"
@@ -16,11 +17,11 @@ func admitTemplate(t *testing.T, sh *Shard, cmds []workgen.Cmd) (queued, rejecte
 	for _, c := range cmds {
 		var op pendingOp
 		switch c.Op {
-		case workgen.TraceJoin:
+		case core.OpJoin:
 			op = opJoin
-		case workgen.TraceLeave:
+		case core.OpLeave:
 			op = opLeave
-		case workgen.TraceReweight:
+		case core.OpReweight:
 			op = opReweight
 		default:
 			t.Fatalf("template emitted non-wire op %v", c.Op)

@@ -165,49 +165,62 @@ func (cs *ClusterStats) fillStatus(shard int, st *ShardStatus) {
 }
 
 // writeMetrics renders all shards in the Prometheus text exposition
-// format (counters as *_total, gauges bare). Shards print in index
-// order, so the output is stable. cs adds the per-node cluster gauges
-// when the cluster layer is attached (nil otherwise).
+// format (counters as *_total, gauges bare). Each family prints as one
+// group, shards in index order inside it, so the output is stable. cs
+// adds the per-node cluster gauges when the cluster layer is attached
+// (nil otherwise).
 func writeMetrics(w io.Writer, shards []*Shard, cs *ClusterStats) error {
 	var b strings.Builder
-	for _, sh := range shards {
-		c := &sh.ctr
-		id := sh.id
-		for _, kv := range []struct {
-			name string
-			v    int64
-		}{
-			{"pd2d_commands_accepted_total", c.accepted.Load()},
-			{"pd2d_commands_rejected_weight_total", c.rejectedW.Load()},
-			{"pd2d_commands_rejected_other_total", c.rejectedOther.Load()},
-			{"pd2d_commands_backpressured_total", c.backpressured.Load()},
-			{"pd2d_commands_applied_total", c.applied.Load()},
-			{"pd2d_commands_deferred_total", c.deferred.Load()},
-			{"pd2d_commands_failed_applies_total", c.failedApplies.Load()},
-			{"pd2d_slots_advanced_total", c.advances.Load()},
-			{"pd2d_queries_total", c.queries.Load()},
-			{"pd2d_anomaly_reject_spikes_total", c.anomRejectSpikes.Load()},
-			{"pd2d_anomaly_drift_excursions_total", c.anomDriftExcur.Load()},
-			{"pd2d_anomaly_backpressure_spikes_total", c.anomBackpressure.Load()},
-		} {
-			fmt.Fprintf(&b, "%s{shard=\"%d\"} %d\n", kv.name, id, kv.v)
+	for _, f := range []struct {
+		name string
+		v    func(c *counters) int64
+	}{
+		{"pd2d_commands_accepted_total", func(c *counters) int64 { return c.accepted.Load() }},
+		{"pd2d_commands_rejected_weight_total", func(c *counters) int64 { return c.rejectedW.Load() }},
+		{"pd2d_commands_rejected_other_total", func(c *counters) int64 { return c.rejectedOther.Load() }},
+		{"pd2d_commands_backpressured_total", func(c *counters) int64 { return c.backpressured.Load() }},
+		{"pd2d_commands_applied_total", func(c *counters) int64 { return c.applied.Load() }},
+		{"pd2d_commands_deferred_total", func(c *counters) int64 { return c.deferred.Load() }},
+		{"pd2d_commands_failed_applies_total", func(c *counters) int64 { return c.failedApplies.Load() }},
+		{"pd2d_slots_advanced_total", func(c *counters) int64 { return c.advances.Load() }},
+		{"pd2d_queries_total", func(c *counters) int64 { return c.queries.Load() }},
+		{"pd2d_anomaly_reject_spikes_total", func(c *counters) int64 { return c.anomRejectSpikes.Load() }},
+		{"pd2d_anomaly_drift_excursions_total", func(c *counters) int64 { return c.anomDriftExcur.Load() }},
+		{"pd2d_anomaly_backpressure_spikes_total", func(c *counters) int64 { return c.anomBackpressure.Load() }},
+		{"pd2d_anomaly_deferred_join_peak", func(c *counters) int64 { return c.deferredJoinPeak.Load() }},
+	} {
+		for _, sh := range shards {
+			fmt.Fprintf(&b, "%s{shard=\"%d\"} %d\n", f.name, sh.id, f.v(&sh.ctr))
 		}
-		fmt.Fprintf(&b, "pd2d_anomaly_deferred_join_peak{shard=\"%d\"} %d\n", id, c.deferredJoinPeak.Load())
-		st := c.gauge.Load()
-		if st == nil {
-			continue
+	}
+	// The gauges read the status each shard last published, loaded once
+	// so one shard's gauges agree; a shard that has published none yet
+	// prints no gauge lines.
+	sts := make([]*ShardStatus, len(shards))
+	for i, sh := range shards {
+		sts[i] = sh.ctr.gauge.Load()
+	}
+	for _, f := range []struct {
+		name string
+		v    func(st *ShardStatus) any // an integer or a float64, printed as %d or %g
+	}{
+		{"pd2d_shard_now", func(st *ShardStatus) any { return st.Now }},
+		{"pd2d_shard_active_tasks", func(st *ShardStatus) any { return st.ActiveTasks }},
+		{"pd2d_shard_misses", func(st *ShardStatus) any { return st.Misses }},
+		{"pd2d_shard_holes", func(st *ShardStatus) any { return st.Holes }},
+		{"pd2d_shard_overhead_slots", func(st *ShardStatus) any { return st.OverheadSlots }},
+		{"pd2d_shard_violations", func(st *ShardStatus) any { return st.Violations }},
+		{"pd2d_shard_deferred_joins", func(st *ShardStatus) any { return st.DeferredJoins }},
+		{"pd2d_shard_deferred_leaves", func(st *ShardStatus) any { return st.DeferredLeaves }},
+		{"pd2d_shard_total_sched_weight", func(st *ShardStatus) any { return st.TotalSchedWtFloat }},
+		{"pd2d_shard_max_abs_drift", func(st *ShardStatus) any { return st.MaxAbsDriftFloat }},
+		{"pd2d_shard_sum_abs_lag", func(st *ShardStatus) any { return st.SumAbsLagFloat }},
+	} {
+		for i, sh := range shards {
+			if sts[i] != nil {
+				fmt.Fprintf(&b, "%s{shard=\"%d\"} %v\n", f.name, sh.id, f.v(sts[i]))
+			}
 		}
-		fmt.Fprintf(&b, "pd2d_shard_now{shard=\"%d\"} %d\n", id, st.Now)
-		fmt.Fprintf(&b, "pd2d_shard_active_tasks{shard=\"%d\"} %d\n", id, st.ActiveTasks)
-		fmt.Fprintf(&b, "pd2d_shard_misses{shard=\"%d\"} %d\n", id, st.Misses)
-		fmt.Fprintf(&b, "pd2d_shard_holes{shard=\"%d\"} %d\n", id, st.Holes)
-		fmt.Fprintf(&b, "pd2d_shard_overhead_slots{shard=\"%d\"} %d\n", id, st.OverheadSlots)
-		fmt.Fprintf(&b, "pd2d_shard_violations{shard=\"%d\"} %d\n", id, st.Violations)
-		fmt.Fprintf(&b, "pd2d_shard_deferred_joins{shard=\"%d\"} %d\n", id, st.DeferredJoins)
-		fmt.Fprintf(&b, "pd2d_shard_deferred_leaves{shard=\"%d\"} %d\n", id, st.DeferredLeaves)
-		fmt.Fprintf(&b, "pd2d_shard_total_sched_weight{shard=\"%d\"} %g\n", id, st.TotalSchedWtFloat)
-		fmt.Fprintf(&b, "pd2d_shard_max_abs_drift{shard=\"%d\"} %g\n", id, st.MaxAbsDriftFloat)
-		fmt.Fprintf(&b, "pd2d_shard_sum_abs_lag{shard=\"%d\"} %g\n", id, st.SumAbsLagFloat)
 	}
 	if cs != nil {
 		for i := range cs.roles {

@@ -6,6 +6,7 @@ import (
 	"os"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -70,4 +71,54 @@ func minus(a, b map[string]bool) []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// TestMetricsFamiliesGrouped requires /metrics to print each family as
+// one contiguous group, as the Prometheus text format demands, with the
+// shards of a per-shard family in index order.
+func TestMetricsFamiliesGrouped(t *testing.T) {
+	srv, ts := testServer(t, Options{Shards: 2, Config: ShardConfig{M: 2}})
+	srv.AttachClusterStats(NewClusterStats(2))
+	for s := 0; s < 2; s++ {
+		if code, body := postJSON(t, ts.URL+"/v1/shards/"+strconv.Itoa(s)+"/advance", AdvanceRequest{Slots: 1}); code != http.StatusOK {
+			t.Fatalf("advance shard %d: %d: %s", s, code, body)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed := map[string]bool{} // families whose group has ended
+	labels := map[string][]string{}
+	last := ""
+	for _, line := range strings.Split(strings.TrimSpace(string(body)), "\n") {
+		i := strings.IndexAny(line, "{ ")
+		if i <= 0 {
+			t.Fatalf("malformed metrics line %q", line)
+		}
+		name := line[:i]
+		if name != last {
+			if closed[name] {
+				t.Errorf("%s prints in more than one group; again at %q", name, line)
+			}
+			closed[last] = true
+			last = name
+		}
+		if label, ok := strings.CutPrefix(line[i:], `{shard="`); ok {
+			labels[name] = append(labels[name], label[:strings.IndexByte(label, '"')])
+		}
+	}
+	if len(labels) < 20 {
+		t.Fatalf("only %d per-shard families in the exposition", len(labels))
+	}
+	for name, got := range labels {
+		if strings.Join(got, ",") != "0,1" {
+			t.Errorf("%s prints shards %v, want [0 1]", name, got)
+		}
+	}
 }

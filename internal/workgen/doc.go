@@ -1,5 +1,5 @@
 // Package workgen is the workload layer for pd2d: temporal load shapes,
-// pathological client templates, and a replayable trace format.
+// pathological client templates, and replayable traces.
 //
 // The three pieces close the scenario-diversity gap between the
 // closed-loop uniform generator in cmd/pd2load and the abrupt,
@@ -19,10 +19,10 @@
 //     rejections rise, drift bounds hold, failed applies stay zero.
 //
 //   - Traces (trace.go, record.go) make every run a regression test:
-//     Record captures the exact per-shard applied command stream
-//     (op, task, weight, issue-slot) from a live daemon to a versioned
-//     file, and Replay drives it deterministically against a fresh
-//     daemon, verifying byte-identical core.StateDigest per shard.
+//     Record keeps each shard's snapshot, cut down to its config, its
+//     exact applied command log (op, task, weight, issue-slot), horizon
+//     and digest, and Replay drives the log deterministically against a
+//     fresh daemon, verifying byte-identical core.StateDigest per shard.
 //
 // The package deliberately shares no code with internal/serve: it
 // speaks the daemon's public JSON API with its own minimal client, so

@@ -8,8 +8,6 @@ import (
 	"net/http"
 
 	"repro/internal/core"
-	"repro/internal/frac"
-	"repro/internal/model"
 )
 
 // Record and Replay speak the daemon's public JSON API with a minimal
@@ -28,88 +26,36 @@ const maxReplayBatch = 256
 const maxAdvance = 1 << 20
 
 // Record fetches a snapshot from every shard of the daemon at base
-// (e.g. "http://127.0.0.1:9470") and assembles a trace. The daemon
-// keeps running; snapshots are read-only. Commands still sitting in a
-// slot batch or a deferral queue are not yet applied and therefore not
-// part of the trace — record after a final advance has flushed them,
-// or the trace ends at the last applied state.
+// (e.g. "http://127.0.0.1:9470") and decodes each straight into its
+// ShardTrace, which drops the snapshot fields replay does not read
+// (admission books, pending queues). The daemon keeps running;
+// snapshots are read-only. Commands still sitting in a slot batch or a
+// deferral queue are not yet applied and therefore not part of the
+// trace — record after a final advance has flushed them, or the trace
+// ends at the last applied state.
 func Record(client *http.Client, base string, shards int) (*Trace, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("workgen: record needs shards >= 1, got %d", shards)
 	}
-	tr := &Trace{Shards: make([]ShardTrace, 0, shards)}
-	for s := 0; s < shards; s++ {
-		st, err := recordShard(client, base, s)
-		if err != nil {
-			return nil, err
+	tr := &Trace{Shards: make([]ShardTrace, shards)}
+	for s := range tr.Shards {
+		st := &tr.Shards[s]
+		if err := getJSON(client, fmt.Sprintf("%s/v1/shards/%d/snapshot", base, s), st); err != nil {
+			return nil, fmt.Errorf("workgen: record shard %d: %w", s, err)
 		}
-		tr.Shards = append(tr.Shards, st)
+		if st.Shard != s {
+			return nil, fmt.Errorf("workgen: record shard %d: snapshot says shard %d", s, st.Shard)
+		}
+		// The snapshot omits the default policy; the trace names it, as
+		// the shard status Replay compares against does.
+		if st.Config.Policy == "" {
+			st.Config.Policy = "oi"
+		}
 	}
 	if err := tr.Validate(); err != nil {
 		return nil, err
 	}
 	return tr, nil
-}
-
-// snapshotWire mirrors the fields of serve's shard snapshot JSON that a
-// trace needs. Unknown fields (admission books, pending queues beyond
-// the counts below) are ignored.
-type snapshotWire struct {
-	Version int             `json:"version"`
-	Shard   int             `json:"shard"`
-	Config  shardConfigWire `json:"config"`
-	Now     int64           `json:"now"`
-	Seed    model.System    `json:"seed"`
-	Log     []core.Command  `json:"log"`
-
-	Batch         []json.RawMessage `json:"batch"`
-	DeferredJoins []json.RawMessage `json:"deferred_joins"`
-
-	Digest uint64 `json:"digest"`
-}
-
-type shardConfigWire struct {
-	M              int      `json:"m"`
-	Policy         string   `json:"policy"`
-	OIThreshold    frac.Rat `json:"oi_threshold"`
-	EarlyRelease   bool     `json:"early_release"`
-	RecordSchedule bool     `json:"record_schedule"`
-}
-
-func recordShard(client *http.Client, base string, shard int) (ShardTrace, error) {
-	var st ShardTrace
-	var snap snapshotWire
-	if err := getJSON(client, fmt.Sprintf("%s/v1/shards/%d/snapshot", base, shard), &snap); err != nil {
-		return st, fmt.Errorf("workgen: record shard %d: %w", shard, err)
-	}
-	if snap.Version != 2 {
-		return st, fmt.Errorf("workgen: record shard %d: snapshot version %d, this recorder reads v2", shard, snap.Version)
-	}
-	if snap.Shard != shard {
-		return st, fmt.Errorf("workgen: record shard %d: snapshot says shard %d", shard, snap.Shard)
-	}
-	// A v1 trace carries no seed task set: serve shards always start
-	// empty, and the trace replays every join explicitly.
-	if len(snap.Seed.Tasks) != 0 {
-		return st, fmt.Errorf("workgen: record shard %d: seed system has %d tasks; not representable in a v1 trace",
-			shard, len(snap.Seed.Tasks))
-	}
-	policy := snap.Config.Policy
-	if policy == "" {
-		policy = "oi"
-	}
-	st = ShardTrace{
-		Shard:          shard,
-		M:              snap.Config.M,
-		Policy:         policy,
-		OIThreshold:    snap.Config.OIThreshold,
-		EarlyRelease:   snap.Config.EarlyRelease,
-		RecordSchedule: snap.Config.RecordSchedule,
-		Now:            snap.Now,
-		Digest:         snap.Digest,
-		Log:            snap.Log,
-	}
-	return st, nil
 }
 
 // ReplayShardResult reports one shard's replay outcome.
@@ -177,9 +123,9 @@ func replayShard(client *http.Client, base string, st *ShardTrace) (ReplayShardR
 	if status.Now != 0 {
 		return res, fmt.Errorf("workgen: replay shard %d: target clock at t=%d, need a fresh daemon", st.Shard, status.Now)
 	}
-	if status.M != st.M || status.Policy != st.Policy {
+	if status.M != st.Config.M || status.Policy != st.Config.Policy {
 		return res, fmt.Errorf("workgen: replay shard %d: target is m=%d policy=%s, trace is m=%d policy=%s",
-			st.Shard, status.M, status.Policy, st.M, st.Policy)
+			st.Shard, status.M, status.Policy, st.Config.M, st.Config.Policy)
 	}
 	now := int64(0)
 	i := 0
@@ -254,21 +200,13 @@ func postCommands(client *http.Client, shardURL string, cmds []core.Command) err
 			n = maxReplayBatch
 		}
 		reqs := make([]commandReq, n)
+		// Validate admitted only wire commands, and only a join carries
+		// a group.
 		for i := 0; i < n; i++ {
 			c := &cmds[i]
-			op, err := traceOpOf(c.Op)
-			if err != nil {
-				return err
-			}
-			switch op { // exhaustive: only wire-postable ops replay over HTTP (eventexhaust)
-			case TraceJoin:
-				reqs[i] = commandReq{Op: "join", Task: c.Task, Weight: c.Weight.String(), Group: c.Group}
-			case TraceLeave:
-				reqs[i] = commandReq{Op: "leave", Task: c.Task}
-			case TraceReweight:
-				reqs[i] = commandReq{Op: "reweight", Task: c.Task, Weight: c.Weight.String()}
-			case TraceDelay, TraceAbsent:
-				return fmt.Errorf("op %s is not replayable over the wire", op)
+			reqs[i] = commandReq{Op: c.Op, Task: c.Task, Group: c.Group}
+			if c.Op != core.OpLeave {
+				reqs[i].Weight = c.Weight.String()
 			}
 		}
 		body, err := json.Marshal(reqs)
@@ -296,10 +234,10 @@ func postCommands(client *http.Client, shardURL string, cmds []core.Command) err
 // commandReq / commandResult are workgen's own copies of the public
 // wire vocabulary (docs/SERVE.md), kept independent of internal/serve.
 type commandReq struct {
-	Op     string `json:"op"`
-	Task   string `json:"task"`
-	Weight string `json:"weight,omitempty"`
-	Group  string `json:"group,omitempty"`
+	Op     core.CommandOp `json:"op"`
+	Task   string         `json:"task"`
+	Weight string         `json:"weight,omitempty"`
+	Group  string         `json:"group,omitempty"`
 }
 
 type commandResult struct {

@@ -8,6 +8,8 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/frac"
 	"repro/internal/serve"
 	"repro/internal/workgen"
 )
@@ -214,5 +216,68 @@ func TestReplayConfigMismatch(t *testing.T) {
 	other := startDaemon(t, 1, serve.ShardConfig{M: 4})
 	if _, err := workgen.Replay(client, other, tr); err == nil {
 		t.Error("replay against a mismatched M succeeded")
+	}
+}
+
+// TestRecordKeepsShardConfig records from a daemon with a non-default
+// config and requires every config field to survive Record,
+// EncodeToBytes and DecodeTrace. A replay cannot catch a dropped field:
+// the replay daemon runs its own config, and Replay compares only m and
+// policy. Record copies nothing field by field, so this test is what
+// pins the field names the snapshot and the trace share.
+func TestRecordKeepsShardConfig(t *testing.T) {
+	cfg := serve.ShardConfig{M: 2, Policy: "hybrid", OIThreshold: frac.New(1, 16), EarlyRelease: true, RecordSchedule: true}
+	base := startDaemon(t, 1, cfg)
+	mustPost(t, base, 0, []wireCmd{
+		{Op: "join", Task: "A", Weight: "1/2"},
+		{Op: "join", Task: "B", Weight: "1/4", Group: "grp"},
+		{Op: "join", Task: "C", Weight: "1/8"},
+	}, false)
+	mustAdvance(t, base, 0, 1)
+	// Under early release an underloaded task runs ahead of its windows,
+	// so rule L holds a later leave back; C leaves before it gets ahead.
+	mustPost(t, base, 0, []wireCmd{
+		{Op: "reweight", Task: "B", Weight: "9/32"}, // within the threshold: rules O/I
+		{Op: "reweight", Task: "A", Weight: "1/8"},  // past it: leave/join
+		{Op: "leave", Task: "C"},
+	}, false)
+	for i := 0; i < 8; i++ {
+		mustAdvance(t, base, 0, 1)
+	}
+
+	client := &http.Client{}
+	tr, err := workgen.Record(client, base, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := tr.EncodeToBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := workgen.DecodeTrace(bytes.NewReader(enc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := decoded.Shards[0].Config
+	if got.M != cfg.M || got.Policy != cfg.Policy || got.OIThreshold != cfg.OIThreshold ||
+		got.EarlyRelease != cfg.EarlyRelease || got.RecordSchedule != cfg.RecordSchedule {
+		t.Fatalf("trace config %+v, daemon config %+v", got, cfg)
+	}
+	ops := map[core.CommandOp]int{}
+	grouped := false
+	for _, c := range decoded.Shards[0].Log {
+		ops[c.Op]++
+		grouped = grouped || c.Group != ""
+	}
+	if ops[core.OpJoin] != 3 || ops[core.OpReweight] != 2 || ops[core.OpLeave] != 1 || !grouped {
+		t.Fatalf("recorded log %v lost commands (grouped join: %v)", decoded.Shards[0].Log, grouped)
+	}
+
+	results, err := workgen.Replay(client, startDaemon(t, 1, cfg), decoded)
+	if err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	if len(results) != 1 || !results[0].Match {
+		t.Fatalf("replay results: %+v", results)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/stats"
 )
 
@@ -126,7 +127,7 @@ func TestShapeStreamDeterminism(t *testing.T) {
 				t.Fatalf("round %d cmd %d: %+v vs %+v", r, i, ca[i], cb[i])
 			}
 			c := ca[i]
-			if c.Op == TraceReweight || c.Op == TraceJoin {
+			if c.Op == core.OpReweight || c.Op == core.OpJoin {
 				// maxNum 8 caps anchors; churn joins use 2/64.
 				if c.Weight.Sign() <= 0 {
 					t.Fatalf("round %d: non-positive weight %s", r, c.Weight)
@@ -184,17 +185,17 @@ func TestShapeStreamChurnBounded(t *testing.T) {
 		buf = ss.NextBatch(buf[:0], 8)
 		for _, c := range buf {
 			switch c.Op {
-			case TraceJoin:
+			case core.OpJoin:
 				if !strings.HasPrefix(c.Task, "W-c") {
 					t.Fatalf("churn join outside the stream namespace: %q", c.Task)
 				}
 				pending[c.Task] = true
-			case TraceLeave:
+			case core.OpLeave:
 				if !joined[c.Task] {
 					t.Fatalf("round %d: leave of %q before its join was flushed", r, c.Task)
 				}
 				delete(joined, c.Task)
-			case TraceReweight:
+			case core.OpReweight:
 			default:
 				t.Fatalf("unexpected op %v", c.Op)
 			}

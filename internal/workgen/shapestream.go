@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 
+	"repro/internal/core"
 	"repro/internal/stats"
 )
 
@@ -75,7 +76,7 @@ func (ss *ShapeStream) NextBatch(dst []Cmd, base int) []Cmd {
 			continue
 		}
 		w := sixtyFourths(int64(1 + ss.rng.Bounded(spread)))
-		dst = append(dst, Cmd{Op: TraceReweight, Task: ss.anchor(ss.rng.Bounded(ss.tasks)), Weight: w})
+		dst = append(dst, Cmd{Op: core.OpReweight, Task: ss.anchor(ss.rng.Bounded(ss.tasks)), Weight: w})
 	}
 	return dst
 }
@@ -89,16 +90,16 @@ func (ss *ShapeStream) churnStep(dst []Cmd) []Cmd {
 		name := ss.prefix + "-c" + strconv.Itoa(ss.seq)
 		ss.seq++
 		ss.fresh = append(ss.fresh, name)
-		return append(dst, Cmd{Op: TraceJoin, Task: name, Weight: sixtyFourths(2)})
+		return append(dst, Cmd{Op: core.OpJoin, Task: name, Weight: sixtyFourths(2)})
 	case len(ss.ready) > 0:
 		name := ss.ready[0]
 		ss.ready = ss.ready[1:]
-		return append(dst, Cmd{Op: TraceLeave, Task: name})
+		return append(dst, Cmd{Op: core.OpLeave, Task: name})
 	default:
 		// Window full, nothing flushed yet: fall back to a reweight so
 		// the round keeps its command count.
 		w := sixtyFourths(int64(1 + ss.rng.Bounded(2)))
-		return append(dst, Cmd{Op: TraceReweight, Task: ss.anchor(ss.rng.Bounded(ss.tasks)), Weight: w})
+		return append(dst, Cmd{Op: core.OpReweight, Task: ss.anchor(ss.rng.Bounded(ss.tasks)), Weight: w})
 	}
 }
 

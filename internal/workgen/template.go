@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 
+	"repro/internal/core"
 	"repro/internal/frac"
 	"repro/internal/stats"
 )
@@ -94,7 +95,7 @@ func (t Template) ExpectsRejections() bool {
 // A Cmd is one generated client command. Only join, leave, and reweight
 // are ever generated (the daemon's wire vocabulary).
 type Cmd struct {
-	Op     TraceOp
+	Op     core.CommandOp
 	Task   string
 	Weight frac.Rat // join weight or reweight target; zero for leave
 }
@@ -169,15 +170,15 @@ func (ts *TemplateStream) Setup(dst []Cmd) []Cmd {
 	switch ts.t { // exhaustive: per-template setup (eventexhaust)
 	case TemplateReweightStorm, TemplateChurn:
 		for i := 0; i < ts.tasks; i++ {
-			dst = append(dst, Cmd{Op: TraceJoin, Task: ts.anchor(i), Weight: sixtyFourths(1)})
+			dst = append(dst, Cmd{Op: core.OpJoin, Task: ts.anchor(i), Weight: sixtyFourths(1)})
 		}
 	case TemplateAdmissionCamp:
 		// 2M-1 campers at 1/2 and one at 31/64: requested weight lands on
 		// M - 1/64, so nothing at or above 1/32 can ever join again.
 		for i := 0; i < 2*ts.m-1; i++ {
-			dst = append(dst, Cmd{Op: TraceJoin, Task: ts.anchor(i), Weight: frac.Half})
+			dst = append(dst, Cmd{Op: core.OpJoin, Task: ts.anchor(i), Weight: frac.Half})
 		}
-		dst = append(dst, Cmd{Op: TraceJoin, Task: ts.anchor(2*ts.m - 1), Weight: sixtyFourths(31)})
+		dst = append(dst, Cmd{Op: core.OpJoin, Task: ts.anchor(2*ts.m - 1), Weight: sixtyFourths(31)})
 	case TemplateHeavyFlood:
 		// No setup: the flood itself fills the shard.
 	default:
@@ -205,7 +206,7 @@ func (ts *TemplateStream) one(dst []Cmd) []Cmd {
 		if ts.step%2 == 1 {
 			target = sixtyFourths(1 + int64(ts.rng.Bounded(4)))
 		}
-		return append(dst, Cmd{Op: TraceReweight, Task: ts.anchor(0), Weight: target})
+		return append(dst, Cmd{Op: core.OpReweight, Task: ts.anchor(0), Weight: target})
 	case TemplateChurn:
 		switch ts.step % 3 {
 		case 0:
@@ -220,13 +221,13 @@ func (ts *TemplateStream) one(dst []Cmd) []Cmd {
 			return ts.churnJoin(dst)
 		default:
 			a := ts.anchor(ts.rng.Bounded(ts.tasks))
-			return append(dst, Cmd{Op: TraceReweight, Task: a, Weight: sixtyFourths(1 + int64(ts.rng.Bounded(2)))})
+			return append(dst, Cmd{Op: core.OpReweight, Task: a, Weight: sixtyFourths(1 + int64(ts.rng.Bounded(2)))})
 		}
 	case TemplateAdmissionCamp:
 		// The shard is camped at M - 1/64; every 1/32 join must bounce.
-		return append(dst, Cmd{Op: TraceJoin, Task: ts.freshName(), Weight: frac.New(1, 32)})
+		return append(dst, Cmd{Op: core.OpJoin, Task: ts.freshName(), Weight: frac.New(1, 32)})
 	case TemplateHeavyFlood:
-		return append(dst, Cmd{Op: TraceJoin, Task: ts.freshName(), Weight: frac.Half})
+		return append(dst, Cmd{Op: core.OpJoin, Task: ts.freshName(), Weight: frac.Half})
 	default:
 		panic(fmt.Sprintf("workgen: unhandled template %d", uint8(ts.t)))
 	}
@@ -237,11 +238,11 @@ func (ts *TemplateStream) churnJoin(dst []Cmd) []Cmd {
 		// Window full and nothing ready to leave: skip to a reweight so
 		// the envelope bound holds unconditionally.
 		a := ts.anchor(ts.rng.Bounded(ts.tasks))
-		return append(dst, Cmd{Op: TraceReweight, Task: a, Weight: sixtyFourths(1 + int64(ts.rng.Bounded(2)))})
+		return append(dst, Cmd{Op: core.OpReweight, Task: a, Weight: sixtyFourths(1 + int64(ts.rng.Bounded(2)))})
 	}
 	name := ts.freshName()
 	ts.fresh = append(ts.fresh, name)
-	return append(dst, Cmd{Op: TraceJoin, Task: name, Weight: sixtyFourths(2)})
+	return append(dst, Cmd{Op: core.OpJoin, Task: name, Weight: sixtyFourths(2)})
 }
 
 func (ts *TemplateStream) churnLeave(dst []Cmd) []Cmd {
@@ -250,7 +251,7 @@ func (ts *TemplateStream) churnLeave(dst []Cmd) []Cmd {
 	}
 	name := ts.ready[0]
 	ts.ready = ts.ready[1:]
-	return append(dst, Cmd{Op: TraceLeave, Task: name})
+	return append(dst, Cmd{Op: core.OpLeave, Task: name})
 }
 
 // Advanced tells the stream the shard advanced a slot boundary: every

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/frac"
 	"repro/internal/stats"
 )
@@ -69,7 +70,7 @@ func TestCampSetupWeights(t *testing.T) {
 		}
 		total := frac.Rat{}
 		for _, c := range setup {
-			if c.Op != TraceJoin {
+			if c.Op != core.OpJoin {
 				t.Fatalf("m=%d: setup op %v", m, c.Op)
 			}
 			total = total.Add(c.Weight)
@@ -82,7 +83,7 @@ func TestCampSetupWeights(t *testing.T) {
 		// remaining 1/64 headroom, so the server must 409 all of them.
 		next := ts.Next(nil, 10)
 		for _, c := range next {
-			if c.Op != TraceJoin || c.Weight != frac.New(1, 32) {
+			if c.Op != core.OpJoin || c.Weight != frac.New(1, 32) {
 				t.Errorf("m=%d: camp emitted %+v", m, c)
 			}
 		}
@@ -99,7 +100,7 @@ func TestStormAlternates(t *testing.T) {
 	cmds := ts.Next(nil, 64)
 	high := frac.New(31, 64)
 	for i, c := range cmds {
-		if c.Op != TraceReweight || c.Task != "P-a0" {
+		if c.Op != core.OpReweight || c.Task != "P-a0" {
 			t.Fatalf("step %d: %+v", i, c)
 		}
 		if i%2 == 0 && c.Weight != high {
@@ -127,7 +128,7 @@ func TestChurnStreamInvariants(t *testing.T) {
 		buf = ts.Next(buf[:0], 8)
 		for _, c := range buf {
 			switch c.Op {
-			case TraceJoin:
+			case core.OpJoin:
 				if everJoined[c.Task] {
 					t.Fatalf("round %d: name %q reused", round, c.Task)
 				}
@@ -136,12 +137,12 @@ func TestChurnStreamInvariants(t *testing.T) {
 				}
 				everJoined[c.Task] = true
 				pending = append(pending, c.Task)
-			case TraceLeave:
+			case core.OpLeave:
 				if !flushed[c.Task] {
 					t.Fatalf("round %d: leave of %q before its join flushed", round, c.Task)
 				}
 				delete(flushed, c.Task)
-			case TraceReweight:
+			case core.OpReweight:
 				if !strings.HasPrefix(c.Task, "P-a") {
 					t.Fatalf("round %d: reweight of %q outside the anchors", round, c.Task)
 				}

@@ -1,211 +1,91 @@
 package workgen
 
 import (
-	"bufio"
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/frac"
 	"repro/internal/model"
 )
 
-// The trace format: a versioned, line-oriented, byte-stable encoding of
-// the exact per-shard applied command stream of a pd2d run. A trace is
-// sufficient to rebuild every shard byte-for-byte (core.Replay over the
-// log is the engine's snapshot contract) and carries each shard's
-// recorded StateDigest so a replay can prove it reproduced the run.
+// A trace is what a pd2d run leaves behind for replay: every shard's
+// snapshot, cut down to the fields replay reads. The engine is a
+// deterministic function of its seed and its applied command log, so
+// the snapshot already is the recording (core.Replay over the log
+// rebuilds the shard) and its digest lets a replay prove it reproduced
+// the run. The file is one JSON array of ShardTrace objects whose keys
+// are the snapshot's own (docs/SERVE.md §Snapshot format); Record
+// decodes each snapshot reply straight into a ShardTrace.
 //
-// docs/WORKGEN.md is the normative format description; keep in sync.
-//
-//	pd2dtrace v1 shards=<n>
-//	shard <id> m=<m> policy=<name> oithresh=<rat> er=<0|1> rs=<0|1> now=<t> digest=<16 hex> cmds=<k>
-//	c <at> <op> <task> [w=<rat>] [g=<group>] [arg=<int>]
-//	...
-//	end
-//
-// Task and group names are Go-quoted so arbitrary wire names round-trip
-// exactly. Command lines belong to the most recent shard line, must be
-// non-decreasing in <at>, and each shard block must carry exactly the
-// cmds=<k> lines it declares. The trailing "end" line detects
-// truncation. Decode never panics on hostile input (FuzzTraceDecode
-// pins this); every malformed, truncated, or version-skewed trace is an
-// error.
+// docs/WORKGEN.md §Trace format is the normative description; keep in
+// sync.
 
-// TraceOp enumerates the command ops a trace line may carry. It mirrors
-// core.CommandOp one-for-one; the duplication keeps the file format's
-// vocabulary explicit and independently versioned.
-//
-//lint:exhaustive ignore=numTraceOps -- sentinel counts the ops, it is not one
-type TraceOp uint8
+// traceVersion is the snapshot format version a trace is read in.
+const traceVersion = 2
 
-const (
-	// TraceJoin adds a task.
-	TraceJoin TraceOp = iota
-	// TraceLeave removes a task.
-	TraceLeave
-	// TraceReweight requests a weight change.
-	TraceReweight
-	// TraceDelay postpones the task's next release (IS delay).
-	TraceDelay
-	// TraceAbsent marks an absolute subtask index absent.
-	TraceAbsent
-
-	numTraceOps // number of ops; keep last
-)
-
-// traceOpNames is indexed by TraceOp and doubles as the file encoding.
-var traceOpNames = [numTraceOps]string{
-	TraceJoin:     "join",
-	TraceLeave:    "leave",
-	TraceReweight: "reweight",
-	TraceDelay:    "delay",
-	TraceAbsent:   "absent",
-}
-
-func (op TraceOp) String() string {
-	if op < numTraceOps {
-		return traceOpNames[op]
-	}
-	return fmt.Sprintf("TraceOp(%d)", uint8(op))
-}
-
-// traceOpFromName resolves a file token to its op.
-func traceOpFromName(name string) (TraceOp, error) {
-	for i, n := range traceOpNames {
-		if n == name {
-			return TraceOp(i), nil
-		}
-	}
-	return 0, fmt.Errorf("workgen: unknown trace op %q", name)
-}
-
-// traceOpOf maps an engine op to the trace vocabulary.
-func traceOpOf(op core.CommandOp) (TraceOp, error) {
-	switch op { // exhaustive: adding a core op must extend the trace format (eventexhaust)
-	case core.OpJoin:
-		return TraceJoin, nil
-	case core.OpLeave:
-		return TraceLeave, nil
-	case core.OpReweight:
-		return TraceReweight, nil
-	case core.OpDelay:
-		return TraceDelay, nil
-	case core.OpAbsent:
-		return TraceAbsent, nil
-	}
-	return 0, fmt.Errorf("workgen: core op %d has no trace encoding", uint8(op))
-}
-
-// coreOpOf maps a trace op back to the engine vocabulary.
-func coreOpOf(op TraceOp) core.CommandOp {
-	switch op { // exhaustive: every trace op must map back to an engine op (eventexhaust)
-	case TraceJoin:
-		return core.OpJoin
-	case TraceLeave:
-		return core.OpLeave
-	case TraceReweight:
-		return core.OpReweight
-	case TraceDelay:
-		return core.OpDelay
-	case TraceAbsent:
-		return core.OpAbsent
-	default:
-		panic(fmt.Sprintf("workgen: unhandled trace op %d", uint8(op)))
-	}
-}
-
-// traceVersion guards the file format; bump on incompatible change.
-const traceVersion = 1
-
-// ShardTrace is one shard's recorded stream: the engine configuration
-// it ran under, the applied command log in apply order, the horizon the
-// clock reached, and the state digest at that horizon.
+// ShardTrace is one shard's recorded state: the engine configuration it
+// ran under, the system it started from, the applied command log in
+// apply order, the horizon the clock reached, and the state digest at
+// that horizon.
 type ShardTrace struct {
-	Shard        int
-	M            int
-	Policy       string
-	OIThreshold  frac.Rat
-	EarlyRelease bool
-	// RecordSchedule matters for the digest: a schedule-recording
-	// engine digests its schedule rows too, so replay must match it.
-	RecordSchedule bool
-	Now            int64
-	Digest         uint64
-	Log            []core.Command
+	Version int         `json:"version"`
+	Shard   int         `json:"shard"`
+	Config  ShardConfig `json:"config"`
+	// Seed is the system the shard started from. A serve shard starts
+	// empty and logs every join, so Validate refuses seeded tasks:
+	// replay could not post them.
+	Seed   model.System   `json:"seed"`
+	Now    int64          `json:"now"`
+	Digest uint64         `json:"digest"`
+	Log    []core.Command `json:"log,omitempty"`
 }
 
-// Trace is a complete recorded run: one ShardTrace per shard, in
-// ascending shard order.
+// ShardConfig is the engine configuration a shard ran under.
+// RecordSchedule matters for the digest: a schedule-recording engine
+// digests its schedule rows too, so replay must match it.
+type ShardConfig struct {
+	M              int      `json:"m"`
+	Policy         string   `json:"policy"`
+	OIThreshold    frac.Rat `json:"oi_threshold"`
+	EarlyRelease   bool     `json:"early_release"`
+	RecordSchedule bool     `json:"record_schedule"`
+}
+
+// Trace is a complete recorded run: one ShardTrace per shard.
 type Trace struct {
 	Shards []ShardTrace
 }
 
-// Encode writes the trace in its canonical byte-stable form: shards in
-// ascending id order, fields in fixed order, names Go-quoted. Encoding
-// a decoded trace reproduces the canonical bytes exactly
-// (TestTraceGolden and FuzzTraceDecode pin the round trip).
-func (tr *Trace) Encode(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	shards := make([]*ShardTrace, len(tr.Shards))
-	for i := range tr.Shards {
-		shards[i] = &tr.Shards[i]
-	}
+// EncodeToBytes returns the trace in its canonical form: the shards in
+// ascending id order as one JSON array, then a newline. encoding/json
+// is deterministic, so encoding a decoded trace is a byte-stable fixed
+// point (TestTraceRoundTrip and FuzzTraceDecode pin it).
+func (tr *Trace) EncodeToBytes() ([]byte, error) {
+	shards := append([]ShardTrace{}, tr.Shards...)
 	sort.Slice(shards, func(i, j int) bool { return shards[i].Shard < shards[j].Shard })
-	// bufio errors are sticky: intermediate write errors are dropped here
-	// and surface from the final Flush.
-	_, _ = fmt.Fprintf(bw, "pd2dtrace v%d shards=%d\n", traceVersion, len(shards))
-	for _, st := range shards {
-		_, _ = fmt.Fprintf(bw, "shard %d m=%d policy=%s oithresh=%s er=%d rs=%d now=%d digest=%016x cmds=%d\n",
-			st.Shard, st.M, st.Policy, st.OIThreshold, b2i(st.EarlyRelease), b2i(st.RecordSchedule),
-			st.Now, st.Digest, len(st.Log))
-		for i := range st.Log {
-			c := &st.Log[i]
-			op, err := traceOpOf(c.Op)
-			if err != nil {
-				return err
-			}
-			_, _ = fmt.Fprintf(bw, "c %d %s %s", c.At, op, strconv.Quote(c.Task))
-			switch op { // exhaustive: every op's payload fields are explicit (eventexhaust)
-			case TraceJoin:
-				_, _ = fmt.Fprintf(bw, " w=%s", c.Weight)
-				if c.Group != "" {
-					_, _ = fmt.Fprintf(bw, " g=%s", strconv.Quote(c.Group))
-				}
-			case TraceReweight:
-				_, _ = fmt.Fprintf(bw, " w=%s", c.Weight)
-			case TraceDelay, TraceAbsent:
-				_, _ = fmt.Fprintf(bw, " arg=%d", c.Arg)
-			case TraceLeave:
-			}
-			if err := bw.WriteByte('\n'); err != nil {
-				return err
-			}
-		}
+	data, err := json.Marshal(shards)
+	if err != nil {
+		return nil, err
 	}
-	if _, err := bw.WriteString("end\n"); err != nil {
-		return err
-	}
-	return bw.Flush()
+	return append(data, '\n'), nil
 }
 
-func b2i(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// Validate checks the structural invariants Decode enforces, so a
-// hand-built trace fails early rather than at encode/replay time.
+// Validate checks what Replay relies on, so a hand-built or decoded
+// trace fails before it reaches a daemon: the snapshot version,
+// distinct shard ids, m >= 1, an unseeded engine, and a log of wire
+// commands ordered in time and below the horizon.
 func (tr *Trace) Validate() error {
 	seen := make(map[int]bool, len(tr.Shards))
 	for i := range tr.Shards {
 		st := &tr.Shards[i]
+		if st.Version != traceVersion {
+			return fmt.Errorf("workgen: trace shard %d is snapshot version %d, this build reads v%d",
+				st.Shard, st.Version, traceVersion)
+		}
 		if st.Shard < 0 {
 			return fmt.Errorf("workgen: trace shard id %d is negative", st.Shard)
 		}
@@ -213,8 +93,12 @@ func (tr *Trace) Validate() error {
 			return fmt.Errorf("workgen: trace repeats shard %d", st.Shard)
 		}
 		seen[st.Shard] = true
-		if st.M < 1 {
-			return fmt.Errorf("workgen: trace shard %d needs m >= 1, got %d", st.Shard, st.M)
+		if st.Config.M < 1 {
+			return fmt.Errorf("workgen: trace shard %d needs m >= 1, got %d", st.Shard, st.Config.M)
+		}
+		if len(st.Seed.Tasks) != 0 {
+			return fmt.Errorf("workgen: trace shard %d seeds %d tasks; replay can only post joins",
+				st.Shard, len(st.Seed.Tasks))
 		}
 		if st.Now < 0 {
 			return fmt.Errorf("workgen: trace shard %d has negative horizon %d", st.Shard, st.Now)
@@ -231,76 +115,66 @@ func (tr *Trace) Validate() error {
 					st.Shard, j, c.At, st.Now)
 			}
 			last = c.At
-			if _, err := traceOpOf(c.Op); err != nil {
-				return err
+			if err := checkWire(c); err != nil {
+				return fmt.Errorf("workgen: trace shard %d command %d: %w", st.Shard, j, err)
 			}
 		}
 	}
 	return nil
 }
 
-// DecodeTrace parses a trace file. It enforces the version, the
-// per-shard cmds counts, command ordering, and the trailing end marker;
-// any violation is an error and hostile input never panics.
+// checkWire accepts the commands serve logs and Replay can post, each
+// naming a task: a join with a positive weight and an optional group, a
+// reweight with a positive weight, and a leave with neither.
+func checkWire(c *core.Command) error {
+	if c.Task == "" {
+		return fmt.Errorf("%s needs a task name", c.Op)
+	}
+	switch c.Op {
+	case core.OpJoin, core.OpReweight:
+		if c.Weight.Sign() <= 0 {
+			return fmt.Errorf("%s %q needs a positive weight, got %s", c.Op, c.Task, c.Weight)
+		}
+		if c.Op == core.OpReweight && c.Group != "" {
+			return fmt.Errorf("reweight %q carries group %q", c.Task, c.Group)
+		}
+	case core.OpLeave:
+		if !c.Weight.IsZero() || c.Group != "" {
+			return fmt.Errorf("leave %q carries a weight or a group", c.Task)
+		}
+	default:
+		return fmt.Errorf("op %s is not a wire op (join, leave, reweight)", c.Op)
+	}
+	if c.Arg != 0 {
+		return fmt.Errorf("%s %q carries arg %d", c.Op, c.Task, c.Arg)
+	}
+	return nil
+}
+
+// DecodeTrace reads a trace file: one JSON array of ShardTrace objects
+// and nothing after it. Unknown fields are refused, so a file in some
+// other format fails rather than decoding to a partial trace; every key
+// EncodeToBytes writes must be present (checkKeys); and the result must
+// pass Validate. Hostile input is an error, never a panic.
 func DecodeTrace(r io.Reader) (*Trace, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-	line := 0
-	next := func() (string, bool) {
-		if !sc.Scan() {
-			return "", false
-		}
-		line++
-		return sc.Text(), true
-	}
-	header, ok := next()
-	if !ok {
-		return nil, fmt.Errorf("workgen: empty trace: %w", firstErr(sc.Err(), io.ErrUnexpectedEOF))
-	}
-	var version, nshards int
-	if n, err := fmt.Sscanf(header, "pd2dtrace v%d shards=%d", &version, &nshards); n != 2 || err != nil {
-		return nil, fmt.Errorf("workgen: line 1: malformed trace header %q", header)
-	}
-	if version != traceVersion {
-		return nil, fmt.Errorf("workgen: trace version %d, this build reads v%d", version, traceVersion)
-	}
-	if nshards < 0 || nshards > 1<<16 {
-		return nil, fmt.Errorf("workgen: trace header declares %d shards", nshards)
-	}
-	tr := &Trace{Shards: make([]ShardTrace, 0, nshards)}
-	for s := 0; s < nshards; s++ {
-		text, ok := next()
-		if !ok {
-			return nil, fmt.Errorf("workgen: truncated trace: %d of %d shard blocks, then EOF", s, nshards)
-		}
-		st, ncmds, err := parseShardLine(text)
-		if err != nil {
-			return nil, fmt.Errorf("workgen: line %d: %w", line, err)
-		}
-		st.Log = make([]core.Command, 0, min(ncmds, 1<<16))
-		for c := 0; c < ncmds; c++ {
-			text, ok := next()
-			if !ok {
-				return nil, fmt.Errorf("workgen: truncated trace: shard %d declares %d commands, got %d, then EOF",
-					st.Shard, ncmds, c)
-			}
-			cmd, err := parseCommandLine(text)
-			if err != nil {
-				return nil, fmt.Errorf("workgen: line %d: %w", line, err)
-			}
-			st.Log = append(st.Log, cmd)
-		}
-		tr.Shards = append(tr.Shards, st)
-	}
-	text, ok := next()
-	if !ok || text != "end" {
-		return nil, fmt.Errorf("workgen: trace missing end marker (truncated?)")
-	}
-	if _, ok := next(); ok {
-		return nil, fmt.Errorf("workgen: line %d: trailing data after end marker", line)
-	}
-	if err := sc.Err(); err != nil {
+	data, err := io.ReadAll(r)
+	if err != nil {
 		return nil, fmt.Errorf("workgen: reading trace: %w", err)
+	}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	tr := &Trace{}
+	if err := dec.Decode(&tr.Shards); err != nil {
+		return nil, fmt.Errorf("workgen: decoding trace: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("workgen: trailing data after the trace")
+	}
+	if tr.Shards == nil {
+		return nil, fmt.Errorf("workgen: trace is null, not an array")
+	}
+	if err := checkKeys(data); err != nil {
+		return nil, err
 	}
 	if err := tr.Validate(); err != nil {
 		return nil, err
@@ -308,206 +182,43 @@ func DecodeTrace(r io.Reader) (*Trace, error) {
 	return tr, nil
 }
 
-func firstErr(errs ...error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
+// checkKeys requires each key EncodeToBytes writes for a shard, its
+// config and each command (all but a command's task and group, omitted
+// when empty) to be present and not null in the trace array data, or a
+// cut-short object would decode to zero values: no op reads as a join.
+func checkKeys(data []byte) error {
+	var shards []struct {
+		Version, Shard, Seed, Now, Digest present
+		Config                            struct {
+			M, Policy      present
+			OIThreshold    present `json:"oi_threshold"`
+			EarlyRelease   present `json:"early_release"`
+			RecordSchedule present `json:"record_schedule"`
+		}
+		Log []struct{ At, Op, Weight present }
+	}
+	if err := json.Unmarshal(data, &shards); err != nil {
+		return fmt.Errorf("workgen: decoding trace: %w", err)
+	}
+	for i, s := range shards {
+		c := s.Config
+		if !(s.Version && s.Shard && s.Seed && s.Now && s.Digest &&
+			c.M && c.Policy && c.OIThreshold && c.EarlyRelease && c.RecordSchedule) {
+			return fmt.Errorf("workgen: trace shard object %d lacks a shard or config key, or has it null", i)
+		}
+		for j, cmd := range s.Log {
+			if !(cmd.At && cmd.Op && cmd.Weight) {
+				return fmt.Errorf("workgen: trace shard object %d command %d lacks at, op or weight, or has it null", i, j)
+			}
 		}
 	}
 	return nil
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
+// present decodes any JSON value but null as true: false is missing or null.
+type present bool
 
-// parseShardLine parses one "shard ..." header and returns the shard
-// trace (Log unset) plus its declared command count.
-func parseShardLine(text string) (ShardTrace, int, error) {
-	var st ShardTrace
-	fields := strings.Fields(text)
-	if len(fields) != 10 || fields[0] != "shard" {
-		return st, 0, fmt.Errorf("malformed shard line %q", text)
-	}
-	id, err := strconv.Atoi(fields[1])
-	if err != nil {
-		return st, 0, fmt.Errorf("shard id %q: %v", fields[1], err)
-	}
-	st.Shard = id
-	var ncmds int
-	for _, f := range fields[2:] {
-		key, val, ok := strings.Cut(f, "=")
-		if !ok {
-			return st, 0, fmt.Errorf("shard field %q is not key=value", f)
-		}
-		switch key {
-		case "m":
-			st.M, err = strconv.Atoi(val)
-		case "policy":
-			st.Policy = val
-		case "oithresh":
-			st.OIThreshold, err = frac.Parse(val)
-		case "er":
-			st.EarlyRelease, err = parseBit(val)
-		case "rs":
-			st.RecordSchedule, err = parseBit(val)
-		case "now":
-			st.Now, err = strconv.ParseInt(val, 10, 64)
-		case "digest":
-			if len(val) != 16 {
-				return st, 0, fmt.Errorf("digest %q is not 16 hex digits", val)
-			}
-			st.Digest, err = strconv.ParseUint(val, 16, 64)
-		case "cmds":
-			ncmds, err = strconv.Atoi(val)
-			if err == nil && (ncmds < 0 || ncmds > 1<<28) {
-				err = fmt.Errorf("count %d out of range", ncmds)
-			}
-		default:
-			return st, 0, fmt.Errorf("unknown shard field %q", key)
-		}
-		if err != nil {
-			return st, 0, fmt.Errorf("shard field %q: %v", f, err)
-		}
-	}
-	return st, ncmds, nil
-}
-
-func parseBit(s string) (bool, error) {
-	switch s {
-	case "0":
-		return false, nil
-	case "1":
-		return true, nil
-	}
-	return false, fmt.Errorf("flag %q is not 0 or 1", s)
-}
-
-// parseCommandLine parses one "c <at> <op> <task> ..." line.
-func parseCommandLine(text string) (core.Command, error) {
-	var cmd core.Command
-	rest, ok := strings.CutPrefix(text, "c ")
-	if !ok {
-		return cmd, fmt.Errorf("malformed command line %q", text)
-	}
-	atStr, rest, ok := strings.Cut(rest, " ")
-	if !ok {
-		return cmd, fmt.Errorf("command line %q has no op", text)
-	}
-	at, err := strconv.ParseInt(atStr, 10, 64)
-	if err != nil {
-		return cmd, fmt.Errorf("command slot %q: %v", atStr, err)
-	}
-	cmd.At = model.Time(at)
-	opStr, rest, ok := strings.Cut(rest, " ")
-	if !ok {
-		return cmd, fmt.Errorf("command line %q has no task", text)
-	}
-	op, err := traceOpFromName(opStr)
-	if err != nil {
-		return cmd, err
-	}
-	cmd.Op = coreOpOf(op)
-	task, rest, err := cutQuoted(rest)
-	if err != nil {
-		return cmd, fmt.Errorf("command task in %q: %v", text, err)
-	}
-	cmd.Task = task
-	var haveW, haveArg, haveG bool
-	for rest != "" {
-		var f string
-		f, rest, _ = strings.Cut(rest, " ")
-		key, val, ok := strings.Cut(f, "=")
-		if !ok {
-			return cmd, fmt.Errorf("command field %q is not key=value", f)
-		}
-		switch key {
-		case "w":
-			cmd.Weight, err = frac.Parse(val)
-			haveW = true
-		case "g":
-			// Re-attach the remainder: a quoted group may contain spaces.
-			q := val
-			if rest != "" {
-				q = val + " " + rest
-			}
-			var tail string
-			cmd.Group, tail, err = cutQuoted(q)
-			rest = tail
-			haveG = true
-		case "arg":
-			cmd.Arg, err = strconv.ParseInt(val, 10, 64)
-			haveArg = true
-		default:
-			return cmd, fmt.Errorf("unknown command field %q", key)
-		}
-		if err != nil {
-			return cmd, fmt.Errorf("command field %q: %v", f, err)
-		}
-	}
-	switch op { // exhaustive: per-op payload validation (eventexhaust)
-	case TraceJoin:
-		if !haveW || haveArg {
-			return cmd, fmt.Errorf("join %q needs w= and no arg=", cmd.Task)
-		}
-	case TraceReweight:
-		if !haveW || haveArg || haveG {
-			return cmd, fmt.Errorf("reweight %q needs w= only", cmd.Task)
-		}
-	case TraceLeave:
-		if haveW || haveArg || haveG {
-			return cmd, fmt.Errorf("leave %q carries no fields", cmd.Task)
-		}
-	case TraceDelay, TraceAbsent:
-		if !haveArg || haveW || haveG {
-			return cmd, fmt.Errorf("%s %q needs arg= only", op, cmd.Task)
-		}
-	}
-	return cmd, nil
-}
-
-// cutQuoted splits a Go-quoted string off the front of s, returning the
-// unquoted value and the remainder after the separating space.
-func cutQuoted(s string) (string, string, error) {
-	if s == "" || s[0] != '"' {
-		return "", "", fmt.Errorf("expected quoted string, got %q", s)
-	}
-	// Find the closing quote: the first '"' not preceded by a backslash
-	// escape. Walk with the escape state machine rather than guessing.
-	esc := false
-	for i := 1; i < len(s); i++ {
-		switch {
-		case esc:
-			esc = false
-		case s[i] == '\\':
-			esc = true
-		case s[i] == '"':
-			val, err := strconv.Unquote(s[:i+1])
-			if err != nil {
-				return "", "", err
-			}
-			rest := s[i+1:]
-			if rest != "" {
-				var ok bool
-				rest, ok = strings.CutPrefix(rest, " ")
-				if !ok {
-					return "", "", fmt.Errorf("quoted string %q not followed by a space", s[:i+1])
-				}
-			}
-			return val, rest, nil
-		}
-	}
-	return "", "", fmt.Errorf("unterminated quoted string %q", s)
-}
-
-// EncodeToBytes is Encode into a fresh buffer.
-func (tr *Trace) EncodeToBytes() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := tr.Encode(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+func (p *present) UnmarshalJSON(b []byte) error {
+	*p = string(b) != "null"
+	return nil
 }

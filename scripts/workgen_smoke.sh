@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Workgen smoke (`make workgen-smoke`, the CI trace gate): drive a
-# pathological template through a race-instrumented pd2d, record the
-# applied command stream as a trace, then replay the trace against a
-# fresh daemon and require byte-identical per-shard state digests.
+# pathological template and a load shape through a race-instrumented
+# pd2d, record each run's applied command stream as a trace, then replay
+# each trace against a fresh daemon and require byte-identical per-shard
+# state digests.
 # Along the way the anomaly counters must prove graceful degradation:
 # the camp run draws rejections while failed applies stay zero.
 set -euo pipefail
@@ -102,13 +103,31 @@ daemon_pid=""
 daemon_pid=$!
 wait_healthy "$tmp/pd2d-shape.log"
 
-echo "workgen-smoke: flash-crowd shape, 1500 commands (strict)"
+echo "workgen-smoke: flash-crowd shape, 1500 commands (strict), recording trace"
 "$tmp/pd2load" -addr "http://$addr" -shards 2 -workers 2 \
   -requests 1500 -batch 8 -tasks 8 -advance-every 16 \
-  -shape flash-crowd -prefix W -strict \
+  -shape flash-crowd -prefix W -record "$tmp/shape.trace" -strict \
   | tee "$tmp/shape.out"
 grep -q "strict checks passed" "$tmp/shape.out" || {
   echo "workgen-smoke: shape run failed its strict audit" >&2
+  exit 1
+}
+
+kill -TERM "$daemon_pid"
+wait "$daemon_pid"
+daemon_pid=""
+
+# The camp trace holds little beyond the camp's set-up joins (every
+# later command is rejected); the shape trace carries the reweights,
+# churn joins and leaves, so the replay gate covers every wire op.
+echo "workgen-smoke: replaying the shape trace against a fresh daemon"
+"$tmp/pd2d" -addr "$addr" -shards 2 -m 2 >"$tmp/pd2d-shape-replay.log" 2>&1 &
+daemon_pid=$!
+wait_healthy "$tmp/pd2d-shape-replay.log"
+
+"$tmp/pd2load" -addr "http://$addr" -replay "$tmp/shape.trace" | tee "$tmp/shape-replay.out"
+grep -q "replay verified 2 shard(s) byte-identical" "$tmp/shape-replay.out" || {
+  echo "workgen-smoke: shape replay did not verify both shards" >&2
   exit 1
 }
 
