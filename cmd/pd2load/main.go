@@ -395,7 +395,7 @@ type genState struct {
 	rng     *stats.RNG
 	sstream *workgen.ShapeStream
 	tstream *workgen.TemplateStream
-	scratch []workgen.Cmd
+	scratch []core.Command
 
 	rt         *router // nil = single daemon, no routing
 	reroutes   int     // consecutive 307s without a non-redirect response
@@ -458,7 +458,7 @@ func (g *genState) advanced() {
 // is a prefix run has checked (plainPrefix) plus ASCII letters, digits
 // and '-', so AppendQuote, whose quoting is JSON's only for printable
 // ASCII, adds nothing but the quotes.
-func appendCmds(b []byte, cmds []workgen.Cmd) []byte {
+func appendCmds(b []byte, cmds []core.Command) []byte {
 	b = append(b, '[')
 	for i, c := range cmds {
 		if i > 0 {

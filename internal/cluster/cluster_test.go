@@ -748,6 +748,57 @@ func TestOrphanShardStaysUnrouted(t *testing.T) {
 	}
 }
 
+// TestOversizedMutationIs413: a mutation body over the router's read
+// limit answers 413 too_large, as a single node does, on the primary
+// and on a follower alike.
+func TestOversizedMutationIs413(t *testing.T) {
+	g := newGroupCluster(t, 2, 1)
+	body := `{"x":"` + strings.Repeat("a", 1<<20+1) + `"}`
+	for _, tn := range []*testNode{g.primary, g.followers[0]} {
+		code, data := postJSON(t, g.c, g.url(tn, "commands"), body)
+		if code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("node %s: oversized body answered %d: %s", tn.id, code, data)
+		}
+		var res serve.ErrorResponse
+		if err := json.Unmarshal(data, &res); err != nil {
+			t.Fatalf("node %s: 413 body not an ErrorResponse: %v: %s", tn.id, err, data)
+		}
+		if res.Error != "too_large" || !strings.Contains(res.Reason, "byte limit") {
+			t.Fatalf("node %s: 413 payload %+v", tn.id, res)
+		}
+	}
+}
+
+// TestProxyRelaysHeaders: a write proxied to the new primary after a
+// hand-off reaches the client with the upstream's status, body and
+// headers, so a 429's Retry-After and a 307's Location survive.
+func TestProxyRelaysHeaders(t *testing.T) {
+	upstream := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Retry-After", "3")
+		w.Header().Set("Location", "http://elsewhere/v1/shards/0/commands")
+		w.Header().Set(RouteVersionHeader, "7")
+		w.WriteHeader(http.StatusTooManyRequests)
+		_, _ = io.WriteString(w, `{"error":"mailbox_full"}`)
+	}))
+	defer upstream.Close()
+	n := &Node{client: upstream.Client()}
+	body := []byte(`{"op":"join","task":"a","weight":"1/4"}`)
+	rec := httptest.NewRecorder()
+	n.proxy(rec, httptest.NewRequest(http.MethodPost, "/v1/shards/0/commands", bytes.NewReader(body)), upstream.URL, body)
+	if rec.Code != http.StatusTooManyRequests || rec.Body.String() != `{"error":"mailbox_full"}` {
+		t.Fatalf("proxied answer %d %q, want 429 and the upstream body", rec.Code, rec.Body.String())
+	}
+	for name, want := range map[string]string{
+		"Retry-After":      "3",
+		"Location":         "http://elsewhere/v1/shards/0/commands",
+		RouteVersionHeader: "7",
+	} {
+		if got := rec.Header().Get(name); got != want {
+			t.Errorf("header %s = %q, want %q", name, got, want)
+		}
+	}
+}
+
 // BenchmarkClusterMigration measures one full live hand-off (warm
 // stream, freeze, final delta, digest-checked promote, demote) of a
 // shard with a populated log, ping-ponging between two nodes.

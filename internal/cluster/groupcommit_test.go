@@ -226,12 +226,12 @@ func replicaHolds(tn *testNode, shard int, task string) bool {
 		}
 	}
 	for _, c := range snap.Batch {
-		if c.Op == "join" && c.Task == task {
+		if c.Op == core.OpJoin && c.Task == task {
 			return true
 		}
 	}
 	for _, c := range snap.DeferredJoins {
-		if c.Op == "join" && c.Task == task {
+		if c.Op == core.OpJoin && c.Task == task {
 			return true
 		}
 	}

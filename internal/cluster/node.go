@@ -411,7 +411,7 @@ func (n *Node) route(w http.ResponseWriter, r *http.Request) {
 		var err error
 		body, err = io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
 		if err != nil {
-			writeClusterError(w, http.StatusBadRequest, "invalid", "reading body: "+err.Error())
+			serve.ReplyReadError(w, err)
 			return
 		}
 		st := &n.states[shard]
@@ -499,7 +499,7 @@ func (n *Node) waitGate(st *shardState) bool {
 }
 
 // proxy forwards the (already-read) request to base and relays the
-// response.
+// response with every header the upstream set.
 func (n *Node) proxy(w http.ResponseWriter, r *http.Request, base string, body []byte) {
 	req, err := http.NewRequest(r.Method, base+r.URL.RequestURI(), bytes.NewReader(body))
 	if err != nil {
@@ -513,12 +513,7 @@ func (n *Node) proxy(w http.ResponseWriter, r *http.Request, base string, body [
 		return
 	}
 	defer func() { _ = resp.Body.Close() }()
-	if ct := resp.Header.Get("Content-Type"); ct != "" {
-		w.Header().Set("Content-Type", ct)
-	}
-	if v := resp.Header.Get(RouteVersionHeader); v != "" {
-		w.Header().Set(RouteVersionHeader, v)
-	}
+	copyHeader(w, resp.Header)
 	w.WriteHeader(resp.StatusCode)
 	_, _ = io.Copy(w, resp.Body)
 }
@@ -568,16 +563,21 @@ func (b *bufWriter) Write(p []byte) (int, error) {
 }
 
 func (b *bufWriter) flush(w http.ResponseWriter) {
-	for k, vs := range b.hdr {
-		for _, v := range vs {
-			w.Header().Add(k, v)
-		}
-	}
+	copyHeader(w, b.hdr)
 	if b.code == 0 {
 		b.code = http.StatusOK
 	}
 	w.WriteHeader(b.code)
 	_, _ = b.buf.WriteTo(w)
+}
+
+// copyHeader sets every header in src on w, replacing what w holds
+// under the same name, so a relayed answer keeps its Retry-After,
+// Location and route version.
+func copyHeader(w http.ResponseWriter, src http.Header) {
+	for k, vs := range src {
+		w.Header()[k] = vs
+	}
 }
 
 func writeClusterError(w http.ResponseWriter, code int, kind, reason string) {

@@ -12,21 +12,15 @@ import (
 // admitTemplate pushes workgen commands through admission on the test
 // goroutine, returning how many were queued vs rejected. Rejections are
 // tolerated (templates exist to provoke them); a failed apply never is.
-func admitTemplate(t *testing.T, sh *Shard, cmds []workgen.Cmd) (queued, rejected int) {
+func admitTemplate(t *testing.T, sh *Shard, cmds []core.Command) (queued, rejected int) {
 	t.Helper()
 	for _, c := range cmds {
-		var op pendingOp
 		switch c.Op {
-		case core.OpJoin:
-			op = opJoin
-		case core.OpLeave:
-			op = opLeave
-		case core.OpReweight:
-			op = opReweight
+		case core.OpJoin, core.OpLeave, core.OpReweight:
 		default:
 			t.Fatalf("template emitted non-wire op %v", c.Op)
 		}
-		res := admitOne(sh, op, c.Task, c.Weight)
+		res := admitOne(sh, c.Op, c.Task, c.Weight)
 		switch res.Status {
 		case "queued":
 			queued++
@@ -50,7 +44,7 @@ func anomalies(sh *Shard) (rejectSpikes, driftExcur, backpressure, joinPeak int6
 func TestAnomalyCountersCleanRun(t *testing.T) {
 	sh := testShard(t, ShardConfig{M: 2, DriftBound: frac.New(1, 2)}, 64)
 	for _, task := range []string{"A", "B", "C", "D"} {
-		if res := admitOne(sh, opJoin, task, frac.New(1, 64)); res.Status != "queued" {
+		if res := admitOne(sh, core.OpJoin, task, frac.New(1, 64)); res.Status != "queued" {
 			t.Fatalf("join %s: %+v", task, res)
 		}
 	}
@@ -58,7 +52,7 @@ func TestAnomalyCountersCleanRun(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		w := frac.New(int64(1+i%2), 64)
 		for _, task := range []string{"A", "B", "C", "D"} {
-			if res := admitOne(sh, opReweight, task, w); res.Status != "queued" {
+			if res := admitOne(sh, core.OpReweight, task, w); res.Status != "queued" {
 				t.Fatalf("reweight %s: %+v", task, res)
 			}
 		}
@@ -120,14 +114,14 @@ func TestAnomalyRejectSpikeAdmissionCamp(t *testing.T) {
 // spike.
 func TestAnomalyRejectSpikeNeedsVolume(t *testing.T) {
 	sh := testShard(t, ShardConfig{M: 1}, 64)
-	if res := admitOne(sh, opJoin, "A", frac.New(1, 2)); res.Status != "queued" {
+	if res := admitOne(sh, core.OpJoin, "A", frac.New(1, 2)); res.Status != "queued" {
 		t.Fatalf("join A: %+v", res)
 	}
-	if res := admitOne(sh, opJoin, "B", frac.New(1, 2)); res.Status != "queued" {
+	if res := admitOne(sh, core.OpJoin, "B", frac.New(1, 2)); res.Status != "queued" {
 		t.Fatalf("join B: %+v", res)
 	}
 	// One over-capacity join: rejected, but below anomalyMinDecisions.
-	if res := admitOne(sh, opJoin, "C", frac.New(1, 2)); res.Status != "rejected" {
+	if res := admitOne(sh, core.OpJoin, "C", frac.New(1, 2)); res.Status != "rejected" {
 		t.Fatalf("join C: %+v", res)
 	}
 	sh.advance(1)
@@ -181,20 +175,20 @@ func TestAnomalyDriftExcursionsStorm(t *testing.T) {
 // back to empty while the peak sticks.
 func TestDeferredJoinPeakDrains(t *testing.T) {
 	sh := testShard(t, ShardConfig{M: 1}, 64)
-	if res := admitOne(sh, opJoin, "A", frac.New(1, 2)); res.Status != "queued" {
+	if res := admitOne(sh, core.OpJoin, "A", frac.New(1, 2)); res.Status != "queued" {
 		t.Fatalf("join A: %+v", res)
 	}
-	if res := admitOne(sh, opJoin, "X", frac.New(1, 4)); res.Status != "queued" {
+	if res := admitOne(sh, core.OpJoin, "X", frac.New(1, 4)); res.Status != "queued" {
 		t.Fatalf("join X: %+v", res)
 	}
 	sh.advance(2)
 	// Reweight down and immediately join into the freed *requested*
 	// headroom: scheduling weight has not decayed yet (1/2 + 1/4 + 1/2
 	// would exceed M), so the join defers under condition J.
-	if res := admitOne(sh, opReweight, "A", frac.New(1, 64)); res.Status != "queued" {
+	if res := admitOne(sh, core.OpReweight, "A", frac.New(1, 64)); res.Status != "queued" {
 		t.Fatalf("reweight A: %+v", res)
 	}
-	if res := admitOne(sh, opJoin, "B", frac.New(1, 2)); res.Status != "queued" {
+	if res := admitOne(sh, core.OpJoin, "B", frac.New(1, 2)); res.Status != "queued" {
 		t.Fatalf("join B: %+v", res)
 	}
 	sh.advance(1)

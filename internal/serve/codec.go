@@ -7,6 +7,7 @@ import (
 	"unicode/utf16"
 	"unicode/utf8"
 
+	"repro/internal/core"
 	"repro/internal/frac"
 	"repro/internal/model"
 )
@@ -34,8 +35,8 @@ import (
 // Decoded strings are NOT copied: they alias the request body (or the
 // record's escape scratch) and are only valid while the mailbox record
 // is live. Names that outlive the request (joins entering the admission
-// books, group tags) are interned explicitly at a declared allocok
-// boundary.
+// books, joins' group tags) are interned explicitly at a declared
+// allocok boundary.
 
 // maxJSONDepth mirrors encoding/json's nesting limit so the skip path
 // of the decoder agrees with json.Unmarshal on pathological inputs.
@@ -688,30 +689,30 @@ func parseRatBytes(b []byte) (frac.Rat, error) {
 // performing exactly parseCommand's stateless checks (same refusal set,
 // equivalent messages). On success the returned wireCmd's task aliases
 // the request buffer (wireCmd.raw); the admission layer resolves it to
-// a canonical interned name.
+// a canonical interned name. Only a join keeps its group: no other op
+// applies one, so the staged command is exactly what the log records.
 //
 //lint:noalloc hot wire decode path; rejection messages form at the allocok error boundary
 func validateRaw(rc *rawCommand) (wireCmd, error) {
-	var op pendingOp
+	cmd := wireCmd{raw: rc.task}
 	switch {
 	case bytes.Equal(rc.op, opJoinName):
-		op = opJoin
+		cmd.Op = core.OpJoin
 	case bytes.Equal(rc.op, opLeaveName):
-		op = opLeave
+		cmd.Op = core.OpLeave
 	case bytes.Equal(rc.op, opReweightName):
-		op = opReweight
+		cmd.Op = core.OpReweight
 	default:
 		return wireCmd{}, jsonErrf("op %q is not one of join, leave, reweight", rc.op)
 	}
 	if len(rc.task) == 0 {
 		return wireCmd{}, jsonErrf("missing task name")
 	}
-	cmd := wireCmd{op: op, raw: rc.task}
-	if len(rc.group) > 0 {
-		cmd.group = internBytes(rc.group)
-	}
-	if op == opLeave {
+	if cmd.Op == core.OpLeave {
 		return cmd, nil
+	}
+	if cmd.Op == core.OpJoin && len(rc.group) > 0 {
+		cmd.Group = internBytes(rc.group)
 	}
 	if len(rc.weight) == 0 {
 		return wireCmd{}, jsonErrf("op %s needs a weight", rc.op)
@@ -725,7 +726,7 @@ func validateRaw(rc *rawCommand) (wireCmd, error) {
 	if lerr := checkLightWeight(w); lerr != nil {
 		return wireCmd{}, jsonErrf("weight %s: %v", w, lerr)
 	}
-	cmd.weight = w
+	cmd.Weight = w
 	return cmd, nil
 }
 

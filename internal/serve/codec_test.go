@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/frac"
 )
 
@@ -110,7 +111,11 @@ func legacyDecodeCommands(body []byte) ([]wireCmd, bool, error) {
 		if err != nil {
 			return nil, isArray, fmt.Errorf("command %d: %v", i, err)
 		}
-		out = append(out, wireCmd{op: op, raw: []byte(reqs[i].Task), weight: w, group: reqs[i].Group})
+		c := wireCmd{Command: core.Command{Op: op, Weight: w}, raw: []byte(reqs[i].Task)}
+		if op == core.OpJoin {
+			c.Group = reqs[i].Group // only a join applies its group
+		}
+		out = append(out, c)
 	}
 	return out, isArray, nil
 }
@@ -133,9 +138,9 @@ func checkCommandsAgreement(t testing.TB, body []byte) {
 	}
 	for i := range gotCmds {
 		g, w := gotCmds[i], wantCmds[i]
-		if g.op != w.op || !bytes.Equal(g.raw, w.raw) || g.weight != w.weight || g.group != w.group {
-			t.Fatalf("body %q command %d: codec {op:%d task:%q weight:%s group:%q}, legacy {op:%d task:%q weight:%s group:%q}",
-				body, i, g.op, g.raw, g.weight, g.group, w.op, w.raw, w.weight, w.group)
+		if g.Command != w.Command || !bytes.Equal(g.raw, w.raw) {
+			t.Fatalf("body %q command %d: codec {%+v raw:%q}, legacy {%+v raw:%q}",
+				body, i, g.Command, g.raw, w.Command, w.raw)
 		}
 	}
 }
@@ -298,7 +303,7 @@ func wirePathShard(t testing.TB, n int) *Shard {
 	}
 	for i := 0; i < n; i++ {
 		name := fmt.Sprintf("t%d", i)
-		c := wireCmd{op: opJoin, raw: []byte(name), weight: frac.New(1, 64)}
+		c := wireCmd{Command: core.Command{Op: core.OpJoin, Weight: frac.New(1, 64)}, raw: []byte(name)}
 		if res := sh.admit(&c); res.Status != "queued" {
 			t.Fatalf("join %s: %+v", name, res)
 		}

@@ -50,7 +50,8 @@ func getJSON(t *testing.T, url string, out any) {
 
 // driveSlots posts a deterministic mix of single and batched commands
 // against shard 0 and advances one slot each round, starting task names
-// at T<base>.
+// at T<base>. Its lone reweights and leaves carry a group, which only a
+// join applies.
 func driveSlots(t *testing.T, base string, slots int, nameBase int) {
 	t.Helper()
 	for slot := 0; slot < slots; slot++ {
@@ -84,14 +85,14 @@ func driveSlots(t *testing.T, base string, slots int, nameBase int) {
 			}
 		case 2:
 			code, body := postJSON(t, base+"/v1/shards/0/commands", CommandRequest{
-				Op: "reweight", Task: fmt.Sprintf("T%d", n-1), Weight: "1/8",
+				Op: "reweight", Task: fmt.Sprintf("T%d", n-1), Weight: "1/8", Group: "g",
 			})
 			if code != http.StatusOK {
 				t.Fatalf("slot %d reweight: %d: %s", slot, code, body)
 			}
 		case 3:
 			code, body := postJSON(t, base+"/v1/shards/0/commands", CommandRequest{
-				Op: "leave", Task: fmt.Sprintf("T%d", n-3),
+				Op: "leave", Task: fmt.Sprintf("T%d", n-3), Group: "g",
 			})
 			if code != http.StatusOK {
 				t.Fatalf("slot %d leave: %d: %s", slot, code, body)
@@ -142,6 +143,20 @@ func TestHTTPDifferentialAgainstDirectCore(t *testing.T) {
 	// The shard's own account of what it applied.
 	var snap Snapshot
 	getJSON(t, ts2.URL+"/v1/shards/0/snapshot", &snap)
+
+	// A group reaches the log only on a join.
+	nonJoins := 0
+	for _, c := range snap.Commands {
+		if c.Group != "" {
+			t.Fatalf("log records %s with group %q", c, c.Group)
+		}
+		if c.Op != core.OpJoin {
+			nonJoins++
+		}
+	}
+	if nonJoins == 0 {
+		t.Fatal("log holds no reweight or leave; the group check would be vacuous")
+	}
 
 	// Drive a fresh engine directly with that log.
 	ccfg, err := snap.Config.CoreConfig()

@@ -3,7 +3,7 @@ package serve
 import (
 	"sync"
 
-	"repro/internal/frac"
+	"repro/internal/core"
 )
 
 // The mailbox is the only channel between HTTP handlers and a shard's
@@ -13,17 +13,6 @@ import (
 // mailbox is surfaced to the client as 429 + Retry-After; the shard
 // side never blocks handlers and never drops a dequeued record without
 // replying.
-
-// pendingOp is a parsed wire mutation.
-//
-//lint:exhaustive -- the three admitted wire mutations
-type pendingOp uint8
-
-const (
-	opJoin pendingOp = iota
-	opLeave
-	opReweight
-)
 
 // pendingKind discriminates what a mailbox record asks the shard to do.
 //
@@ -45,17 +34,15 @@ const (
 	pendLog
 )
 
-// wireCmd is one parsed, admission-ready command inside a pending. raw
-// aliases the record's pooled body/esc buffers and is only valid until
-// freePending; task is set by the admission layer to the canonical
-// interned name (the *taskEntry's own string) and is what the shard
-// stages into batches, so nothing downstream retains request memory.
+// wireCmd is one parsed, admission-ready command inside a pending: a
+// join, leave or reweight whose Task is still unset. raw aliases the
+// record's pooled body/esc buffers and is only valid until freePending;
+// the shard stages the Command with Task set to the admission layer's
+// canonical interned name (the *taskEntry's own string), so nothing
+// downstream retains request memory.
 type wireCmd struct {
-	op     pendingOp
-	raw    []byte
-	task   string
-	weight frac.Rat
-	group  string
+	core.Command
+	raw []byte
 }
 
 // pending is one pooled mailbox record. The reply channel is buffered

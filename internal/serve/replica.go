@@ -7,25 +7,20 @@ import (
 )
 
 // A Replica is a copy of one shard rebuilt from the tails applied to
-// it: the full applied command log plus a live engine kept in lockstep
-// by replaying each tail, and the admission books upserted from every
-// tail. It is the one path from a tail to shard state: a cluster
-// follower applies each pushed tail to its warm Replica, and
-// restoreShard applies a snapshot to a fresh one. The engine and the
-// books are the digest-exchange witnesses — after every tail the
+// it: the same state a Shard runs — the full applied command log, a
+// live engine kept in lockstep by replaying each tail, the admission
+// books upserted from every tail, and the last tail's pending queues.
+// It is the one path from a tail to shard state: a cluster follower
+// applies each pushed tail to its warm Replica, and restoreShard
+// applies a snapshot to a fresh one and runs its state. The engine and
+// the books are the digest-exchange witnesses — after every tail the
 // replica's StateDigest and books digest must equal the ones the
 // primary stamped on the tail, so divergence is caught when the tail
 // applies, not at promotion time.
 //
 // Not safe for concurrent use.
 type Replica struct {
-	shard int
-	eng   *core.Scheduler
-	log   []core.Command
-	adm   *admission
-	// last is the most recent applied tail; its pending sets, with the
-	// books, make promotion lose no acknowledged command.
-	last *Tail
+	shardState
 }
 
 // GapError reports that a tail starts past the replica's log end; a
@@ -38,7 +33,7 @@ func (e GapError) Error() string {
 
 // NewReplica returns an empty replica that accepts only a complete
 // (From == 0) tail first.
-func NewReplica(shard int) *Replica { return &Replica{shard: shard} }
+func NewReplica(shard int) *Replica { return &Replica{shardState{id: shard}} }
 
 // Len returns the replicated log length — the index the replica wants
 // next.
@@ -54,11 +49,12 @@ func (r *Replica) Now() int64 {
 
 // Apply folds one tail into the replica: append the new commands,
 // replay them on the live engine up to the tail's clock, verify the
-// engine digest against the primary's, then upsert the tail's book
-// entries and verify the books digest. A tail starting past the log
-// end is a GapError (the caller resyncs from the wanted index); a
-// version or shard mismatch, a replay failure or a digest mismatch is a
-// hard error (the caller must discard the replica and resync from 0).
+// engine digest against the primary's, upsert the tail's book entries
+// and verify the books digest, then keep the tail's pending queues. A
+// tail starting past the log end is a GapError (the caller resyncs from
+// the wanted index); a version or shard mismatch, pending work no shard
+// could have staged, a replay failure or a digest mismatch is a hard
+// error (the caller must discard the replica and resync from 0).
 // Overlapping tails — From inside the log — are fine: the overlap is
 // skipped, only the suffix applies, and the book entries they carry
 // are a superset of the ones the replica lacks.
@@ -66,23 +62,26 @@ func (r *Replica) Apply(t *Tail) error {
 	if t.Version != tailVersion {
 		return fmt.Errorf("serve: tail version %d, want %d", t.Version, tailVersion)
 	}
-	if t.Shard != r.shard {
-		return fmt.Errorf("serve: tail for shard %d applied to replica of %d", t.Shard, r.shard)
+	if t.Shard != r.id {
+		return fmt.Errorf("serve: tail for shard %d applied to replica of %d", t.Shard, r.id)
+	}
+	for i, c := range t.Batch {
+		if c.Op != core.OpJoin && c.Op != core.OpLeave && c.Op != core.OpReweight {
+			return fmt.Errorf("serve: replica %d batch entry %d is a %s, not a join, leave or reweight", r.id, i, c.Op)
+		}
+	}
+	for i, c := range t.DeferredJoins {
+		if c.Op != core.OpJoin {
+			return fmt.Errorf("serve: replica %d deferred join %d is a %s", r.id, i, c.Op)
+		}
 	}
 	if r.eng == nil {
 		if t.From != 0 {
 			return GapError{Want: 0}
 		}
-		ccfg, err := t.Config.CoreConfig()
-		if err != nil {
-			return fmt.Errorf("serve: replica %d config: %w", r.shard, err)
+		if err := r.build(t.Config, t.Seed); err != nil {
+			return fmt.Errorf("serve: replica %d: %w", r.id, err)
 		}
-		eng, err := core.New(ccfg, t.Seed)
-		if err != nil {
-			return fmt.Errorf("serve: replica %d seed: %w", r.shard, err)
-		}
-		r.eng = eng
-		r.adm = newAdmission(t.Config.M)
 	}
 	if t.From > len(r.log) {
 		return GapError{Want: len(r.log)}
@@ -93,35 +92,36 @@ func (r *Replica) Apply(t *Tail) error {
 	}
 	fresh := t.Commands[skip:]
 	if err := r.eng.ReplayLog(fresh, t.Now); err != nil {
-		return fmt.Errorf("serve: replica %d replay: %w", r.shard, err)
+		return fmt.Errorf("serve: replica %d replay: %w", r.id, err)
 	}
 	r.log = append(r.log, fresh...)
 	if got := r.eng.StateDigest(); got != t.Digest {
 		return fmt.Errorf("serve: replica %d digest mismatch at t=%d: replayed %016x, tail %016x",
-			r.shard, t.Now, got, t.Digest)
+			r.id, t.Now, got, t.Digest)
 	}
 	r.adm.at = len(r.log)
 	r.adm.restore(t.Admission)
 	if got := r.adm.digest(); got != t.BooksDigest {
 		return fmt.Errorf("serve: replica %d books digest mismatch at t=%d: replica %016x, tail %016x",
-			r.shard, t.Now, got, t.BooksDigest)
+			r.id, t.Now, got, t.BooksDigest)
 	}
-	r.last = t
+	// Fresh copies: the caller keeps its tail, and a replica reusing its
+	// arrays would hold the largest batch it ever saw.
+	r.batch = append([]core.Command(nil), t.Batch...)
+	r.defJoins = append([]core.Command(nil), t.DeferredJoins...)
+	r.defLeaves = append([]string(nil), t.DeferredLeaves...)
 	return nil
 }
 
-// Snapshot returns the complete tail a promotion installs: the whole
-// replicated log and books, with the latest tail's clock, digests and
-// pending sets. InstallShard replays it on a fresh engine. Nil for a
-// nil replica or one no tail has applied to yet.
+// Snapshot returns the complete tail a promotion installs, cut from the
+// replica's state as a primary cuts its own: the whole replicated log
+// and books, with the latest tail's clock, digests and pending sets.
+// InstallShard replays it on a fresh engine. Nil for a nil replica or
+// one no tail has applied to yet.
 func (r *Replica) Snapshot() *Snapshot {
-	if r == nil || r.last == nil {
+	if r == nil || r.eng == nil {
 		return nil
 	}
-	snap := *r.last
-	snap.From = 0
-	snap.Total = len(r.log)
-	snap.Commands = append([]core.Command(nil), r.log...)
-	snap.Admission = r.adm.state(0)
-	return &snap
+	snap, _ := r.tail(0, 0) // from 0 is always in range
+	return snap
 }

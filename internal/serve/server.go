@@ -118,7 +118,7 @@ func (s *Server) Stop() {
 func (s *Server) Snapshots() []*Snapshot {
 	out := make([]*Snapshot, len(s.shards))
 	for i := range s.shards {
-		out[i], _ = s.shardAt(i).buildTail(0) // from 0 is always in range
+		out[i], _ = s.shardAt(i).tail(0, 0) // from 0 is always in range
 	}
 	return out
 }
@@ -310,10 +310,12 @@ func readBody(dst []byte, r io.Reader) ([]byte, error) {
 	}
 }
 
-// replyReadError answers a body-read error: 413 with its own wire kind
+// ReplyReadError answers a body-read error: 413 with its own wire kind
 // when the MaxBytesReader limit was the cause (so clients can tell
-// "shrink the batch" from "fix the request"), 400 otherwise.
-func replyReadError(w http.ResponseWriter, err error) {
+// "shrink the batch" from "fix the request"), 400 otherwise. The
+// cluster router reads mutation bodies itself and answers through it
+// too.
+func ReplyReadError(w http.ResponseWriter, err error) {
 	var mbe *http.MaxBytesError
 	if errors.As(err, &mbe) {
 		writeError(w, http.StatusRequestEntityTooLarge, errTooLarge,
@@ -375,7 +377,7 @@ func (s *Server) handleCommands(w http.ResponseWriter, r *http.Request) {
 	p.body, err = readBody(p.body[:0], http.MaxBytesReader(w, r.Body, 1<<20))
 	if err != nil {
 		sh.pool.freePending(p)
-		replyReadError(w, err)
+		ReplyReadError(w, err)
 		return
 	}
 	var batch bool
@@ -420,7 +422,7 @@ func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request) {
 	p.body, err = readBody(p.body[:0], http.MaxBytesReader(w, r.Body, 1<<16))
 	if err != nil {
 		sh.pool.freePending(p)
-		replyReadError(w, err)
+		ReplyReadError(w, err)
 		return
 	}
 	slots, err := decodeAdvance(p.body)

@@ -85,28 +85,51 @@ func (c ShardConfig) CoreConfig() (core.Config, error) {
 	return cfg, nil
 }
 
-// Shard is one independently scheduled engine instance. All fields
-// below the channel block are owned by the run goroutine between Start
-// and the close of done; the HTTP side communicates exclusively through
-// the mailbox (see mailbox.go) and the atomic counters in ctr.
+// shardState is one shard's state, the part a tail transfers: its
+// config and seed, the engine, the admission books, the applied log and
+// the admitted-but-unapplied queues. Shard runs it behind the mailbox;
+// Replica rebuilds it from tails. Staged work is held as the commands
+// the log will record; flush restamps At with the boundary that
+// applies them.
+type shardState struct {
+	id        int
+	cfg       ShardConfig
+	seed      model.System
+	eng       *core.Scheduler
+	adm       *admission
+	log       []core.Command // commands actually applied, in order
+	batch     []core.Command // admitted this slot, applies at next boundary
+	defJoins  []core.Command // admitted joins awaiting condition-J headroom
+	defLeaves []string       // admitted leaves awaiting rule L
+}
+
+// build gives the state a fresh engine over seed and empty books.
+func (st *shardState) build(cfg ShardConfig, seed model.System) error {
+	ccfg, err := cfg.CoreConfig()
+	if err != nil {
+		return err
+	}
+	eng, err := core.New(ccfg, seed)
+	if err != nil {
+		return err
+	}
+	st.cfg, st.seed, st.eng, st.adm = cfg, seed, eng, newAdmission(cfg.M)
+	return nil
+}
+
+// Shard is one independently scheduled engine instance. Its state and
+// the fields below the channel block are owned by the run goroutine
+// between Start and the close of done; the HTTP side communicates
+// exclusively through the mailbox (see mailbox.go) and the atomic
+// counters in ctr.
 type Shard struct {
-	id  int
-	cfg ShardConfig
+	shardState
 
 	mbox  chan *pending
 	pool  pendingPool
 	tickc chan struct{}
 	quit  chan struct{}
 	done  chan struct{}
-
-	// Single-writer state (run goroutine only).
-	eng       *core.Scheduler
-	adm       *admission
-	seed      model.System
-	log       []core.Command // commands actually applied, in order
-	batch     []wireCmd      // admitted this slot, applies at next boundary
-	defJoins  []wireCmd      // admitted joins awaiting condition-J headroom
-	defLeaves []string       // admitted leaves awaiting rule L
 
 	// Anomaly-window baselines: counter values at the previous
 	// publishStatus, so noteAnomalies sees per-window deltas.
@@ -120,16 +143,10 @@ type Shard struct {
 // newShard builds a stopped shard with an empty engine. Tasks arrive
 // through commands.
 func newShard(id int, cfg ShardConfig, mailboxCap int) (*Shard, error) {
-	ccfg, err := cfg.CoreConfig()
-	if err != nil {
+	sh := &Shard{shardState: shardState{id: id}}
+	if err := sh.build(cfg, model.System{M: cfg.M}); err != nil {
 		return nil, err
 	}
-	seed := model.System{M: cfg.M}
-	eng, err := core.New(ccfg, seed)
-	if err != nil {
-		return nil, err
-	}
-	sh := &Shard{id: id, cfg: cfg, eng: eng, adm: newAdmission(cfg.M), seed: seed}
 	sh.initLoop(mailboxCap)
 	return sh, nil
 }
@@ -231,7 +248,7 @@ func (sh *Shard) handle(p *pending) {
 		//lint:allow hotalloc the state reply is a caller-owned copy; the render itself reuses the engine's buffer
 		p.reply <- reply{state: []byte(b.String()), digest: sh.eng.StateDigest(), now: sh.eng.Now()}
 	case pendLog:
-		t, err := sh.buildTail(p.from)
+		t, err := sh.tail(p.from, sh.ctr.mutations.Load())
 		p.reply <- reply{tail: t, err: err, now: sh.eng.Now()}
 	default:
 		panic(fmt.Sprintf("serve: unhandled pending kind %d", p.kind))
@@ -239,30 +256,31 @@ func (sh *Shard) handle(p *pending) {
 }
 
 // admit runs the property-(W) admission decision for one command and,
-// on success, stages it for the next slot boundary. The staged copy
-// carries the admission layer's canonical interned name and drops the
-// raw alias, so the batch never retains pooled request memory.
+// on success, stages it for the next slot boundary. The staged command
+// carries the admission layer's canonical interned name and the slot it
+// was admitted in, and not the raw alias, so the batch never retains
+// pooled request memory.
 func (sh *Shard) admit(c *wireCmd) CommandResult {
 	var (
 		aerr *admissionError
 		name string
 	)
-	switch c.op {
-	case opJoin:
-		name, aerr = sh.adm.admitJoin(c.raw, c.weight)
-	case opReweight:
-		name, aerr = sh.adm.admitReweight(c.raw, c.weight)
-	case opLeave:
+	switch c.Op {
+	case core.OpJoin:
+		name, aerr = sh.adm.admitJoin(c.raw, c.Weight)
+	case core.OpReweight:
+		name, aerr = sh.adm.admitReweight(c.raw, c.Weight)
+	case core.OpLeave:
 		name, aerr = sh.adm.admitLeave(c.raw)
 	default:
-		panic(fmt.Sprintf("serve: unhandled pending op %d", c.op))
+		panic(fmt.Sprintf("serve: unhandled wire op %s", c.Op))
 	}
 	if aerr != nil {
 		return sh.rejected(aerr)
 	}
-	staged := *c
-	staged.raw = nil
-	staged.task = name
+	staged := c.Command
+	staged.At = sh.eng.Now()
+	staged.Task = name
 	sh.batch = append(sh.batch, staged)
 	sh.ctr.accepted.Add(1)
 	return CommandResult{Status: "queued", Slot: sh.eng.Now()}
@@ -340,7 +358,7 @@ func (sh *Shard) flush() {
 
 	for len(sh.defJoins) > 0 {
 		c := sh.defJoins[0]
-		if !sh.engineFits(c.weight) {
+		if !sh.engineFits(c.Weight) {
 			break
 		}
 		sh.applyJoin(c)
@@ -348,39 +366,38 @@ func (sh *Shard) flush() {
 	}
 
 	for _, c := range sh.batch {
-		switch c.op {
-		case opJoin:
-			if len(sh.defJoins) > 0 || !sh.engineFits(c.weight) {
+		c.At = now
+		switch c.Op {
+		case core.OpJoin:
+			if len(sh.defJoins) > 0 || !sh.engineFits(c.Weight) {
 				sh.defJoins = append(sh.defJoins, c)
 				sh.ctr.deferred.Add(1)
 				continue
 			}
 			sh.applyJoin(c)
-		case opReweight:
-			cc := core.Command{At: now, Op: core.OpReweight, Task: c.task, Weight: c.weight}
-			if err := sh.eng.Apply(cc); err != nil {
+		case core.OpReweight:
+			if err := sh.eng.Apply(c); err != nil {
 				sh.ctr.failedApplies.Add(1)
 			} else {
-				sh.log = append(sh.log, cc)
+				sh.log = append(sh.log, c)
 				sh.ctr.applied.Add(1)
 			}
-		case opLeave:
-			cc := core.Command{At: now, Op: core.OpLeave, Task: c.task}
-			err := sh.eng.Apply(cc)
+		case core.OpLeave:
+			err := sh.eng.Apply(c)
 			switch {
 			case err == nil:
-				sh.log = append(sh.log, cc)
-				sh.adm.completeLeave(c.task)
+				sh.log = append(sh.log, c)
+				sh.adm.completeLeave(c.Task)
 				sh.ctr.applied.Add(1)
 			case errors.Is(err, core.ErrLeaveTooEarly):
-				sh.defLeaves = append(sh.defLeaves, c.task)
+				sh.defLeaves = append(sh.defLeaves, c.Task)
 				sh.ctr.deferred.Add(1)
 			default:
 				sh.ctr.failedApplies.Add(1)
-				sh.adm.completeLeave(c.task)
+				sh.adm.completeLeave(c.Task)
 			}
 		default:
-			panic(fmt.Sprintf("serve: unhandled pending op %d", c.op))
+			panic(fmt.Sprintf("serve: unhandled staged op %s", c.Op))
 		}
 	}
 	sh.batch = sh.batch[:0]
@@ -393,16 +410,17 @@ func (sh *Shard) flush() {
 	}
 }
 
-// applyJoin applies an admitted join whose condition-J check passed.
-func (sh *Shard) applyJoin(c wireCmd) {
-	cc := core.Command{At: sh.eng.Now(), Op: core.OpJoin, Task: c.task, Weight: c.weight, Group: c.group}
-	if err := sh.eng.Apply(cc); err != nil {
+// applyJoin applies an admitted join whose condition-J check passed, at
+// the current boundary.
+func (sh *Shard) applyJoin(c core.Command) {
+	c.At = sh.eng.Now()
+	if err := sh.eng.Apply(c); err != nil {
 		sh.ctr.failedApplies.Add(1)
-		sh.adm.abortJoin(c.task)
+		sh.adm.abortJoin(c.Task)
 		return
 	}
-	sh.log = append(sh.log, cc)
-	sh.adm.joinApplied(c.task)
+	sh.log = append(sh.log, c)
+	sh.adm.joinApplied(c.Task)
 	sh.ctr.applied.Add(1)
 }
 

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/frac"
 )
 
@@ -19,23 +20,23 @@ func testShard(t *testing.T, cfg ShardConfig, mailboxCap int) *Shard {
 
 // admitOne pushes a single command through admission on the test
 // goroutine (the test is the single writer until start() is called).
-func admitOne(sh *Shard, op pendingOp, task string, w frac.Rat) CommandResult {
-	c := wireCmd{op: op, raw: []byte(task), weight: w}
+func admitOne(sh *Shard, op core.CommandOp, task string, w frac.Rat) CommandResult {
+	c := wireCmd{Command: core.Command{Op: op, Weight: w}, raw: []byte(task)}
 	return sh.admit(&c)
 }
 
 func TestAdmissionPropertyW(t *testing.T) {
 	sh := testShard(t, ShardConfig{M: 1}, 8)
 
-	if res := admitOne(sh, opJoin, "A", frac.New(1, 2)); res.Status != "queued" {
+	if res := admitOne(sh, core.OpJoin, "A", frac.New(1, 2)); res.Status != "queued" {
 		t.Fatalf("join A: %+v", res)
 	}
-	if res := admitOne(sh, opJoin, "B", frac.New(1, 4)); res.Status != "queued" {
+	if res := admitOne(sh, core.OpJoin, "B", frac.New(1, 4)); res.Status != "queued" {
 		t.Fatalf("join B: %+v", res)
 	}
 	// Headroom is down to 1/4; a 1/2 join must be rejected with the exact
 	// remainder.
-	res := admitOne(sh, opJoin, "C", frac.New(1, 2))
+	res := admitOne(sh, core.OpJoin, "C", frac.New(1, 2))
 	if res.Status != "rejected" || res.Error != errWeight || res.Code != 409 {
 		t.Fatalf("over-capacity join admitted: %+v", res)
 	}
@@ -43,29 +44,29 @@ func TestAdmissionPropertyW(t *testing.T) {
 		t.Fatalf("headroom = %q, want 1/4", res.Headroom)
 	}
 	// A fitting join still passes afterwards.
-	if res := admitOne(sh, opJoin, "D", frac.New(1, 4)); res.Status != "queued" {
+	if res := admitOne(sh, core.OpJoin, "D", frac.New(1, 4)); res.Status != "queued" {
 		t.Fatalf("join D: %+v", res)
 	}
 	// Duplicate name: conflict, not weight.
-	res = admitOne(sh, opJoin, "A", frac.New(1, 8))
+	res = admitOne(sh, core.OpJoin, "A", frac.New(1, 8))
 	if res.Status != "rejected" || res.Error != errConflict {
 		t.Fatalf("duplicate join: %+v", res)
 	}
 	// Unknown task reweight.
-	res = admitOne(sh, opReweight, "nope", frac.New(1, 8))
+	res = admitOne(sh, core.OpReweight, "nope", frac.New(1, 8))
 	if res.Status != "rejected" || res.Error != errUnknown || res.Code != 404 {
 		t.Fatalf("unknown reweight: %+v", res)
 	}
 	// Reweight of a task whose join is still pending is a conflict: the
 	// engine does not know the task yet.
-	res = admitOne(sh, opReweight, "A", frac.New(1, 8))
+	res = admitOne(sh, core.OpReweight, "A", frac.New(1, 8))
 	if res.Status != "rejected" || res.Error != errConflict {
 		t.Fatalf("reweight before join applied: %+v", res)
 	}
 	sh.advance(1) // boundary: joins apply
 	// Now the reweight is admissible, but only within headroom: A may go
 	// to 1/4 (total 3/4) but not to weights that burst M.
-	if res := admitOne(sh, opReweight, "A", frac.New(1, 4)); res.Status != "queued" {
+	if res := admitOne(sh, core.OpReweight, "A", frac.New(1, 4)); res.Status != "queued" {
 		t.Fatalf("reweight A: %+v", res)
 	}
 	if got := sh.adm.total.String(); got != "3/4" {
@@ -78,8 +79,8 @@ func TestAdmissionPropertyW(t *testing.T) {
 
 func TestBatchAppliesAtSlotBoundary(t *testing.T) {
 	sh := testShard(t, ShardConfig{M: 2}, 8)
-	admitOne(sh, opJoin, "A", frac.New(1, 4))
-	admitOne(sh, opJoin, "B", frac.New(1, 3))
+	admitOne(sh, core.OpJoin, "A", frac.New(1, 4))
+	admitOne(sh, core.OpJoin, "B", frac.New(1, 3))
 	// Staged, not applied: the engine is still empty.
 	if n := len(sh.eng.TaskNames()); n != 0 {
 		t.Fatalf("engine saw %d tasks before the boundary", n)
@@ -104,14 +105,14 @@ func TestBatchAppliesAtSlotBoundary(t *testing.T) {
 
 func TestDeferredLeaveRuleL(t *testing.T) {
 	sh := testShard(t, ShardConfig{M: 1}, 8)
-	admitOne(sh, opJoin, "A", frac.New(1, 3))
+	admitOne(sh, core.OpJoin, "A", frac.New(1, 3))
 	sh.advance(2)
-	res := admitOne(sh, opLeave, "A", frac.Rat{})
+	res := admitOne(sh, core.OpLeave, "A", frac.Rat{})
 	if res.Status != "queued" {
 		t.Fatalf("leave: %+v", res)
 	}
 	// A second leave while the first is pending is a conflict.
-	if res := admitOne(sh, opLeave, "A", frac.Rat{}); res.Error != errConflict {
+	if res := admitOne(sh, core.OpLeave, "A", frac.Rat{}); res.Error != errConflict {
 		t.Fatalf("double leave: %+v", res)
 	}
 	// Weight stays booked until the engine actually applies the leave
@@ -129,10 +130,10 @@ func TestDeferredLeaveRuleL(t *testing.T) {
 		t.Fatalf("failedApplies = %d", sh.ctr.failedApplies.Load())
 	}
 	// The freed weight is reusable, the name is not.
-	if res := admitOne(sh, opJoin, "A", frac.New(1, 3)); res.Error != errConflict {
+	if res := admitOne(sh, core.OpJoin, "A", frac.New(1, 3)); res.Error != errConflict {
 		t.Fatalf("rejoin of burned name: %+v", res)
 	}
-	if res := admitOne(sh, opJoin, "A2", frac.New(1, 3)); res.Status != "queued" {
+	if res := admitOne(sh, core.OpJoin, "A2", frac.New(1, 3)); res.Status != "queued" {
 		t.Fatalf("join into freed weight: %+v", res)
 	}
 }
@@ -144,7 +145,7 @@ func TestDeferredLeaveRuleL(t *testing.T) {
 func TestDeferredJoinConditionJ(t *testing.T) {
 	sh := testShard(t, ShardConfig{M: 2}, 8)
 	for _, name := range []string{"A", "B", "C", "D"} {
-		if res := admitOne(sh, opJoin, name, frac.New(1, 2)); res.Status != "queued" {
+		if res := admitOne(sh, core.OpJoin, name, frac.New(1, 2)); res.Status != "queued" {
 			t.Fatalf("join %s: %+v", name, res)
 		}
 	}
@@ -152,11 +153,11 @@ func TestDeferredJoinConditionJ(t *testing.T) {
 	// Drop everyone to 1/8: requested total 1/2, engine swt still 2 until
 	// the negative changes enact.
 	for _, name := range []string{"A", "B", "C", "D"} {
-		if res := admitOne(sh, opReweight, name, frac.New(1, 8)); res.Status != "queued" {
+		if res := admitOne(sh, core.OpReweight, name, frac.New(1, 8)); res.Status != "queued" {
 			t.Fatalf("reweight %s: %+v", name, res)
 		}
 	}
-	if res := admitOne(sh, opJoin, "E", frac.New(1, 2)); res.Status != "queued" {
+	if res := admitOne(sh, core.OpJoin, "E", frac.New(1, 2)); res.Status != "queued" {
 		t.Fatalf("join E rejected by admission: %+v", res)
 	}
 	sh.advance(1)
@@ -247,14 +248,14 @@ func TestShardLoopDrain(t *testing.T) {
 func TestQueuedRecordsPoliceW(t *testing.T) {
 	sh := testShard(t, ShardConfig{M: 1}, 8)
 	for _, name := range []string{"A", "B", "C"} {
-		if res := admitOne(sh, opJoin, name, frac.New(1, 4)); res.Status != "queued" {
+		if res := admitOne(sh, core.OpJoin, name, frac.New(1, 4)); res.Status != "queued" {
 			t.Fatalf("join %s: %+v", name, res)
 		}
 	}
 	sh.advance(1) // A, B and C apply: total 3/4, headroom 1/4
 
-	cmd := func(op pendingOp, task string, w frac.Rat) wireCmd {
-		return wireCmd{op: op, raw: []byte(task), weight: w}
+	cmd := func(op core.CommandOp, task string, w frac.Rat) wireCmd {
+		return wireCmd{Command: core.Command{Op: op, Weight: w}, raw: []byte(task)}
 	}
 	queued := CommandResult{Status: "queued", Slot: 1}
 	overW := func(headroom string) CommandResult {
@@ -265,20 +266,20 @@ func TestQueuedRecordsPoliceW(t *testing.T) {
 		want []CommandResult
 	}{
 		// B goes up to 1/2, which fills M, and back down to 1/4.
-		{[]wireCmd{cmd(opReweight, "B", frac.New(1, 2)), cmd(opReweight, "B", frac.New(1, 4))},
+		{[]wireCmd{cmd(core.OpReweight, "B", frac.New(1, 2)), cmd(core.OpReweight, "B", frac.New(1, 4))},
 			[]CommandResult{queued, queued}},
 		// D takes the last 1/4.
-		{[]wireCmd{cmd(opJoin, "D", frac.New(1, 4))},
+		{[]wireCmd{cmd(core.OpJoin, "D", frac.New(1, 4))},
 			[]CommandResult{queued}},
 		// Both fit the books the loop started from; neither fits now.
-		{[]wireCmd{cmd(opReweight, "C", frac.New(1, 2)), cmd(opJoin, "E", frac.New(1, 8))},
+		{[]wireCmd{cmd(core.OpReweight, "C", frac.New(1, 2)), cmd(core.OpJoin, "E", frac.New(1, 8))},
 			[]CommandResult{overW("1/4"), overW("0")}},
 		// F fits only because A's reweight down freed 1/8.
-		{[]wireCmd{cmd(opReweight, "A", frac.New(1, 8)), cmd(opJoin, "F", frac.New(1, 8))},
+		{[]wireCmd{cmd(core.OpReweight, "A", frac.New(1, 8)), cmd(core.OpJoin, "F", frac.New(1, 8))},
 			[]CommandResult{queued, queued}},
 		// C's leave frees its weight only at the slot boundary, so G is
 		// past capacity.
-		{[]wireCmd{cmd(opReweight, "A", frac.New(1, 16)), cmd(opLeave, "C", frac.Rat{}), cmd(opJoin, "G", frac.New(1, 8))},
+		{[]wireCmd{cmd(core.OpReweight, "A", frac.New(1, 16)), cmd(core.OpLeave, "C", frac.Rat{}), cmd(core.OpJoin, "G", frac.New(1, 8))},
 			[]CommandResult{queued, queued, overW("1/16")}},
 	}
 	var ps []*pending
@@ -335,8 +336,8 @@ func TestQueuedRecordsPoliceW(t *testing.T) {
 
 func TestStateDumpMatchesEngine(t *testing.T) {
 	sh := testShard(t, ShardConfig{M: 2, RecordSchedule: true}, 8)
-	admitOne(sh, opJoin, "A", frac.New(1, 4))
-	admitOne(sh, opJoin, "B", frac.New(1, 3))
+	admitOne(sh, core.OpJoin, "A", frac.New(1, 4))
+	admitOne(sh, core.OpJoin, "B", frac.New(1, 3))
 	sh.advance(10)
 	var b strings.Builder
 	if err := sh.eng.WriteState(&b); err != nil {

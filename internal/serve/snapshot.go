@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/frac"
 	"repro/internal/model"
 )
 
@@ -31,9 +30,11 @@ type Tail struct {
 	Digest   uint64         `json:"digest"`
 	Commands []core.Command `json:"log,omitempty"`
 
-	Batch          []pendingCmd `json:"batch,omitempty"`
-	DeferredJoins  []pendingCmd `json:"deferred_joins,omitempty"`
-	DeferredLeaves []string     `json:"deferred_leaves,omitempty"`
+	// Batch and DeferredJoins hold staged commands, each with the slot
+	// it was admitted in; the boundary that applies one restamps it.
+	Batch          []core.Command `json:"batch,omitempty"`
+	DeferredJoins  []core.Command `json:"deferred_joins,omitempty"`
+	DeferredLeaves []string       `json:"deferred_leaves,omitempty"`
 	// Admission holds the book entries stamped >= From: every entry a
 	// follower that applied the cut at From lacks (names are never
 	// deleted, so upserting them is complete), and all of them when
@@ -46,7 +47,7 @@ type Tail struct {
 	seq int64
 }
 
-// Seq returns the shard's mutation sequence when buildTail cut the
+// Seq returns the shard's mutation sequence when the shard cut the
 // tail: the tail carries every command record and advance the shard
 // had counted by then, so a tail whose Seq is at or past the ShardSeq a
 // write read after its handler returned carries that write. In process
@@ -67,93 +68,32 @@ type Snapshot = Tail
 // change.
 const tailVersion = 2
 
-// pendingCmd is the serialized form of an admitted-but-unapplied
-// command.
-type pendingCmd struct {
-	Op     string   `json:"op"`
-	Task   string   `json:"task"`
-	Weight frac.Rat `json:"weight"`
-	Group  string   `json:"group,omitempty"`
-}
-
-func toPendingCmds(cmds []wireCmd) []pendingCmd {
-	if len(cmds) == 0 {
-		return nil
-	}
-	out := make([]pendingCmd, len(cmds))
-	for i, c := range cmds {
-		out[i] = pendingCmd{Op: opName(c.op), Task: c.task, Weight: c.weight, Group: c.group}
-	}
-	return out
-}
-
-func fromPendingCmds(cmds []pendingCmd) ([]wireCmd, error) {
-	if len(cmds) == 0 {
-		return nil, nil
-	}
-	out := make([]wireCmd, len(cmds))
-	for i, c := range cmds {
-		op, err := opFromName(c.Op)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = wireCmd{op: op, task: c.Task, weight: c.Weight, group: c.Group}
-	}
-	return out, nil
-}
-
-func opName(op pendingOp) string {
-	switch op {
-	case opJoin:
-		return "join"
-	case opLeave:
-		return "leave"
-	case opReweight:
-		return "reweight"
-	default:
-		panic(fmt.Sprintf("serve: unhandled pending op %d", op))
-	}
-}
-
-func opFromName(name string) (pendingOp, error) {
-	switch name {
-	case "join":
-		return opJoin, nil
-	case "leave":
-		return opLeave, nil
-	case "reweight":
-		return opReweight, nil
-	}
-	return 0, fmt.Errorf("serve: snapshot names unknown op %q", name)
-}
-
-// buildTail serializes the shard's state from log index `from` on;
-// from 0 cuts the shard's snapshot. Run-goroutine only (or after the
-// loop has exited).
+// tail serializes the state from log index `from` on; from 0 cuts the
+// snapshot. seq is the cutting shard's mutation sequence (see
+// Tail.Seq). On a Shard, run-goroutine only (or after the loop has
+// exited).
 //
 //lint:allocok tails copy the log suffix and pending sets by design; replication traffic, not the per-slot path
-func (sh *Shard) buildTail(from int) (*Tail, error) {
-	if from < 0 || from > len(sh.log) {
-		return nil, fmt.Errorf("serve: shard %d tail from %d outside [0,%d]", sh.id, from, len(sh.log))
+func (st *shardState) tail(from int, seq int64) (*Tail, error) {
+	if from < 0 || from > len(st.log) {
+		return nil, fmt.Errorf("serve: shard %d tail from %d outside [0,%d]", st.id, from, len(st.log))
 	}
-	cmds := make([]core.Command, len(sh.log)-from)
-	copy(cmds, sh.log[from:])
 	return &Tail{
 		Version:        tailVersion,
-		Shard:          sh.id,
-		Config:         sh.cfg,
-		Seed:           sh.seed,
+		Shard:          st.id,
+		Config:         st.cfg,
+		Seed:           st.seed,
 		From:           from,
-		Total:          len(sh.log),
-		Now:            sh.eng.Now(),
-		Digest:         sh.eng.StateDigest(),
-		Commands:       cmds,
-		Batch:          toPendingCmds(sh.batch),
-		DeferredJoins:  toPendingCmds(sh.defJoins),
-		DeferredLeaves: append([]string(nil), sh.defLeaves...),
-		Admission:      sh.adm.state(from),
-		BooksDigest:    sh.adm.digest(),
-		seq:            sh.ctr.mutations.Load(),
+		Total:          len(st.log),
+		Now:            st.eng.Now(),
+		Digest:         st.eng.StateDigest(),
+		Commands:       append([]core.Command{}, st.log[from:]...),
+		Batch:          append([]core.Command(nil), st.batch...),
+		DeferredJoins:  append([]core.Command(nil), st.defJoins...),
+		DeferredLeaves: append([]string(nil), st.defLeaves...),
+		Admission:      st.adm.state(from),
+		BooksDigest:    st.adm.digest(),
+		seq:            seq,
 	}, nil
 }
 
@@ -178,32 +118,15 @@ func VerifyTail(t *Tail) (uint64, error) {
 
 // restoreShard rebuilds a stopped shard from a snapshot: apply it to a
 // fresh Replica, which replays the log over the seed to the recorded
-// clock and verifies the engine and books digests, then reinstate the
-// pending queues. The returned shard is not started.
+// clock, verifies the engine and books digests and keeps the pending
+// queues, then run the replica's state. The returned shard is not
+// started.
 func restoreShard(snap *Snapshot, mailboxCap int) (*Shard, error) {
 	r := NewReplica(snap.Shard)
 	if err := r.Apply(snap); err != nil {
 		return nil, fmt.Errorf("serve: shard %d restore: %w", snap.Shard, err)
 	}
-	batch, err := fromPendingCmds(snap.Batch)
-	if err != nil {
-		return nil, fmt.Errorf("serve: shard %d snapshot batch: %w", snap.Shard, err)
-	}
-	defJoins, err := fromPendingCmds(snap.DeferredJoins)
-	if err != nil {
-		return nil, fmt.Errorf("serve: shard %d snapshot joins: %w", snap.Shard, err)
-	}
-	sh := &Shard{
-		id:        snap.Shard,
-		cfg:       snap.Config,
-		eng:       r.eng,
-		adm:       r.adm,
-		seed:      snap.Seed,
-		log:       r.log,
-		batch:     batch,
-		defJoins:  defJoins,
-		defLeaves: append([]string(nil), snap.DeferredLeaves...),
-	}
+	sh := &Shard{shardState: r.shardState}
 	sh.initLoop(mailboxCap)
 	return sh, nil
 }

@@ -2,10 +2,12 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/frac"
 	"repro/internal/stats"
 )
@@ -13,7 +15,7 @@ import (
 // scripted is one randomized command attempt at a given slot.
 type scripted struct {
 	slot int64
-	cmd  wireCmd
+	cmd  core.Command
 }
 
 // genScript builds a randomized command schedule. The same script is
@@ -31,24 +33,24 @@ func genScript(seed uint64, horizon int64) []scripted {
 				name := fmt.Sprintf("T%d", nextName)
 				nextName++
 				names = append(names, name)
-				script = append(script, scripted{slot, wireCmd{
-					op: opJoin, task: name,
-					weight: frac.New(int64(1+r.Intn(5)), 16),
+				script = append(script, scripted{slot, core.Command{
+					Op: core.OpJoin, Task: name,
+					Weight: frac.New(int64(1+r.Intn(5)), 16),
 				}})
 			case 2, 3: // reweight a known name (may be rejected; fine)
 				if len(names) == 0 {
 					continue
 				}
-				script = append(script, scripted{slot, wireCmd{
-					op: opReweight, task: names[r.Intn(len(names))],
-					weight: frac.New(int64(1+r.Intn(7)), 16),
+				script = append(script, scripted{slot, core.Command{
+					Op: core.OpReweight, Task: names[r.Intn(len(names))],
+					Weight: frac.New(int64(1+r.Intn(7)), 16),
 				}})
 			case 4: // leave a known name
 				if len(names) == 0 {
 					continue
 				}
-				script = append(script, scripted{slot, wireCmd{
-					op: opLeave, task: names[r.Intn(len(names))],
+				script = append(script, scripted{slot, core.Command{
+					Op: core.OpLeave, Task: names[r.Intn(len(names))],
 				}})
 			}
 		}
@@ -58,9 +60,9 @@ func genScript(seed uint64, horizon int64) []scripted {
 
 // admitScripted feeds one scripted command through admission, deriving
 // the wire-name bytes the way the decoder would.
-func admitScripted(sh *Shard, c wireCmd) {
-	c.raw = []byte(c.task)
-	sh.admit(&c)
+func admitScripted(sh *Shard, c core.Command) {
+	w := wireCmd{Command: c, raw: []byte(c.Task)}
+	sh.admit(&w)
 }
 
 // playSlot admits every script entry for the given slot, then advances
@@ -170,8 +172,8 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 // digest, must be refused, not silently restored.
 func TestRestoreRejectsTamperedSnapshot(t *testing.T) {
 	sh := testShard(t, ShardConfig{M: 2, RecordSchedule: true}, 8)
-	admitOne(sh, opJoin, "A", frac.New(1, 4))
-	admitOne(sh, opJoin, "B", frac.New(1, 3))
+	admitOne(sh, core.OpJoin, "A", frac.New(1, 4))
+	admitOne(sh, core.OpJoin, "B", frac.New(1, 3))
 	sh.advance(8)
 	for _, tc := range []struct {
 		name   string
@@ -211,9 +213,118 @@ func TestRestoreRejectsBadVersion(t *testing.T) {
 // mustSnapshot cuts sh's snapshot, its complete tail.
 func mustSnapshot(t *testing.T, sh *Shard) *Snapshot {
 	t.Helper()
-	snap, err := sh.buildTail(0)
+	snap, err := sh.tail(0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return snap
+}
+
+// stagedShard returns an M=1 shard whose staged work is one leave in
+// the batch and one join deferred by condition J: A's reweight down has
+// not enacted, so the engine has no room for C yet.
+func stagedShard(t *testing.T) *Shard {
+	t.Helper()
+	sh := testShard(t, ShardConfig{M: 1}, 8)
+	admitOne(sh, core.OpJoin, "A", frac.New(1, 2))
+	admitOne(sh, core.OpJoin, "B", frac.New(1, 2))
+	sh.advance(2)
+	admitOne(sh, core.OpReweight, "A", frac.New(1, 4))
+	admitOne(sh, core.OpJoin, "C", frac.New(1, 4))
+	sh.advance(1)
+	admitOne(sh, core.OpLeave, "B", frac.Rat{})
+	if len(sh.batch) != 1 || sh.batch[0].Op != core.OpLeave || len(sh.defJoins) != 1 {
+		t.Fatalf("staged batch %v, deferred joins %v; want one leave and one join", sh.batch, sh.defJoins)
+	}
+	return sh
+}
+
+// editSnapshot round-trips sh's snapshot through its JSON object, with
+// edit changing the top-level fields in between.
+func editSnapshot(t *testing.T, sh *Shard, edit func(map[string]json.RawMessage)) *Snapshot {
+	t.Helper()
+	data, err := json.Marshal(mustSnapshot(t, sh))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(data, &fields); err != nil {
+		t.Fatal(err)
+	}
+	edit(fields)
+	if data, err = json.Marshal(fields); err != nil {
+		t.Fatal(err)
+	}
+	var snap Snapshot
+	if err := json.Unmarshal(data, &snap); err != nil {
+		t.Fatal(err)
+	}
+	return &snap
+}
+
+// TestRestoreReadsSnapshotWithoutAt: staged entries written without an
+// `at` key, as snapshots were before staged work became core.Command
+// records, restore and run on to the digest the uninterrupted shard
+// reaches.
+func TestRestoreReadsSnapshotWithoutAt(t *testing.T) {
+	live := stagedShard(t)
+	snap := editSnapshot(t, live, func(fields map[string]json.RawMessage) {
+		for _, key := range []string{"batch", "deferred_joins"} {
+			var entries []map[string]json.RawMessage
+			if err := json.Unmarshal(fields[key], &entries); err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range entries {
+				if _, ok := e["at"]; !ok {
+					t.Fatalf("%s entry %v carries no at", key, e)
+				}
+				delete(e, "at")
+			}
+			data, err := json.Marshal(entries)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fields[key] = data
+		}
+	})
+	restored, err := restoreShard(snap, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live.advance(20)
+	restored.advance(20)
+	if live.eng.Now() != restored.eng.Now() || live.eng.StateDigest() != restored.eng.StateDigest() {
+		t.Fatalf("restored at (now=%d, %016x), live at (now=%d, %016x)", restored.eng.Now(),
+			restored.eng.StateDigest(), live.eng.Now(), live.eng.StateDigest())
+	}
+	if live.ctr.failedApplies.Load() != 0 || restored.ctr.failedApplies.Load() != 0 {
+		t.Fatalf("failed applies: live %d, restored %d", live.ctr.failedApplies.Load(), restored.ctr.failedApplies.Load())
+	}
+}
+
+// TestReplicaRefusesUnstageableWork: pending work no shard could have
+// staged — an op admission never takes, or a non-join waiting on
+// condition J — is a hard error for a replica and for a restore, not a
+// gap to resync from.
+func TestReplicaRefusesUnstageableWork(t *testing.T) {
+	sh := testShard(t, ShardConfig{M: 1}, 4)
+	admitOne(sh, core.OpJoin, "A", frac.New(1, 4))
+	sh.advance(1)
+	for _, tc := range []struct{ name, key, entries string }{
+		{"delay in batch", "batch", `[{"at":1,"op":"delay","task":"A","arg":1}]`},
+		{"reweight in deferred joins", "deferred_joins", `[{"at":1,"op":"reweight","task":"A","weight":"1/8"}]`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			snap := editSnapshot(t, sh, func(fields map[string]json.RawMessage) {
+				fields[tc.key] = json.RawMessage(tc.entries)
+			})
+			_, restoreErr := restoreShard(snap, 4)
+			for what, err := range map[string]error{"Replica.Apply": NewReplica(0).Apply(snap), "restoreShard": restoreErr} {
+				var gap GapError
+				if err == nil || errors.As(err, &gap) {
+					t.Errorf("%s answered %v, want a hard error", what, err)
+				}
+			}
+		})
+	}
 }

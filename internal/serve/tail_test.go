@@ -296,7 +296,7 @@ func TestFoldedBooksTrackThePrimary(t *testing.T) {
 					if coin.Intn(2) == 0 {
 						return
 					}
-					tl, err := sh.buildTail(from)
+					tl, err := sh.tail(from, 0)
 					if err != nil {
 						t.Fatal(err)
 					}

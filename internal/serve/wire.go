@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/frac"
 	"repro/internal/model"
 )
@@ -158,21 +159,21 @@ const (
 // parseCommand validates the wire form and resolves it to an op and an
 // exact weight. It performs only stateless checks; stateful admission
 // (names, headroom) happens on the shard goroutine.
-func parseCommand(req CommandRequest) (op pendingOp, w frac.Rat, err error) {
+func parseCommand(req CommandRequest) (op core.CommandOp, w frac.Rat, err error) {
 	switch req.Op {
 	case "join":
-		op = opJoin
+		op = core.OpJoin
 	case "leave":
-		op = opLeave
+		op = core.OpLeave
 	case "reweight":
-		op = opReweight
+		op = core.OpReweight
 	default:
 		return 0, frac.Rat{}, fmt.Errorf("op %q is not one of join, leave, reweight", req.Op)
 	}
 	if req.Task == "" {
 		return 0, frac.Rat{}, fmt.Errorf("missing task name")
 	}
-	if op == opLeave {
+	if op == core.OpLeave {
 		return op, frac.Rat{}, nil
 	}
 	if req.Weight == "" {

@@ -24,6 +24,10 @@
 //     and digest, and Replay drives the log deterministically against a
 //     fresh daemon, verifying byte-identical core.StateDigest per shard.
 //
+// Shape and template streams emit core.Command records with only Op —
+// join, leave or reweight, the daemon's wire vocabulary — Task and
+// Weight set; the daemon stamps the slot.
+//
 // The package deliberately shares no code with internal/serve: it
 // speaks the daemon's public JSON API with its own minimal client, so
 // the generator cannot inherit a bug from the system under test.

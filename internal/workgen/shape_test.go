@@ -115,7 +115,7 @@ func TestShapeStreamDeterminism(t *testing.T) {
 		return ss
 	}
 	a, b := mk(), mk()
-	var ca, cb []Cmd
+	var ca, cb []core.Command
 	for r := 0; r < 200; r++ {
 		ca = a.NextBatch(ca[:0], 8)
 		cb = b.NextBatch(cb[:0], 8)
@@ -153,7 +153,7 @@ func TestShapeStreamIdlePhase(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []int
-	var buf []Cmd
+	var buf []core.Command
 	for r := 0; r < 6; r++ {
 		buf = ss.NextBatch(buf[:0], 4)
 		got = append(got, len(buf))
@@ -180,7 +180,7 @@ func TestShapeStreamChurnBounded(t *testing.T) {
 	}
 	joined := map[string]bool{}  // flushed joins, eligible to leave
 	pending := map[string]bool{} // posted but not yet flushed
-	var buf []Cmd
+	var buf []core.Command
 	for r := 0; r < 400; r++ {
 		buf = ss.NextBatch(buf[:0], 8)
 		for _, c := range buf {

@@ -62,7 +62,7 @@ func NewShapeStream(shape *Shape, rng *stats.RNG, prefix string, anchor func(i i
 // NextBatch appends one round's commands to dst, sized by the current
 // phase's rate against base. An idle phase (rate 0) appends nothing —
 // the round still elapses, so the caller keeps pacing virtual time.
-func (ss *ShapeStream) NextBatch(dst []Cmd, base int) []Cmd {
+func (ss *ShapeStream) NextBatch(dst []core.Command, base int) []core.Command {
 	p := ss.shape.Phase(ss.round)
 	ss.round++
 	n := p.BatchSize(base)
@@ -76,30 +76,30 @@ func (ss *ShapeStream) NextBatch(dst []Cmd, base int) []Cmd {
 			continue
 		}
 		w := sixtyFourths(int64(1 + ss.rng.Bounded(spread)))
-		dst = append(dst, Cmd{Op: core.OpReweight, Task: ss.anchor(ss.rng.Bounded(ss.tasks)), Weight: w})
+		dst = append(dst, core.Command{Op: core.OpReweight, Task: ss.anchor(ss.rng.Bounded(ss.tasks)), Weight: w})
 	}
 	return dst
 }
 
 // churnStep emits one join or leave, keeping at most churnWindow of the
 // stream's short-lived tasks alive so the weight envelope stays bounded.
-func (ss *ShapeStream) churnStep(dst []Cmd) []Cmd {
+func (ss *ShapeStream) churnStep(dst []core.Command) []core.Command {
 	canJoin := len(ss.fresh)+len(ss.ready) < churnWindow
 	switch {
 	case canJoin && (len(ss.ready) == 0 || ss.rng.Bounded(2) == 0):
 		name := ss.prefix + "-c" + strconv.Itoa(ss.seq)
 		ss.seq++
 		ss.fresh = append(ss.fresh, name)
-		return append(dst, Cmd{Op: core.OpJoin, Task: name, Weight: sixtyFourths(2)})
+		return append(dst, core.Command{Op: core.OpJoin, Task: name, Weight: sixtyFourths(2)})
 	case len(ss.ready) > 0:
 		name := ss.ready[0]
 		ss.ready = ss.ready[1:]
-		return append(dst, Cmd{Op: core.OpLeave, Task: name})
+		return append(dst, core.Command{Op: core.OpLeave, Task: name})
 	default:
 		// Window full, nothing flushed yet: fall back to a reweight so
 		// the round keeps its command count.
 		w := sixtyFourths(int64(1 + ss.rng.Bounded(2)))
-		return append(dst, Cmd{Op: core.OpReweight, Task: ss.anchor(ss.rng.Bounded(ss.tasks)), Weight: w})
+		return append(dst, core.Command{Op: core.OpReweight, Task: ss.anchor(ss.rng.Bounded(ss.tasks)), Weight: w})
 	}
 }
 

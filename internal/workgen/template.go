@@ -92,14 +92,6 @@ func (t Template) ExpectsRejections() bool {
 	}
 }
 
-// A Cmd is one generated client command. Only join, leave, and reweight
-// are ever generated (the daemon's wire vocabulary).
-type Cmd struct {
-	Op     core.CommandOp
-	Task   string
-	Weight frac.Rat // join weight or reweight target; zero for leave
-}
-
 // churnWindow bounds the live short-lived tasks a churn stream keeps;
 // the validation envelope below depends on it.
 const churnWindow = 8
@@ -166,19 +158,19 @@ func sixtyFourths(num int64) frac.Rat { return frac.New(num, 64) }
 // Setup appends the template's initial joins to dst. The caller must
 // advance the shard once after posting them (joins apply at the next
 // slot boundary) before asking for Next batches.
-func (ts *TemplateStream) Setup(dst []Cmd) []Cmd {
+func (ts *TemplateStream) Setup(dst []core.Command) []core.Command {
 	switch ts.t { // exhaustive: per-template setup (eventexhaust)
 	case TemplateReweightStorm, TemplateChurn:
 		for i := 0; i < ts.tasks; i++ {
-			dst = append(dst, Cmd{Op: core.OpJoin, Task: ts.anchor(i), Weight: sixtyFourths(1)})
+			dst = append(dst, core.Command{Op: core.OpJoin, Task: ts.anchor(i), Weight: sixtyFourths(1)})
 		}
 	case TemplateAdmissionCamp:
 		// 2M-1 campers at 1/2 and one at 31/64: requested weight lands on
 		// M - 1/64, so nothing at or above 1/32 can ever join again.
 		for i := 0; i < 2*ts.m-1; i++ {
-			dst = append(dst, Cmd{Op: core.OpJoin, Task: ts.anchor(i), Weight: frac.Half})
+			dst = append(dst, core.Command{Op: core.OpJoin, Task: ts.anchor(i), Weight: frac.Half})
 		}
-		dst = append(dst, Cmd{Op: core.OpJoin, Task: ts.anchor(2*ts.m - 1), Weight: sixtyFourths(31)})
+		dst = append(dst, core.Command{Op: core.OpJoin, Task: ts.anchor(2*ts.m - 1), Weight: sixtyFourths(31)})
 	case TemplateHeavyFlood:
 		// No setup: the flood itself fills the shard.
 	default:
@@ -188,7 +180,7 @@ func (ts *TemplateStream) Setup(dst []Cmd) []Cmd {
 }
 
 // Next appends n generated commands to dst.
-func (ts *TemplateStream) Next(dst []Cmd, n int) []Cmd {
+func (ts *TemplateStream) Next(dst []core.Command, n int) []core.Command {
 	for i := 0; i < n; i++ {
 		dst = ts.one(dst)
 		ts.step++
@@ -196,7 +188,7 @@ func (ts *TemplateStream) Next(dst []Cmd, n int) []Cmd {
 	return dst
 }
 
-func (ts *TemplateStream) one(dst []Cmd) []Cmd {
+func (ts *TemplateStream) one(dst []core.Command) []core.Command {
 	switch ts.t { // exhaustive: per-template generation (eventexhaust)
 	case TemplateReweightStorm:
 		// Slam the storm task back and forth across the light-weight
@@ -206,7 +198,7 @@ func (ts *TemplateStream) one(dst []Cmd) []Cmd {
 		if ts.step%2 == 1 {
 			target = sixtyFourths(1 + int64(ts.rng.Bounded(4)))
 		}
-		return append(dst, Cmd{Op: core.OpReweight, Task: ts.anchor(0), Weight: target})
+		return append(dst, core.Command{Op: core.OpReweight, Task: ts.anchor(0), Weight: target})
 	case TemplateChurn:
 		switch ts.step % 3 {
 		case 0:
@@ -221,37 +213,37 @@ func (ts *TemplateStream) one(dst []Cmd) []Cmd {
 			return ts.churnJoin(dst)
 		default:
 			a := ts.anchor(ts.rng.Bounded(ts.tasks))
-			return append(dst, Cmd{Op: core.OpReweight, Task: a, Weight: sixtyFourths(1 + int64(ts.rng.Bounded(2)))})
+			return append(dst, core.Command{Op: core.OpReweight, Task: a, Weight: sixtyFourths(1 + int64(ts.rng.Bounded(2)))})
 		}
 	case TemplateAdmissionCamp:
 		// The shard is camped at M - 1/64; every 1/32 join must bounce.
-		return append(dst, Cmd{Op: core.OpJoin, Task: ts.freshName(), Weight: frac.New(1, 32)})
+		return append(dst, core.Command{Op: core.OpJoin, Task: ts.freshName(), Weight: frac.New(1, 32)})
 	case TemplateHeavyFlood:
-		return append(dst, Cmd{Op: core.OpJoin, Task: ts.freshName(), Weight: frac.Half})
+		return append(dst, core.Command{Op: core.OpJoin, Task: ts.freshName(), Weight: frac.Half})
 	default:
 		panic(fmt.Sprintf("workgen: unhandled template %d", uint8(ts.t)))
 	}
 }
 
-func (ts *TemplateStream) churnJoin(dst []Cmd) []Cmd {
+func (ts *TemplateStream) churnJoin(dst []core.Command) []core.Command {
 	if len(ts.fresh)+len(ts.ready) >= churnWindow {
 		// Window full and nothing ready to leave: skip to a reweight so
 		// the envelope bound holds unconditionally.
 		a := ts.anchor(ts.rng.Bounded(ts.tasks))
-		return append(dst, Cmd{Op: core.OpReweight, Task: a, Weight: sixtyFourths(1 + int64(ts.rng.Bounded(2)))})
+		return append(dst, core.Command{Op: core.OpReweight, Task: a, Weight: sixtyFourths(1 + int64(ts.rng.Bounded(2)))})
 	}
 	name := ts.freshName()
 	ts.fresh = append(ts.fresh, name)
-	return append(dst, Cmd{Op: core.OpJoin, Task: name, Weight: sixtyFourths(2)})
+	return append(dst, core.Command{Op: core.OpJoin, Task: name, Weight: sixtyFourths(2)})
 }
 
-func (ts *TemplateStream) churnLeave(dst []Cmd) []Cmd {
+func (ts *TemplateStream) churnLeave(dst []core.Command) []core.Command {
 	if len(ts.ready) == 0 {
 		return ts.churnJoin(dst)
 	}
 	name := ts.ready[0]
 	ts.ready = ts.ready[1:]
-	return append(dst, Cmd{Op: core.OpLeave, Task: name})
+	return append(dst, core.Command{Op: core.OpLeave, Task: name})
 }
 
 // Advanced tells the stream the shard advanced a slot boundary: every

@@ -123,7 +123,7 @@ func TestChurnStreamInvariants(t *testing.T) {
 	everJoined := map[string]bool{}
 	flushed := map[string]bool{}
 	var pending []string
-	var buf []Cmd
+	var buf []core.Command
 	for round := 0; round < 300; round++ {
 		buf = ts.Next(buf[:0], 8)
 		for _, c := range buf {
