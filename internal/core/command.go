@@ -24,7 +24,7 @@ type CommandOp uint8
 const (
 	// OpJoin adds a task (Scheduler.Join).
 	OpJoin CommandOp = iota
-	// OpLeave removes a task (Scheduler.Leave).
+	// OpLeave removes a task once rule L permits (Scheduler.Depart).
 	OpLeave
 	// OpReweight requests a weight change (Scheduler.Initiate).
 	OpReweight
@@ -117,7 +117,7 @@ func (s *Scheduler) Apply(c Command) error {
 	case OpJoin:
 		return s.Join(model.Spec{Name: c.Task, Weight: c.Weight, Group: c.Group})
 	case OpLeave:
-		return s.Leave(c.Task)
+		return s.Depart(c.Task)
 	case OpReweight:
 		return s.Initiate(c.Task, c.Weight)
 	case OpDelay:

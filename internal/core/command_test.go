@@ -157,8 +157,9 @@ func TestReplayFromSnapshotPoint(t *testing.T) {
 	const cut, horizon = 11, 40
 
 	// Record the log from a live run: scripted reweights/joins, plus a
-	// leave of A retried each slot until rule L admits it (its legal time
-	// depends on the schedule, so it cannot be hardcoded).
+	// leave of A from t=20 on, which Depart holds in the engine until
+	// rule L admits it (its legal time depends on the schedule, so it
+	// cannot be hardcoded).
 	full, err := New(replayConfig(PolicyOI), sys)
 	if err != nil {
 		t.Fatal(err)

@@ -444,9 +444,8 @@ var (
 	ErrUnknownTask = errors.New("core: unknown task")
 	ErrNotActive   = errors.New("core: task is not active")
 	// ErrLeaveTooEarly reports a Leave attempted before rule L permits it
-	// (now < d(T_i) + b(T_i) for the last scheduled subtask). Callers that
-	// queue departures — internal/serve defers such leaves to a later slot
-	// boundary — match it with errors.Is.
+	// (now < d(T_i) + b(T_i) for the last scheduled subtask). Depart, which
+	// OpLeave commands run, never returns it: it waits for rule L instead.
 	ErrLeaveTooEarly = errors.New("core: leave violates rule L")
 )
 
@@ -460,7 +459,7 @@ func (s *Scheduler) Initiate(name string, v frac.Rat) error {
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownTask, name)
 	}
-	if !ts.joined || ts.left {
+	if !ts.joined || ts.left || ts.departing() {
 		return fmt.Errorf("%w: %s", ErrNotActive, name)
 	}
 	if err := model.CheckLightWeight(v); err != nil {
@@ -787,37 +786,88 @@ func (s *Scheduler) Leave(name string) error {
 	if !ts.joined || ts.left {
 		return fmt.Errorf("%w: %s", ErrNotActive, name)
 	}
+	if need := s.ruleL(ts); s.now < need {
+		return fmt.Errorf("%w: %s at %d (needs t >= %d)", ErrLeaveTooEarly, name, s.now, need)
+	}
+	s.leaveNow(ts)
+	return nil
+}
+
+// ruleL returns the earliest time rule L lets ts leave: d+b of its last
+// scheduled subtask, or 0 before it has run.
+func (s *Scheduler) ruleL(ts *taskState) model.Time {
+	for sub := ts.lastReleased; sub != nil; sub = sub.prev {
+		if sub.scheduled {
+			return sub.deadline + sub.bbit
+		}
+	}
+	return 0
+}
+
+// leaveNow takes ts out of the system at the current time, which rule L
+// must permit. Its released, unscheduled subtasks are withdrawn (halted).
+func (s *Scheduler) leaveNow(ts *taskState) {
 	// Freeze the lazy accrual at the leave time; a left task is skipped by
 	// all future syncs, exactly as the per-slot loop skipped left tasks.
 	s.syncTask(ts, s.now)
-	var pending []*subtask // released, unscheduled: withdrawn if the leave succeeds
-	lastSched := ts.lastReleased
-	for lastSched != nil && !lastSched.scheduled {
-		if !lastSched.halted {
-			pending = append(pending, lastSched)
+	for sub := ts.lastReleased; sub != nil && !sub.scheduled; sub = sub.prev {
+		if !sub.halted {
+			s.halt(sub)
 		}
-		lastSched = lastSched.prev
-	}
-	if lastSched != nil {
-		if s.now < lastSched.deadline+lastSched.bbit {
-			return fmt.Errorf("%w: %s at %d (needs t >= %d)",
-				ErrLeaveTooEarly, name, s.now, lastSched.deadline+lastSched.bbit)
-		}
-	}
-	for _, sub := range pending {
-		s.halt(sub)
 	}
 	ts.left = true
 	ts.enact = nil
 	ts.nextRel = pendingRelease{at: noTime}
 	s.totalSwt = s.totalSwt.Sub(ts.swt)
 	s.updateOffer(ts)
+}
+
+// Depart removes a task as soon as rule L permits. If it permits now,
+// Depart is Leave. Otherwise the task stops releasing subtasks at once:
+// a pending enactment is cancelled and ERfair speculation unwound, as
+// Initiate does, and Step removes the task at max(now, d(T_j)+b(T_j))
+// of its last released, unhalted subtask T_j — the time initiateLJ
+// rejoins at. PD² completes T_j by its deadline, so rule L holds then.
+// Until that slot the task is active and Leaving (TaskMetrics), and
+// Initiate and Depart refuse it.
+func (s *Scheduler) Depart(name string) error {
+	s.digestOK = false
+	ts, ok := s.byName[name]
+	if !ok {
+		return fmt.Errorf("%w: %s", ErrUnknownTask, name)
+	}
+	if !ts.joined || ts.left {
+		return fmt.Errorf("%w: %s", ErrNotActive, name)
+	}
+	if ts.departing() {
+		return fmt.Errorf("%w: %s is already leaving", ErrNotActive, name)
+	}
+	if s.ruleL(ts) <= s.now {
+		s.leaveNow(ts)
+		return nil
+	}
+	// Sync-before-mutation: materialize the lazy accrual state at t_c so
+	// the unwind below observes exactly what the per-slot engine would.
+	s.syncTask(ts, s.now)
+	ts.enact = nil
+	s.unwindSpeculation(ts)
+	at := s.now
+	tj := ts.lastReleased
+	for tj != nil && tj.halted {
+		tj = tj.prev
+	}
+	if tj != nil {
+		at = maxTime(at, tj.deadline+tj.bbit)
+	}
+	ts.enact = &pendingEnact{at: at, depart: true}
+	ts.nextRel = pendingRelease{at: noTime}
+	s.pushEvent(evKindEnact, tevent{at: at, ts: ts})
 	return nil
 }
 
 // Step simulates one slot: enactments and releases due now, PD² scheduling,
 // then ideal-schedule accrual. Initiations and joins/leaves for this slot
-// must be issued (via Initiate/Join/Leave) before calling Step.
+// must be issued (via Initiate/Join/Leave/Depart) before calling Step.
 //
 // Each phase pops its calendar and re-validates every event against the
 // predicate the original per-slot scan evaluated (the scan itself is
@@ -860,6 +910,12 @@ func (s *Scheduler) Step() {
 				}
 				increase := ts.swt.Less(e.target)
 				if (pass == 0) == increase {
+					continue
+				}
+				if e.depart {
+					// Depart's time: its last subtask has run, so rule L
+					// permits the leave.
+					s.leaveNow(ts)
 					continue
 				}
 				if s.cfg.Police && increase {

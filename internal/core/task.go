@@ -98,6 +98,9 @@ type pendingEnact struct {
 	releaseWithEnact bool
 	// viaLJ marks a leave/join enactment for overhead accounting.
 	viaLJ bool
+	// depart marks a Depart: the task leaves at the enactment time, and
+	// target is zero so the leave runs in Step's non-increase pass.
+	depart bool
 }
 
 // pendingRelease describes the next subtask release of a task.
@@ -198,6 +201,9 @@ type taskState struct {
 	retired *subtask
 }
 
+// departing reports whether a Depart awaits rule L.
+func (ts *taskState) departing() bool { return ts.enact != nil && ts.enact.depart }
+
 // earliestIncomplete returns the earliest released subtask that is neither
 // scheduled, halted nor absent, or nil. Windows of consecutive subtasks can
 // overlap by the b-bit, so the successor may already be released while its
@@ -252,9 +258,12 @@ type TaskMetrics struct {
 	Migrations  int64
 	Preemptions int64
 	// Active reports whether the task has joined and not yet left —
-	// whether it still occupies scheduling weight. Admission layers
-	// rebuilding their books from a restored scheduler key off this.
-	Active bool
+	// whether it still occupies scheduling weight. Leaving reports a
+	// Depart that waits for rule L: the task is active until then.
+	// Admission layers rebuilding their books from a scheduler key off
+	// both.
+	Active  bool
+	Leaving bool
 }
 
 // PercentOfIdeal returns A(S)/A(I_PS) as a float (1.0 == exactly the ideal
@@ -284,5 +293,6 @@ func (ts *taskState) metrics() TaskMetrics {
 		Migrations:  ts.migrations,
 		Preemptions: ts.preemptions,
 		Active:      ts.joined && !ts.left,
+		Leaving:     ts.departing(),
 	}
 }

@@ -60,9 +60,9 @@ type taskEntry struct {
 	// leaves for pending tasks are refused (409 conflict) so an admitted
 	// mutation can never hit an engine that does not know the task yet.
 	pending bool
-	// leaving marks an admitted leave. The weight stays counted until
-	// the engine leave actually succeeds (rule L may defer it), keeping
-	// the headroom conservative.
+	// leaving marks an admitted leave still staged. Its weight leaves
+	// the books at the boundary that hands the leave to the engine,
+	// which holds the task until rule L permits.
 	leaving bool
 	// at is admission.at as of the entry's last change.
 	at int
@@ -171,8 +171,8 @@ func (a *admission) admitReweight(raw []byte, w frac.Rat) (string, *admissionErr
 }
 
 // admitLeave marks an admitted task as leaving and returns the
-// canonical interned name. Its weight is freed by completeLeave once
-// the engine leave succeeds.
+// canonical interned name. Its weight is freed by completeLeave at the
+// boundary that hands the leave to the engine.
 //
 //lint:noalloc hot admission path; rejections sit at allocok boundaries
 func (a *admission) admitLeave(raw []byte) (string, *admissionError) {
@@ -219,8 +219,8 @@ func (a *admission) abortJoin(name string) {
 	a.touch(e)
 }
 
-// completeLeave frees the task's weight after the engine leave
-// succeeded.
+// completeLeave frees the task's weight once the engine took the
+// leave.
 func (a *admission) completeLeave(name string) {
 	e := a.tasks[name]
 	if e == nil {

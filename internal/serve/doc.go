@@ -17,10 +17,11 @@
 //     weights may not exceed the processor count M — is enforced at the
 //     mailbox, not discovered in the engine. A join or reweight that
 //     would break (W) is rejected with the exact rational headroom left;
-//     an admitted command is guaranteed to apply (leaves blocked by rule
-//     L and joins blocked by condition J are deferred and retried at
-//     each boundary, never dropped). The shard's failed-apply counter
-//     stays zero by construction; tests assert it.
+//     an admitted command is guaranteed to apply (joins blocked by
+//     condition J are deferred and retried at each boundary, never
+//     dropped, and the engine holds a leave until rule L permits). The
+//     shard's failed-apply counter stays zero by construction; tests
+//     assert it.
 //
 //   - Bounded queues. The mailbox is a fixed-capacity channel. When it
 //     is full the handler answers 429 with Retry-After instead of

@@ -50,7 +50,8 @@ func (r *Replica) Now() int64 {
 // Apply folds one tail into the replica: append the new commands,
 // replay them on the live engine up to the tail's clock, verify the
 // engine digest against the primary's, upsert the tail's book entries
-// and verify the books digest, then keep the tail's pending queues. A
+// and verify the books digest, then keep the tail's pending queues,
+// with a version-2 tail's deferred leaves staged ahead of its batch. A
 // tail starting past the log end is a GapError (the caller resyncs from
 // the wanted index); a version or shard mismatch, pending work no shard
 // could have staged, a replay failure or a digest mismatch is a hard
@@ -59,8 +60,8 @@ func (r *Replica) Now() int64 {
 // skipped, only the suffix applies, and the book entries they carry
 // are a superset of the ones the replica lacks.
 func (r *Replica) Apply(t *Tail) error {
-	if t.Version != tailVersion {
-		return fmt.Errorf("serve: tail version %d, want %d", t.Version, tailVersion)
+	if t.Version != tailVersion && t.Version != 2 {
+		return fmt.Errorf("serve: tail version %d, want %d or 2", t.Version, tailVersion)
 	}
 	if t.Shard != r.id {
 		return fmt.Errorf("serve: tail for shard %d applied to replica of %d", t.Shard, r.id)
@@ -74,6 +75,9 @@ func (r *Replica) Apply(t *Tail) error {
 		if c.Op != core.OpJoin {
 			return fmt.Errorf("serve: replica %d deferred join %d is a %s", r.id, i, c.Op)
 		}
+	}
+	if len(t.DeferredLeaves) > 0 && t.Version != 2 {
+		return fmt.Errorf("serve: replica %d version-%d tail defers leaves, which only version-2 shards did", r.id, t.Version)
 	}
 	if r.eng == nil {
 		if t.From != 0 {
@@ -107,9 +111,12 @@ func (r *Replica) Apply(t *Tail) error {
 	}
 	// Fresh copies: the caller keeps its tail, and a replica reusing its
 	// arrays would hold the largest batch it ever saw.
-	r.batch = append([]core.Command(nil), t.Batch...)
+	r.batch = make([]core.Command, 0, len(t.DeferredLeaves)+len(t.Batch))
+	for _, name := range t.DeferredLeaves {
+		r.batch = append(r.batch, core.Command{At: t.Now, Op: core.OpLeave, Task: name})
+	}
+	r.batch = append(r.batch, t.Batch...)
 	r.defJoins = append([]core.Command(nil), t.DeferredJoins...)
-	r.defLeaves = append([]string(nil), t.DeferredLeaves...)
 	return nil
 }
 

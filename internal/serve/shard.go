@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 
@@ -92,15 +91,14 @@ func (c ShardConfig) CoreConfig() (core.Config, error) {
 // the log will record; flush restamps At with the boundary that
 // applies them.
 type shardState struct {
-	id        int
-	cfg       ShardConfig
-	seed      model.System
-	eng       *core.Scheduler
-	adm       *admission
-	log       []core.Command // commands actually applied, in order
-	batch     []core.Command // admitted this slot, applies at next boundary
-	defJoins  []core.Command // admitted joins awaiting condition-J headroom
-	defLeaves []string       // admitted leaves awaiting rule L
+	id       int
+	cfg      ShardConfig
+	seed     model.System
+	eng      *core.Scheduler
+	adm      *admission
+	log      []core.Command // commands actually applied, in order
+	batch    []core.Command // admitted this slot, applies at next boundary
+	defJoins []core.Command // admitted joins awaiting condition-J headroom
 }
 
 // build gives the state a fresh engine over seed and empty books.
@@ -328,33 +326,16 @@ func (sh *Shard) engineFits(w frac.Rat) bool {
 	return !frac.FromInt(int64(sh.cfg.M)).Less(sh.eng.TotalSchedWeight().Add(w))
 }
 
-// flush applies the staged work at the current slot boundary, in three
-// passes that preserve admission order: deferred leaves (rule L may
-// finally permit them, freeing weight), deferred joins (strict FIFO —
+// flush applies the staged work at the current slot boundary, in two
+// passes that preserve admission order: deferred joins (strict FIFO —
 // the queue head blocks younger joins so admission order is never
-// inverted), then this slot's batch in arrival order. Admission
-// guarantees each apply succeeds or defers; anything else is counted in
-// failedApplies, which tests pin to zero.
+// inverted), then this slot's batch in arrival order. A leave goes to
+// the engine here, which holds the task until rule L permits, so its
+// weight leaves the books at this boundary. Admission guarantees each
+// apply succeeds or defers; anything else is counted in failedApplies,
+// which tests pin to zero.
 func (sh *Shard) flush() {
 	now := sh.eng.Now()
-
-	kept := sh.defLeaves[:0]
-	for _, name := range sh.defLeaves {
-		c := core.Command{At: now, Op: core.OpLeave, Task: name}
-		err := sh.eng.Apply(c)
-		switch {
-		case err == nil:
-			sh.log = append(sh.log, c)
-			sh.adm.completeLeave(name)
-			sh.ctr.applied.Add(1)
-		case errors.Is(err, core.ErrLeaveTooEarly):
-			kept = append(kept, name)
-		default:
-			sh.ctr.failedApplies.Add(1)
-			sh.adm.completeLeave(name)
-		}
-	}
-	sh.defLeaves = kept
 
 	for len(sh.defJoins) > 0 {
 		c := sh.defJoins[0]
@@ -375,26 +356,18 @@ func (sh *Shard) flush() {
 				continue
 			}
 			sh.applyJoin(c)
-		case core.OpReweight:
+		case core.OpReweight, core.OpLeave:
 			if err := sh.eng.Apply(c); err != nil {
 				sh.ctr.failedApplies.Add(1)
 			} else {
 				sh.log = append(sh.log, c)
 				sh.ctr.applied.Add(1)
 			}
-		case core.OpLeave:
-			err := sh.eng.Apply(c)
-			switch {
-			case err == nil:
-				sh.log = append(sh.log, c)
+			if c.Op == core.OpLeave {
 				sh.adm.completeLeave(c.Task)
-				sh.ctr.applied.Add(1)
-			case errors.Is(err, core.ErrLeaveTooEarly):
-				sh.defLeaves = append(sh.defLeaves, c.Task)
-				sh.ctr.deferred.Add(1)
-			default:
-				sh.ctr.failedApplies.Add(1)
-				sh.adm.completeLeave(c.Task)
+				if m, _ := sh.eng.Metrics(c.Task); m.Leaving {
+					sh.ctr.deferred.Add(1)
+				}
 			}
 		default:
 			panic(fmt.Sprintf("serve: unhandled staged op %s", c.Op))
@@ -444,7 +417,6 @@ func (sh *Shard) status(withTasks bool) *ShardStatus {
 		Violations:        len(sh.eng.Violations()),
 		PendingBatch:      len(sh.batch),
 		DeferredJoins:     len(sh.defJoins),
-		DeferredLeaves:    len(sh.defLeaves),
 	}
 	sh.ctr.fill(st)
 	active := 0
@@ -454,6 +426,9 @@ func (sh *Shard) status(withTasks bool) *ShardStatus {
 		if m.Active {
 			active++
 			sumLag = sumLag.Add(m.Lag.Abs())
+		}
+		if m.Leaving {
+			st.DeferredLeaves++
 		}
 		maxDrift = frac.Max(maxDrift, m.MaxAbsDrift)
 		if withTasks {

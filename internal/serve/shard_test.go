@@ -115,16 +115,18 @@ func TestDeferredLeaveRuleL(t *testing.T) {
 	if res := admitOne(sh, core.OpLeave, "A", frac.Rat{}); res.Error != errConflict {
 		t.Fatalf("double leave: %+v", res)
 	}
-	// Weight stays booked until the engine actually applies the leave
-	// (rule L can defer it past several boundaries).
-	for i := 0; i < 20 && sh.adm.tasks["A"].live; i++ {
-		sh.advance(1)
+	// The weight leaves the books at the boundary that hands the leave
+	// to the engine, and rule L holds A there until d(A_1) = 3.
+	sh.advance(1)
+	if sh.adm.tasks["A"].live || !sh.adm.total.IsZero() {
+		t.Fatalf("A live %v, requested total %s after the boundary; want dead and 0", sh.adm.tasks["A"].live, sh.adm.total)
 	}
-	if sh.adm.tasks["A"].live {
-		t.Fatal("leave never applied within 20 slots")
+	if m, _ := sh.eng.Metrics("A"); !m.Active || !m.Leaving {
+		t.Fatalf("engine has A active %v, leaving %v at t=3; want both until rule L permits", m.Active, m.Leaving)
 	}
-	if !sh.adm.total.IsZero() {
-		t.Fatalf("requested total %s after leave, want 0", sh.adm.total)
+	sh.advance(1)
+	if m, _ := sh.eng.Metrics("A"); m.Active || m.Leaving {
+		t.Fatalf("engine has A active %v, leaving %v after slot 3; want neither", m.Active, m.Leaving)
 	}
 	if sh.ctr.failedApplies.Load() != 0 {
 		t.Fatalf("failedApplies = %d", sh.ctr.failedApplies.Load())
@@ -345,5 +347,38 @@ func TestStateDumpMatchesEngine(t *testing.T) {
 	}
 	if !strings.Contains(b.String(), "task A") || !strings.Contains(b.String(), "slot 5:") {
 		t.Fatalf("state dump missing expected sections:\n%s", b.String())
+	}
+}
+
+// TestEarlyReleaseLeaveDeparts: a lone 1/8 task on two processors runs
+// one subtask per slot under early release, so by t=3 it has run three
+// and rule L holds it until d(T_3) = 24. Its leave, admitted at t=3,
+// frees its weight at the boundary that hands it to the engine, and the
+// engine lets the task go once slot 24 is stepped; until then the shard
+// counts one deferred leave.
+func TestEarlyReleaseLeaveDeparts(t *testing.T) {
+	sh := testShard(t, ShardConfig{M: 2, EarlyRelease: true}, 8)
+	admitOne(sh, core.OpJoin, "T", frac.New(1, 8))
+	sh.advance(3)
+	if res := admitOne(sh, core.OpLeave, "T", frac.Rat{}); res.Status != "queued" {
+		t.Fatalf("leave: %+v", res)
+	}
+	sh.advance(1)
+	for sh.eng.Now() <= 24 {
+		if st := sh.status(false); st.DeferredLeaves != 1 || st.Headroom != "2" || st.ActiveTasks != 1 {
+			t.Fatalf("at t=%d: %d deferred leaves, headroom %s, %d active; want 1, 2 and 1 until slot 24 is stepped",
+				st.Now, st.DeferredLeaves, st.Headroom, st.ActiveTasks)
+		}
+		sh.advance(1)
+	}
+	if st := sh.status(false); st.DeferredLeaves != 0 || st.Headroom != "2" || st.ActiveTasks != 0 {
+		t.Fatalf("at t=%d: %d deferred leaves, headroom %s, %d active; want 0, 2 and 0",
+			st.Now, st.DeferredLeaves, st.Headroom, st.ActiveTasks)
+	}
+	if got := sh.ctr.deferred.Load(); got != 1 {
+		t.Fatalf("deferred counter %d, want 1 for the leave the engine held", got)
+	}
+	if sh.ctr.failedApplies.Load() != 0 {
+		t.Fatalf("failedApplies = %d", sh.ctr.failedApplies.Load())
 	}
 }

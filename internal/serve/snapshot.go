@@ -16,8 +16,8 @@ import (
 // certify the engine state after the last carried command, and
 // BooksDigest the whole books; Replica.Apply checks both on every tail.
 type Tail struct {
-	// Version guards the wire and file format; Replica.Apply refuses
-	// any other.
+	// Version guards the wire and file format; Replica.Apply reads
+	// tailVersion and 2 and refuses any other.
 	Version int          `json:"version"`
 	Shard   int          `json:"shard"`
 	Config  ShardConfig  `json:"config"`
@@ -32,9 +32,12 @@ type Tail struct {
 
 	// Batch and DeferredJoins hold staged commands, each with the slot
 	// it was admitted in; the boundary that applies one restamps it.
-	Batch          []core.Command `json:"batch,omitempty"`
-	DeferredJoins  []core.Command `json:"deferred_joins,omitempty"`
-	DeferredLeaves []string       `json:"deferred_leaves,omitempty"`
+	Batch         []core.Command `json:"batch,omitempty"`
+	DeferredJoins []core.Command `json:"deferred_joins,omitempty"`
+	// DeferredLeaves is read from version-2 tails only, whose shards
+	// retried leaves that rule L refused; a replica stages them ahead
+	// of the batch. No tail is cut with it.
+	DeferredLeaves []string `json:"deferred_leaves,omitempty"`
 	// Admission holds the book entries stamped >= From: every entry a
 	// follower that applied the cut at From lacks (names are never
 	// deleted, so upserting them is complete), and all of them when
@@ -59,14 +62,16 @@ func (t *Tail) Seq() int64 { return t.seq }
 // serializing the scheduler's internal heaps, it records the seed
 // system plus the log of commands actually applied — core.Replay
 // rebuilds the engine byte-for-byte, and Digest proves it did.
-// Admitted-but-unapplied work (the slot batch and the rule-L/J deferral
-// queues) and the admission books ride along so a restart loses no
-// admitted command.
+// Admitted-but-unapplied work (the slot batch and the condition-J
+// deferral queue) and the admission books ride along so a restart loses
+// no admitted command.
 type Snapshot = Tail
 
 // tailVersion guards the wire and file format; bump on incompatible
-// change.
-const tailVersion = 2
+// change. Version 3 logs a leave at the boundary that hands it to the
+// engine, rule L permitting or not, which a version-2 binary cannot
+// replay. Version-2 tails still apply: their logs replay unchanged.
+const tailVersion = 3
 
 // tail serializes the state from log index `from` on; from 0 cuts the
 // snapshot. seq is the cutting shard's mutation sequence (see
@@ -79,21 +84,20 @@ func (st *shardState) tail(from int, seq int64) (*Tail, error) {
 		return nil, fmt.Errorf("serve: shard %d tail from %d outside [0,%d]", st.id, from, len(st.log))
 	}
 	return &Tail{
-		Version:        tailVersion,
-		Shard:          st.id,
-		Config:         st.cfg,
-		Seed:           st.seed,
-		From:           from,
-		Total:          len(st.log),
-		Now:            st.eng.Now(),
-		Digest:         st.eng.StateDigest(),
-		Commands:       append([]core.Command{}, st.log[from:]...),
-		Batch:          append([]core.Command(nil), st.batch...),
-		DeferredJoins:  append([]core.Command(nil), st.defJoins...),
-		DeferredLeaves: append([]string(nil), st.defLeaves...),
-		Admission:      st.adm.state(from),
-		BooksDigest:    st.adm.digest(),
-		seq:            seq,
+		Version:       tailVersion,
+		Shard:         st.id,
+		Config:        st.cfg,
+		Seed:          st.seed,
+		From:          from,
+		Total:         len(st.log),
+		Now:           st.eng.Now(),
+		Digest:        st.eng.StateDigest(),
+		Commands:      append([]core.Command{}, st.log[from:]...),
+		Batch:         append([]core.Command(nil), st.batch...),
+		DeferredJoins: append([]core.Command(nil), st.defJoins...),
+		Admission:     st.adm.state(from),
+		BooksDigest:   st.adm.digest(),
+		seq:           seq,
 	}, nil
 }
 

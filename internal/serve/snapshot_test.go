@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 
@@ -313,6 +314,7 @@ func TestReplicaRefusesUnstageableWork(t *testing.T) {
 	for _, tc := range []struct{ name, key, entries string }{
 		{"delay in batch", "batch", `[{"at":1,"op":"delay","task":"A","arg":1}]`},
 		{"reweight in deferred joins", "deferred_joins", `[{"at":1,"op":"reweight","task":"A","weight":"1/8"}]`},
+		{"deferred leaves in a version-3 tail", "deferred_leaves", `["A"]`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			snap := editSnapshot(t, sh, func(fields map[string]json.RawMessage) {
@@ -326,5 +328,57 @@ func TestReplicaRefusesUnstageableWork(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRestoreVersion2Snapshot restores testdata/snapshot_v2.json, a
+// version-2 file whose shard (M=2, early release) holds a staged leave,
+// a leave rule L was deferring and a join condition J was deferring.
+// Its log replays to its engine digest, its books match its books
+// digest, and the shard then drains every queue, its deferred leave
+// staged ahead of its batch, and cuts a version-3 tail that replays to
+// its digest.
+func TestRestoreVersion2Snapshot(t *testing.T) {
+	data, err := os.ReadFile("testdata/snapshot_v2.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap Snapshot
+	if err := json.Unmarshal(data, &snap); err != nil {
+		t.Fatal(err)
+	}
+	if snap.Version != 2 || len(snap.Batch) != 1 || len(snap.DeferredLeaves) != 1 || len(snap.DeferredJoins) != 1 {
+		t.Fatalf("fixture is version %d with batch %v, deferred leaves %v, deferred joins %v",
+			snap.Version, snap.Batch, snap.DeferredLeaves, snap.DeferredJoins)
+	}
+	sh, err := restoreShard(&snap, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sh.batch) != 2 || sh.batch[0].Op != core.OpLeave || sh.batch[0].Task != snap.DeferredLeaves[0] {
+		t.Fatalf("restored batch %v, want the deferred leave of %s staged ahead of %v", sh.batch, snap.DeferredLeaves[0], snap.Batch)
+	}
+	for {
+		st := sh.status(false)
+		if st.FailedApplies != 0 {
+			t.Fatalf("at t=%d: %d failed applies", st.Now, st.FailedApplies)
+		}
+		if st.PendingBatch+st.DeferredJoins+st.DeferredLeaves == 0 {
+			break
+		}
+		if st.Now > 100 {
+			t.Fatalf("at t=%d: batch %d, deferred joins %d, deferred leaves %d still pending",
+				st.Now, st.PendingBatch, st.DeferredJoins, st.DeferredLeaves)
+		}
+		sh.advance(1)
+	}
+	tail := mustSnapshot(t, sh)
+	digest, err := VerifyTail(tail)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tail.Version != tailVersion || digest != tail.Digest {
+		t.Fatalf("restored shard's tail is version %d with digest %016x, replays to %016x",
+			tail.Version, tail.Digest, digest)
 	}
 }

@@ -269,19 +269,22 @@ func requireRunningBooksDigest(t *testing.T, what string, a *admission) {
 }
 
 // TestFoldedBooksTrackThePrimary: a replica that applies each tail cut
-// from the log index of the cut before it holds the primary's books
-// after every apply, so the stamps leave out no changed entry. Random
-// histories under every policy cover deferred joins and leaves, and
-// cuts land both between admissions and at slot boundaries. The
+// from the log index of the cut before it holds the primary's books,
+// entry by entry, after every apply, so the stamps leave out no changed
+// entry. Random
+// histories under every policy, and with early release, cover deferred
+// joins and leaves the engine holds for rule L, and cuts land both
+// between admissions and at slot boundaries. The
 // running books digest of both sides must equal one recomputed from
 // scratch after every admission, boundary and apply. (abortJoin is not
 // reached: it runs only when the engine refuses an admitted join.)
 func TestFoldedBooksTrackThePrimary(t *testing.T) {
 	// One processor, so condition J defers some of genScript's joins.
 	cfgs := map[string]ShardConfig{
-		"oi":     {M: 1, Policy: "oi"},
-		"lj":     {M: 1, Policy: "lj"},
-		"hybrid": {M: 1, Policy: "hybrid", OIThreshold: frac.New(1, 8)},
+		"oi":            {M: 1, Policy: "oi"},
+		"lj":            {M: 1, Policy: "lj"},
+		"hybrid":        {M: 1, Policy: "hybrid", OIThreshold: frac.New(1, 8)},
+		"early-release": {M: 1, Policy: "oi", EarlyRelease: true},
 	}
 	for name, cfg := range cfgs {
 		t.Run(name, func(t *testing.T) {
@@ -304,6 +307,9 @@ func TestFoldedBooksTrackThePrimary(t *testing.T) {
 						t.Fatalf("seed %d at t=%d, cut from %d: %v", seed, tl.Now, from, err)
 					}
 					requireRunningBooksDigest(t, fmt.Sprintf("seed %d applied at t=%d", seed, tl.Now), rep.adm)
+					if got, want := rep.adm.state(0), sh.adm.state(0); !reflect.DeepEqual(got, want) {
+						t.Fatalf("seed %d at t=%d: replica books %+v, primary %+v", seed, tl.Now, got, want)
+					}
 					from = tl.Total
 				}
 				for slot := int64(0); slot < horizon; slot++ {

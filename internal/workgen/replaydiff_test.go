@@ -6,6 +6,9 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -279,5 +282,38 @@ func TestRecordKeepsShardConfig(t *testing.T) {
 	}
 	if len(results) != 1 || !results[0].Match {
 		t.Fatalf("replay results: %+v", results)
+	}
+}
+
+// TestGoldenVersion2Replays: testdata/golden.json stays a version-2
+// trace, written before leaves waited for rule L in the engine. It
+// still decodes, and each shard still replays on a fresh daemon of its
+// config: every logged command is re-admitted at its slot, including
+// the leave. Shard 0's digest is a placeholder (0xdeadbeef), so only
+// the digest verdict may fail.
+func TestGoldenVersion2Replays(t *testing.T) {
+	f, err := os.Open(filepath.Join("testdata", "golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	golden, err := workgen.DecodeTrace(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range golden.Shards {
+		if st.Version != 2 {
+			t.Fatalf("golden shard %d is version %d, want 2", st.Shard, st.Version)
+		}
+		cfg := serve.ShardConfig{M: st.Config.M, Policy: st.Config.Policy, OIThreshold: st.Config.OIThreshold,
+			EarlyRelease: st.Config.EarlyRelease, RecordSchedule: st.Config.RecordSchedule}
+		fresh := startDaemon(t, st.Shard+1, cfg)
+		results, err := workgen.Replay(&http.Client{}, fresh, &workgen.Trace{Shards: []workgen.ShardTrace{st}})
+		if err != nil && (len(results) != 1 || !strings.Contains(err.Error(), "digest")) {
+			t.Fatalf("golden shard %d: %v", st.Shard, err)
+		}
+		if len(results) != 1 || results[0].Commands != len(st.Log) || results[0].Slots != st.Now {
+			t.Fatalf("golden shard %d replayed %+v, want %d commands over %d slots", st.Shard, results, len(st.Log), st.Now)
+		}
 	}
 }

@@ -29,8 +29,8 @@ const (
 	// toward its bound, but property (W) holds throughout.
 	TemplateReweightStorm Template = iota
 	// TemplateChurn cycles join/leave/reweight over a window of
-	// short-lived tasks, exercising rule-L deferred leaves and the
-	// never-reuse-a-name admission rule.
+	// short-lived tasks, exercising leaves the engine holds for rule L
+	// and the never-reuse-a-name admission rule.
 	TemplateChurn
 	// TemplateAdmissionCamp fills requested weight to M - 1/64 and then
 	// floods joins at 1/32 forever: every one must be rejected with 409

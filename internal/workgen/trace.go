@@ -25,7 +25,10 @@ import (
 // sync.
 
 // traceVersion is the snapshot format version a trace is read in.
-const traceVersion = 2
+// Version 2 traces are read too: a version-3 log differs only in
+// logging each leave at the boundary that hands it to the engine, and
+// both replay through the same admission path.
+const traceVersion = 3
 
 // ShardTrace is one shard's recorded state: the engine configuration it
 // ran under, the system it started from, the applied command log in
@@ -82,8 +85,8 @@ func (tr *Trace) Validate() error {
 	seen := make(map[int]bool, len(tr.Shards))
 	for i := range tr.Shards {
 		st := &tr.Shards[i]
-		if st.Version != traceVersion {
-			return fmt.Errorf("workgen: trace shard %d is snapshot version %d, this build reads v%d",
+		if st.Version != traceVersion && st.Version != 2 {
+			return fmt.Errorf("workgen: trace shard %d is snapshot version %d, this build reads v2 and v%d",
 				st.Shard, st.Version, traceVersion)
 		}
 		if st.Shard < 0 {

@@ -129,6 +129,10 @@ func TestDecodeTraceErrors(t *testing.T) {
 	if _, err := DecodeTrace(strings.NewReader("[" + okShard + "]")); err != nil {
 		t.Fatalf("the unchanged base shard must decode: %v", err)
 	}
+	v3 := strings.Replace(okShard, `"version":2`, `"version":3`, 1)
+	if _, err := DecodeTrace(strings.NewReader("[" + v3 + "]")); err != nil {
+		t.Fatalf("a version-3 shard must decode: %v", err)
+	}
 	// mut is a one-shard trace with one substring of okShard replaced.
 	mut := func(old, new string) string {
 		if !strings.Contains(okShard, old) {
@@ -142,6 +146,7 @@ func TestDecodeTraceErrors(t *testing.T) {
 		"null":                 "null\n",
 		"garbage":              "hello world\n",
 		"wrong version":        mut(`"version":2`, `"version":1`),
+		"future version":       mut(`"version":2`, `"version":4`),
 		"missing version":      mut(`"version":2,`, ``),
 		"missing end":          strings.TrimSuffix(vs, "]\n"),
 		"truncated mid-shard":  vs[:len(vs)/2],
