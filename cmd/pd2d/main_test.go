@@ -73,8 +73,8 @@ func TestSnapshotFilesRoundTrip(t *testing.T) {
 		if err := json.Unmarshal(data, &file); err != nil {
 			t.Fatal(err)
 		}
-		if file.Version != 3 || file.BooksDigest == 0 {
-			t.Fatalf("shard %d file has version %d and books digest %016x, want version 3 and a books digest",
+		if file.Version != 4 || file.BooksDigest == 0 {
+			t.Fatalf("shard %d file has version %d and books digest %016x, want version 4 and a books digest",
 				i, file.Version, file.BooksDigest)
 		}
 	}

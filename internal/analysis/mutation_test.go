@@ -199,8 +199,8 @@ func TestSeededMutationsAreCaught(t *testing.T) {
 				},
 				{
 					file: "internal/serve/shard.go",
-					old:  "now := sh.eng.Now()\n\n\tfor len(sh.defJoins) > 0 {",
-					new:  "now := model.Time(time.Now().UnixNano())\n\n\tfor len(sh.defJoins) > 0 {",
+					old:  "now := sh.eng.Now()\n\tfor _, c := range sh.batch {",
+					new:  "now := model.Time(time.Now().UnixNano())\n\tfor _, c := range sh.batch {",
 				},
 			},
 		},

@@ -211,7 +211,7 @@ func recvAck(t *testing.T, acks <-chan joinAck) joinAck {
 }
 
 // replicaHolds reports whether tn's replica of the shard carries a join
-// of task: in its log, its pending batch or its deferred joins.
+// of task: in its log or its pending batch.
 func replicaHolds(tn *testNode, shard int, task string) bool {
 	st := &tn.node.states[shard]
 	st.mu.Lock()
@@ -226,11 +226,6 @@ func replicaHolds(tn *testNode, shard int, task string) bool {
 		}
 	}
 	for _, c := range snap.Batch {
-		if c.Op == core.OpJoin && c.Task == task {
-			return true
-		}
-	}
-	for _, c := range snap.DeferredJoins {
 		if c.Op == core.OpJoin && c.Task == task {
 			return true
 		}

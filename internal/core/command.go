@@ -22,7 +22,8 @@ import (
 type CommandOp uint8
 
 const (
-	// OpJoin adds a task (Scheduler.Join).
+	// OpJoin adds a task, which waits in admission order while
+	// condition J refuses it (Scheduler.Join refuses instead).
 	OpJoin CommandOp = iota
 	// OpLeave removes a task once rule L permits (Scheduler.Depart).
 	OpLeave
@@ -115,7 +116,7 @@ func (s *Scheduler) Apply(c Command) error {
 	}
 	switch c.Op { // exhaustive: adding an op must extend this dispatch (eventexhaust)
 	case OpJoin:
-		return s.Join(model.Spec{Name: c.Task, Weight: c.Weight, Group: c.Group})
+		return s.join(model.Spec{Name: c.Task, Weight: c.Weight, Group: c.Group}, true)
 	case OpLeave:
 		return s.Depart(c.Task)
 	case OpReweight:

@@ -141,8 +141,12 @@ func departPropertyRun(t *testing.T, cfg Config, seed uint64) {
 		for k := r.Intn(3); k > 0; k-- {
 			switch r.Intn(4) {
 			case 0:
+				// Join, not Apply: a join condition J refuses fails instead
+				// of waiting, so every name in names has joined.
 				name := fmt.Sprintf("T%d", len(names))
-				if apply(Command{At: now, Op: OpJoin, Task: name, Weight: frac.New(int64(1+r.Intn(8)), 16)}) == nil {
+				w := frac.New(int64(1+r.Intn(8)), 16)
+				if s.Join(model.Spec{Name: name, Weight: w}) == nil {
+					log = append(log, Command{At: now, Op: OpJoin, Task: name, Weight: w})
 					names = append(names, name)
 				}
 			case 1, 2:

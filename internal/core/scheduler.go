@@ -197,6 +197,11 @@ type Scheduler struct {
 	evMiss    eventHeap // subtask deadlines (miss detection)
 	evResolve eventHeap // D(I_SW,·)-waiter resolution forecasts
 
+	// joinQ holds the joins Apply could not let in yet, in admission
+	// order: condition J refused the head, which blocks the rest. Step
+	// lets them in at the end of a slot.
+	joinQ []*taskState
+
 	ready readyHeap // tasks with an offered (eligible) subtask
 
 	dueBuf   []*taskState // scratch: tasks due in the current phase
@@ -669,8 +674,15 @@ func (s *Scheduler) halt(sub *subtask) {
 }
 
 // Join adds a new task at the current time. The join condition J (total
-// weight at most M after joining) is enforced.
-func (s *Scheduler) Join(spec model.Spec) error {
+// weight at most M after joining) is enforced: a join it refuses is an
+// error. Join does not look at the joins Apply left waiting.
+func (s *Scheduler) Join(spec model.Spec) error { return s.join(spec, false) }
+
+// join adds a new task. With wait, a join that condition J refuses, or
+// that an earlier join is still waiting ahead of, waits in joinQ
+// instead of failing: the task is known by name, holds no weight and
+// releases nothing until Step lets it in.
+func (s *Scheduler) join(spec model.Spec, wait bool) error {
 	s.digestOK = false
 	if err := spec.Validate(); err != nil {
 		return err
@@ -681,7 +693,8 @@ func (s *Scheduler) Join(spec model.Spec) error {
 	if _, dup := s.byName[spec.Name]; dup {
 		return fmt.Errorf("core: join: duplicate task name %q", spec.Name)
 	}
-	if frac.FromInt(int64(s.cfg.M)).Less(s.totalSwt.Add(spec.Weight)) {
+	fits := s.fits(spec.Weight)
+	if !fits && !wait {
 		return fmt.Errorf("core: join %s would raise total weight to %s > M=%d (condition J)",
 			spec.Name, s.totalSwt.Add(spec.Weight), s.cfg.M)
 	}
@@ -697,9 +710,29 @@ func (s *Scheduler) Join(spec model.Spec) error {
 	}
 	s.tasks = append(s.tasks, ts)
 	s.byName[ts.name] = ts
+	if !fits || (wait && len(s.joinQ) > 0) {
+		s.joinQ = append(s.joinQ, ts)
+		return nil
+	}
 	s.joinNow(ts)
 	return nil
 }
+
+// fits reports whether condition J admits weight w now: the total
+// scheduling weight plus w stays within M.
+func (s *Scheduler) fits(w frac.Rat) bool {
+	return !frac.FromInt(int64(s.cfg.M)).Less(s.totalSwt.Add(w))
+}
+
+// Joined reports whether the named task has entered the system: false
+// for an unknown task and for a join still waiting for condition J.
+func (s *Scheduler) Joined(name string) bool {
+	ts, ok := s.byName[name]
+	return ok && ts.joined
+}
+
+// JoinQueue returns the number of joins waiting for condition J.
+func (s *Scheduler) JoinQueue() int { return len(s.joinQ) }
 
 // DelayNext postpones the task's next (normal, Eqn (4)) subtask release by
 // sep slots — an intra-sporadic separation. While the task is inactive in
@@ -866,8 +899,10 @@ func (s *Scheduler) Depart(name string) error {
 }
 
 // Step simulates one slot: enactments and releases due now, PD² scheduling,
-// then ideal-schedule accrual. Initiations and joins/leaves for this slot
-// must be issued (via Initiate/Join/Leave/Depart) before calling Step.
+// then ideal-schedule accrual; then, at the new clock, it lets in the
+// joins waiting for condition J. Initiations and joins/leaves for this
+// slot must be issued (via Initiate/Join/Leave/Depart/Apply) before
+// calling Step.
 //
 // Each phase pops its calendar and re-validates every event against the
 // predicate the original per-slot scan evaluated (the scan itself is
@@ -1173,6 +1208,15 @@ func (s *Scheduler) Step() {
 	}
 
 	s.now = t + 1
+
+	// Joins waiting for condition J enter in admission order while the
+	// head fits: after this slot's enactments and leaves have freed
+	// weight, and before the commands of slot t+1 apply.
+	for len(s.joinQ) > 0 && s.fits(s.joinQ[0].swt) {
+		s.joinNow(s.joinQ[0])
+		s.joinQ[0] = nil
+		s.joinQ = s.joinQ[1:]
+	}
 }
 
 // collectDue pops every event due at or before t from the calendar of

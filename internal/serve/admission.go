@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/core"
 	"repro/internal/frac"
 )
 
@@ -15,8 +16,8 @@ import (
 // the 409 headroom meaningful to clients ("how much may I still ask
 // for?") and guarantees every admitted command eventually applies: the
 // engine's scheduling weight decays to the requested weight as changes
-// enact, so a join deferred by condition J fits once earlier weight
-// drains.
+// enact, so a join the engine holds for condition J fits once earlier
+// weight drains.
 //
 // The books are one map keyed by task name. Lookups on the hot path go
 // through string(raw) on bytes aliasing the request buffer — an rvalue
@@ -25,7 +26,8 @@ import (
 // shard stages into batches, so nothing downstream retains request
 // memory.
 type admission struct {
-	m frac.Rat // capacity: the shard's processor count
+	m   frac.Rat        // capacity: the shard's processor count
+	eng *core.Scheduler // asked whether a pending join has entered
 
 	// at is the stamp every change to an entry carries, so a replication
 	// cut from log index i ships only the entries stamped >= i. It is the
@@ -56,9 +58,10 @@ type taskEntry struct {
 	// live means the admitted join has not fully left: w counts toward
 	// total. A dead entry only burns the name.
 	live bool
-	// pending marks a join not yet applied to the engine. Reweights and
-	// leaves for pending tasks are refused (409 conflict) so an admitted
-	// mutation can never hit an engine that does not know the task yet.
+	// pending marks a join the engine has not let in, staged or held
+	// for condition J; waiting clears it once the task has entered.
+	// Reweights and leaves for a pending task are refused (409
+	// conflict), so an admitted mutation never hits a held task.
 	pending bool
 	// leaving marks an admitted leave still staged. Its weight leaves
 	// the books at the boundary that hands the leave to the engine,
@@ -71,9 +74,10 @@ type taskEntry struct {
 	h uint64
 }
 
-func newAdmission(m int) *admission {
+func newAdmission(eng *core.Scheduler) *admission {
 	return &admission{
-		m:     frac.FromInt(int64(m)),
+		m:     frac.FromInt(int64(eng.M())),
+		eng:   eng,
 		tasks: make(map[string]*taskEntry),
 	}
 }
@@ -153,7 +157,7 @@ func (a *admission) admitReweight(raw []byte, w frac.Rat) (string, *admissionErr
 	if !e.live {
 		return "", reject(errConflict, "task %q has left this shard", raw)
 	}
-	if e.pending {
+	if a.waiting(e) {
 		return "", reject(errConflict, "task %q has a join still pending; retry next slot", raw)
 	}
 	if e.leaving {
@@ -171,7 +175,7 @@ func (a *admission) admitReweight(raw []byte, w frac.Rat) (string, *admissionErr
 }
 
 // admitLeave marks an admitted task as leaving and returns the
-// canonical interned name. Its weight is freed by completeLeave at the
+// canonical interned name. Its weight is freed by release at the
 // boundary that hands the leave to the engine.
 //
 //lint:noalloc hot admission path; rejections sit at allocok boundaries
@@ -183,7 +187,7 @@ func (a *admission) admitLeave(raw []byte) (string, *admissionError) {
 	if !e.live {
 		return "", reject(errConflict, "task %q has already left this shard", raw)
 	}
-	if e.pending {
+	if a.waiting(e) {
 		return "", reject(errConflict, "task %q has a join still pending; retry next slot", raw)
 	}
 	if e.leaving {
@@ -194,34 +198,24 @@ func (a *admission) admitLeave(raw []byte) (string, *admissionError) {
 	return e.name, nil
 }
 
-// joinApplied clears the pending-join mark once the engine join
-// succeeded.
-func (a *admission) joinApplied(name string) {
-	if e := a.tasks[name]; e != nil {
+// waiting reports whether the engine still holds e's join, clearing
+// the pending mark once the task has entered. Only a pending entry asks
+// the engine; a nil entry, a join a damaged file staged without books,
+// reads as not waiting.
+//
+//lint:noalloc hot admission path
+func (a *admission) waiting(e *taskEntry) bool {
+	if e != nil && e.pending && a.eng.Joined(e.name) {
 		e.pending = false
 		a.touch(e)
 	}
+	return e != nil && e.pending
 }
 
-// abortJoin unwinds an admitted join the engine unexpectedly refused:
-// the weight is released but the name stays burned (the engine may have
-// partially recorded it, and names are never reusable anyway).
-func (a *admission) abortJoin(name string) {
-	e := a.tasks[name]
-	if e == nil {
-		return
-	}
-	e.pending = false
-	if e.live {
-		a.total = a.total.Sub(e.w)
-		e.live = false
-	}
-	a.touch(e)
-}
-
-// completeLeave frees the task's weight once the engine took the
-// leave.
-func (a *admission) completeLeave(name string) {
+// release frees the task's weight for good once the engine took its
+// leave, or refused its admitted join (which admission rules out). The
+// name stays burned: names are never reusable.
+func (a *admission) release(name string) {
 	e := a.tasks[name]
 	if e == nil {
 		return
@@ -230,7 +224,7 @@ func (a *admission) completeLeave(name string) {
 		a.total = a.total.Sub(e.w)
 		e.live = false
 	}
-	e.leaving = false
+	e.pending, e.leaving = false, false
 	a.touch(e)
 }
 

@@ -196,11 +196,11 @@ func TestDeferredJoinPeakDrains(t *testing.T) {
 	if peak < 1 {
 		t.Fatalf("deferred-join peak %d after a condition-J deferral", peak)
 	}
-	for i := 0; i < 64 && len(sh.defJoins) > 0; i++ {
+	for i := 0; i < 64 && sh.eng.JoinQueue() > 0; i++ {
 		sh.advance(1)
 	}
-	if len(sh.defJoins) != 0 {
-		t.Fatalf("deferred-join queue never drained (%d left)", len(sh.defJoins))
+	if n := sh.eng.JoinQueue(); n != 0 {
+		t.Fatalf("deferred-join queue never drained (%d left)", n)
 	}
 	if _, _, _, after := anomalies(sh); after != peak {
 		t.Errorf("peak moved from %d to %d after the drain; it is a high-watermark", peak, after)
@@ -209,14 +209,8 @@ func TestDeferredJoinPeakDrains(t *testing.T) {
 		t.Errorf("failedApplies = %d", sh.ctr.failedApplies.Load())
 	}
 	// B eventually joined for real.
-	found := false
-	for _, name := range sh.eng.TaskNames() {
-		if name == "B" {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("deferred join B never applied")
+	if !sh.eng.Joined("B") {
+		t.Error("deferred join B never entered")
 	}
 }
 

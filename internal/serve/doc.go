@@ -17,9 +17,9 @@
 //     weights may not exceed the processor count M — is enforced at the
 //     mailbox, not discovered in the engine. A join or reweight that
 //     would break (W) is rejected with the exact rational headroom left;
-//     an admitted command is guaranteed to apply (joins blocked by
-//     condition J are deferred and retried at each boundary, never
-//     dropped, and the engine holds a leave until rule L permits). The
+//     an admitted command is guaranteed to apply (the engine holds a
+//     join until condition J admits it, in admission order, and a leave
+//     until rule L permits it; neither is dropped). The
 //     shard's failed-apply counter stays zero by construction; tests
 //     assert it.
 //
@@ -31,8 +31,8 @@
 // described by its seed system plus the log of commands actually
 // applied (core.Replay). A Snapshot is a complete Tail, the same unit
 // replication ships: it additionally carries the admission books and
-// the not-yet-applied pending commands so a restored shard resumes
-// mid-stream without losing admitted work. Shard and Replica hold one
+// the not-yet-applied slot batch so a restored shard resumes mid-stream
+// without losing admitted work. Shard and Replica hold one
 // state struct and cut tails from it with one function; staged work is
 // held as the core.Command records the log will hold. Restore applies
 // the snapshot to a fresh Replica, which re-verifies the engine-state

@@ -104,12 +104,46 @@ func driveSlots(t *testing.T, base string, slots int, nameBase int) {
 	}
 }
 
+// holdJoin makes shard 0 hold two joins for condition J: W1 and W2
+// join at 1/2 and reweight down to 1/64 three slots later, and W3 and
+// W4 join at 1/2 into the requested weight that freed, before the
+// engine's scheduling weight has decayed. It advances four slots.
+func holdJoin(t *testing.T, base string) {
+	t.Helper()
+	send := func(cmds []CommandRequest, slots int64) {
+		t.Helper()
+		code, body := postJSON(t, base+"/v1/shards/0/commands", cmds)
+		var results []CommandResult
+		if err := json.Unmarshal(body, &results); code != http.StatusOK || err != nil {
+			t.Fatalf("commands %v: %d: %s", cmds, code, body)
+		}
+		for i, res := range results {
+			if res.Status != "queued" {
+				t.Fatalf("%v not queued: %+v", cmds[i], res)
+			}
+		}
+		if code, body := postJSON(t, base+"/v1/shards/0/advance", AdvanceRequest{Slots: slots}); code != http.StatusOK {
+			t.Fatalf("advance: %d: %s", code, body)
+		}
+	}
+	var joins, downs []CommandRequest
+	for _, name := range []string{"W1", "W2"} {
+		joins = append(joins, CommandRequest{Op: "join", Task: name, Weight: "1/2"})
+		downs = append(downs, CommandRequest{Op: "reweight", Task: name, Weight: "1/64"})
+	}
+	send(joins, 3)
+	send(append(downs,
+		CommandRequest{Op: "join", Task: "W3", Weight: "1/2"},
+		CommandRequest{Op: "join", Task: "W4", Weight: "1/2"}), 1)
+}
+
 // TestHTTPDifferentialAgainstDirectCore is the tentpole's differential
 // proof: a shard driven entirely over HTTP — including one full
-// snapshot/restore cycle through Server.Stop/Snapshots/New — must be
-// byte-identical (schedule rows with CPU assignments, misses, drift and
-// lag accounting) to a fresh core.Scheduler fed the shard's applied
-// command log directly.
+// snapshot/restore cycle through Server.Stop/Snapshots/New, cut while
+// the engine holds a join for condition J — must be byte-identical
+// (schedule rows with CPU assignments, misses, drift and lag
+// accounting) to a fresh core.Scheduler fed the shard's applied command
+// log directly.
 func TestHTTPDifferentialAgainstDirectCore(t *testing.T) {
 	cfg := ShardConfig{M: 2, RecordSchedule: true}
 	srv, err := New(Options{Shards: 2, Config: cfg, MailboxCap: 64})
@@ -120,6 +154,13 @@ func TestHTTPDifferentialAgainstDirectCore(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 
 	driveSlots(t, ts.URL, 12, 0)
+	holdJoin(t, ts.URL)
+	var held ShardStatus
+	getJSON(t, ts.URL+"/v1/shards/0", &held)
+	if held.DeferredJoins != 2 || held.DeferredJoinPeak != 2 {
+		t.Fatalf("before the cycle: deferred joins %d, peak %d; want W3 and W4 held for condition J",
+			held.DeferredJoins, held.DeferredJoinPeak)
+	}
 
 	// Cycle: quiesce HTTP, stop shards, snapshot, rebuild, restart.
 	ts.Close()
@@ -190,10 +231,19 @@ func TestHTTPDifferentialAgainstDirectCore(t *testing.T) {
 	if st.Violations != 0 {
 		t.Fatalf("engine invariant violations: %d", st.Violations)
 	}
-	if st.Now != 24 {
-		t.Fatalf("clock at %d, want 24", st.Now)
+	if st.Now != 28 {
+		t.Fatalf("clock at %d, want 28", st.Now)
 	}
-	if len(st.Tasks) == 0 {
-		t.Fatal("status carries no task rows")
+	if st.DeferredJoins != 0 {
+		t.Fatalf("%d joins still held", st.DeferredJoins)
+	}
+	active := 0
+	for _, task := range st.Tasks {
+		if task.Active && (task.Name == "W3" || task.Name == "W4") {
+			active++
+		}
+	}
+	if active != 2 {
+		t.Fatalf("%d of W3 and W4 entered after the restore", active)
 	}
 }

@@ -9,14 +9,14 @@ import (
 // A Replica is a copy of one shard rebuilt from the tails applied to
 // it: the same state a Shard runs — the full applied command log, a
 // live engine kept in lockstep by replaying each tail, the admission
-// books upserted from every tail, and the last tail's pending queues.
+// books upserted from every tail, and the last tail's staged batch.
 // It is the one path from a tail to shard state: a cluster follower
 // applies each pushed tail to its warm Replica, and restoreShard
 // applies a snapshot to a fresh one and runs its state. The engine and
-// the books are the digest-exchange witnesses — after every tail the
-// replica's StateDigest and books digest must equal the ones the
-// primary stamped on the tail, so divergence is caught when the tail
-// applies, not at promotion time.
+// the books with the batch are the digest-exchange witnesses — after
+// every tail the replica's StateDigest and books digest must equal the
+// ones the primary stamped on the tail, so divergence is caught when
+// the tail applies, not at promotion time.
 //
 // Not safe for concurrent use.
 type Replica struct {
@@ -50,18 +50,18 @@ func (r *Replica) Now() int64 {
 // Apply folds one tail into the replica: append the new commands,
 // replay them on the live engine up to the tail's clock, verify the
 // engine digest against the primary's, upsert the tail's book entries
-// and verify the books digest, then keep the tail's pending queues,
-// with a version-2 tail's deferred leaves staged ahead of its batch. A
-// tail starting past the log end is a GapError (the caller resyncs from
-// the wanted index); a version or shard mismatch, pending work no shard
-// could have staged, a replay failure or a digest mismatch is a hard
-// error (the caller must discard the replica and resync from 0).
-// Overlapping tails — From inside the log — are fine: the overlap is
-// skipped, only the suffix applies, and the book entries they carry
-// are a superset of the ones the replica lacks.
+// and verify the books digest (with the batch's, from version 4), then
+// keep the tail's batch, with an older tail's deferred leaves and joins
+// staged ahead of it. A tail starting past the log end is a GapError
+// (the caller resyncs from the wanted index); a version or shard
+// mismatch, pending work no shard could have staged, a replay failure
+// or a digest mismatch is a hard error (the caller must discard the
+// replica and resync from 0). Overlapping tails — From inside the log —
+// are fine: the overlap is skipped, only the suffix applies, and the
+// book entries they carry are a superset of the ones the replica lacks.
 func (r *Replica) Apply(t *Tail) error {
-	if t.Version != tailVersion && t.Version != 2 {
-		return fmt.Errorf("serve: tail version %d, want %d or 2", t.Version, tailVersion)
+	if t.Version < 2 || t.Version > tailVersion {
+		return fmt.Errorf("serve: tail version %d, want 2 to %d", t.Version, tailVersion)
 	}
 	if t.Shard != r.id {
 		return fmt.Errorf("serve: tail for shard %d applied to replica of %d", t.Shard, r.id)
@@ -76,8 +76,8 @@ func (r *Replica) Apply(t *Tail) error {
 			return fmt.Errorf("serve: replica %d deferred join %d is a %s", r.id, i, c.Op)
 		}
 	}
-	if len(t.DeferredLeaves) > 0 && t.Version != 2 {
-		return fmt.Errorf("serve: replica %d version-%d tail defers leaves, which only version-2 shards did", r.id, t.Version)
+	if len(t.DeferredJoins) > 0 && t.Version > 3 || len(t.DeferredLeaves) > 0 && t.Version > 2 {
+		return fmt.Errorf("serve: replica %d version-%d tail carries deferred work its engine would hold", r.id, t.Version)
 	}
 	if r.eng == nil {
 		if t.From != 0 {
@@ -105,24 +105,28 @@ func (r *Replica) Apply(t *Tail) error {
 	}
 	r.adm.at = len(r.log)
 	r.adm.restore(t.Admission)
-	if got := r.adm.digest(); got != t.BooksDigest {
+	got := r.adm.digest()
+	if t.Version > 3 {
+		got ^= batchDigest(t.Batch)
+	}
+	if got != t.BooksDigest {
 		return fmt.Errorf("serve: replica %d books digest mismatch at t=%d: replica %016x, tail %016x",
 			r.id, t.Now, got, t.BooksDigest)
 	}
 	// Fresh copies: the caller keeps its tail, and a replica reusing its
 	// arrays would hold the largest batch it ever saw.
-	r.batch = make([]core.Command, 0, len(t.DeferredLeaves)+len(t.Batch))
+	r.batch = make([]core.Command, 0, len(t.DeferredLeaves)+len(t.DeferredJoins)+len(t.Batch))
 	for _, name := range t.DeferredLeaves {
 		r.batch = append(r.batch, core.Command{At: t.Now, Op: core.OpLeave, Task: name})
 	}
+	r.batch = append(r.batch, t.DeferredJoins...)
 	r.batch = append(r.batch, t.Batch...)
-	r.defJoins = append([]core.Command(nil), t.DeferredJoins...)
 	return nil
 }
 
 // Snapshot returns the complete tail a promotion installs, cut from the
 // replica's state as a primary cuts its own: the whole replicated log
-// and books, with the latest tail's clock, digests and pending sets.
+// and books, with the latest tail's clock, digests and batch.
 // InstallShard replays it on a fresh engine. Nil for a nil replica or
 // one no tail has applied to yet.
 func (r *Replica) Snapshot() *Snapshot {

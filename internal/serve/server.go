@@ -496,7 +496,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleLog serves the replication tail from ?from=N (default 0): the
-// commands applied since that log index plus the pending sets and the
+// commands applied since that log index plus the staged batch and the
 // admission-book entries changed since then — the pull half of
 // primary→follower streaming and the fetch half of live migration.
 func (s *Server) handleLog(w http.ResponseWriter, r *http.Request) {

@@ -86,19 +86,18 @@ func (c ShardConfig) CoreConfig() (core.Config, error) {
 
 // shardState is one shard's state, the part a tail transfers: its
 // config and seed, the engine, the admission books, the applied log and
-// the admitted-but-unapplied queues. Shard runs it behind the mailbox;
+// the admitted-but-unapplied batch. Shard runs it behind the mailbox;
 // Replica rebuilds it from tails. Staged work is held as the commands
 // the log will record; flush restamps At with the boundary that
 // applies them.
 type shardState struct {
-	id       int
-	cfg      ShardConfig
-	seed     model.System
-	eng      *core.Scheduler
-	adm      *admission
-	log      []core.Command // commands actually applied, in order
-	batch    []core.Command // admitted this slot, applies at next boundary
-	defJoins []core.Command // admitted joins awaiting condition-J headroom
+	id    int
+	cfg   ShardConfig
+	seed  model.System
+	eng   *core.Scheduler
+	adm   *admission
+	log   []core.Command // commands actually applied, in order
+	batch []core.Command // admitted this slot, applies at next boundary
 }
 
 // build gives the state a fresh engine over seed and empty books.
@@ -111,7 +110,7 @@ func (st *shardState) build(cfg ShardConfig, seed model.System) error {
 	if err != nil {
 		return err
 	}
-	st.cfg, st.seed, st.eng, st.adm = cfg, seed, eng, newAdmission(cfg.M)
+	st.cfg, st.seed, st.eng, st.adm = cfg, seed, eng, newAdmission(eng)
 	return nil
 }
 
@@ -320,55 +319,37 @@ func (sh *Shard) advance(n int64) {
 	sh.publishStatus()
 }
 
-// engineFits reports whether condition J admits weight w right now:
-// the engine's transient scheduling-weight total plus w stays within M.
-func (sh *Shard) engineFits(w frac.Rat) bool {
-	return !frac.FromInt(int64(sh.cfg.M)).Less(sh.eng.TotalSchedWeight().Add(w))
-}
-
-// flush applies the staged work at the current slot boundary, in two
-// passes that preserve admission order: deferred joins (strict FIFO —
-// the queue head blocks younger joins so admission order is never
-// inverted), then this slot's batch in arrival order. A leave goes to
-// the engine here, which holds the task until rule L permits, so its
-// weight leaves the books at this boundary. Admission guarantees each
-// apply succeeds or defers; anything else is counted in failedApplies,
-// which tests pin to zero.
+// flush hands the staged batch to the engine at the current slot
+// boundary, in arrival order, and logs each command. The engine holds a
+// join until condition J admits it, behind any join already held, and
+// a leave until rule L permits it; a leave's weight leaves the books
+// here. Admission guarantees each apply succeeds; anything else is
+// counted in failedApplies, which tests pin to zero.
 func (sh *Shard) flush() {
 	now := sh.eng.Now()
-
-	for len(sh.defJoins) > 0 {
-		c := sh.defJoins[0]
-		if !sh.engineFits(c.Weight) {
-			break
-		}
-		sh.applyJoin(c)
-		sh.defJoins = sh.defJoins[1:]
-	}
-
 	for _, c := range sh.batch {
 		c.At = now
+		err := sh.eng.Apply(c)
+		if err != nil {
+			sh.ctr.failedApplies.Add(1)
+		} else {
+			sh.log = append(sh.log, c)
+			sh.ctr.applied.Add(1)
+		}
 		switch c.Op {
 		case core.OpJoin:
-			if len(sh.defJoins) > 0 || !sh.engineFits(c.Weight) {
-				sh.defJoins = append(sh.defJoins, c)
+			if err != nil {
+				sh.adm.release(c.Task)
+			} else if sh.adm.waiting(sh.adm.tasks[c.Task]) {
 				sh.ctr.deferred.Add(1)
-				continue
 			}
-			sh.applyJoin(c)
-		case core.OpReweight, core.OpLeave:
-			if err := sh.eng.Apply(c); err != nil {
-				sh.ctr.failedApplies.Add(1)
-			} else {
-				sh.log = append(sh.log, c)
-				sh.ctr.applied.Add(1)
+		case core.OpLeave:
+			sh.adm.release(c.Task)
+			if m, _ := sh.eng.Metrics(c.Task); m.Leaving {
+				sh.ctr.deferred.Add(1)
 			}
-			if c.Op == core.OpLeave {
-				sh.adm.completeLeave(c.Task)
-				if m, _ := sh.eng.Metrics(c.Task); m.Leaving {
-					sh.ctr.deferred.Add(1)
-				}
-			}
+		case core.OpReweight:
+			// The books took the new weight at admission.
 		default:
 			panic(fmt.Sprintf("serve: unhandled staged op %s", c.Op))
 		}
@@ -378,23 +359,9 @@ func (sh *Shard) flush() {
 	// Deferred-join depth peaks right after a flush that deferred work;
 	// track it here so multi-slot advances cannot hide a transient.
 	// Single-writer, so the load/store pair cannot race another writer.
-	if d := int64(len(sh.defJoins)); d > sh.ctr.deferredJoinPeak.Load() {
+	if d := int64(sh.eng.JoinQueue()); d > sh.ctr.deferredJoinPeak.Load() {
 		sh.ctr.deferredJoinPeak.Store(d)
 	}
-}
-
-// applyJoin applies an admitted join whose condition-J check passed, at
-// the current boundary.
-func (sh *Shard) applyJoin(c core.Command) {
-	c.At = sh.eng.Now()
-	if err := sh.eng.Apply(c); err != nil {
-		sh.ctr.failedApplies.Add(1)
-		sh.adm.abortJoin(c.Task)
-		return
-	}
-	sh.log = append(sh.log, c)
-	sh.adm.joinApplied(c.Task)
-	sh.ctr.applied.Add(1)
 }
 
 // status assembles the shard's wire status from engine and admission
@@ -416,7 +383,7 @@ func (sh *Shard) status(withTasks bool) *ShardStatus {
 		OverheadSlots:     sh.eng.OverheadSlots(),
 		Violations:        len(sh.eng.Violations()),
 		PendingBatch:      len(sh.batch),
-		DeferredJoins:     len(sh.defJoins),
+		DeferredJoins:     sh.eng.JoinQueue(),
 	}
 	sh.ctr.fill(st)
 	active := 0

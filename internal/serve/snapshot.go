@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"hash/fnv"
 
 	"repro/internal/core"
 	"repro/internal/model"
@@ -10,14 +11,14 @@ import (
 // A Tail is the one state-transfer unit: everything that changed on a
 // shard since log index From. It carries the commands applied since
 // From, the admission-book entries changed since From, and the whole
-// admitted-but-unapplied queues, which are small. A Replica that holds
-// log[0:From) and applied every earlier tail ends up, after applying
-// this one, with the primary's full log and books. Digest and Now
-// certify the engine state after the last carried command, and
-// BooksDigest the whole books; Replica.Apply checks both on every tail.
+// staged batch, which is small. A Replica that holds log[0:From) and
+// applied every earlier tail ends up, after applying this one, with the
+// primary's full log, books and batch. Digest and Now certify the
+// engine state after the last carried command, and BooksDigest the
+// whole books and the batch; Replica.Apply checks both on every tail.
 type Tail struct {
 	// Version guards the wire and file format; Replica.Apply reads
-	// tailVersion and 2 and refuses any other.
+	// versions 2 to tailVersion and refuses any other.
 	Version int          `json:"version"`
 	Shard   int          `json:"shard"`
 	Config  ShardConfig  `json:"config"`
@@ -30,20 +31,23 @@ type Tail struct {
 	Digest   uint64         `json:"digest"`
 	Commands []core.Command `json:"log,omitempty"`
 
-	// Batch and DeferredJoins hold staged commands, each with the slot
-	// it was admitted in; the boundary that applies one restamps it.
-	Batch         []core.Command `json:"batch,omitempty"`
-	DeferredJoins []core.Command `json:"deferred_joins,omitempty"`
-	// DeferredLeaves is read from version-2 tails only, whose shards
-	// retried leaves that rule L refused; a replica stages them ahead
-	// of the batch. No tail is cut with it.
-	DeferredLeaves []string `json:"deferred_leaves,omitempty"`
+	// Batch holds the staged commands, each with the slot it was
+	// admitted in; the boundary that applies one restamps it.
+	Batch []core.Command `json:"batch,omitempty"`
+	// DeferredJoins (versions 2 and 3) and DeferredLeaves (version 2)
+	// are read from tails whose shards held that work outside the
+	// engine; a replica stages it ahead of the batch in their flush
+	// order, leaves first. No tail is cut with either.
+	DeferredJoins  []core.Command `json:"deferred_joins,omitempty"`
+	DeferredLeaves []string       `json:"deferred_leaves,omitempty"`
 	// Admission holds the book entries stamped >= From: every entry a
 	// follower that applied the cut at From lacks (names are never
 	// deleted, so upserting them is complete), and all of them when
 	// From == 0.
-	Admission   admissionState `json:"admission"`
-	BooksDigest uint64         `json:"books_digest"`
+	Admission admissionState `json:"admission"`
+	// BooksDigest is the books digest XORed with batchDigest of Batch;
+	// before version 4 it covered the books alone.
+	BooksDigest uint64 `json:"books_digest"`
 
 	// seq is the shard's mutation sequence at the cut (see Seq). It is
 	// never encoded.
@@ -61,44 +65,59 @@ func (t *Tail) Seq() int64 { return t.seq }
 // one shard. It leans on the engine's determinism: instead of
 // serializing the scheduler's internal heaps, it records the seed
 // system plus the log of commands actually applied — core.Replay
-// rebuilds the engine byte-for-byte, and Digest proves it did.
-// Admitted-but-unapplied work (the slot batch and the condition-J
-// deferral queue) and the admission books ride along so a restart loses
-// no admitted command.
+// rebuilds the engine byte-for-byte, and Digest proves it did. A join
+// the engine holds for condition J is in the log like any other
+// command. The admitted-but-unapplied slot batch and the admission
+// books ride along so a restart loses no admitted command.
 type Snapshot = Tail
 
 // tailVersion guards the wire and file format; bump on incompatible
 // change. Version 3 logs a leave at the boundary that hands it to the
 // engine, rule L permitting or not, which a version-2 binary cannot
-// replay. Version-2 tails still apply: their logs replay unchanged.
-const tailVersion = 3
+// replay. Version 4 does the same for a join condition J holds, and its
+// books digest covers the batch. Version-2 and version-3 tails still
+// apply: their logs replay unchanged.
+const tailVersion = 4
 
 // tail serializes the state from log index `from` on; from 0 cuts the
 // snapshot. seq is the cutting shard's mutation sequence (see
 // Tail.Seq). On a Shard, run-goroutine only (or after the loop has
 // exited).
 //
-//lint:allocok tails copy the log suffix and pending sets by design; replication traffic, not the per-slot path
+//lint:allocok tails copy the log suffix and batch by design; replication traffic, not the per-slot path
 func (st *shardState) tail(from int, seq int64) (*Tail, error) {
 	if from < 0 || from > len(st.log) {
 		return nil, fmt.Errorf("serve: shard %d tail from %d outside [0,%d]", st.id, from, len(st.log))
 	}
 	return &Tail{
-		Version:       tailVersion,
-		Shard:         st.id,
-		Config:        st.cfg,
-		Seed:          st.seed,
-		From:          from,
-		Total:         len(st.log),
-		Now:           st.eng.Now(),
-		Digest:        st.eng.StateDigest(),
-		Commands:      append([]core.Command{}, st.log[from:]...),
-		Batch:         append([]core.Command(nil), st.batch...),
-		DeferredJoins: append([]core.Command(nil), st.defJoins...),
-		Admission:     st.adm.state(from),
-		BooksDigest:   st.adm.digest(),
-		seq:           seq,
+		Version:     tailVersion,
+		Shard:       st.id,
+		Config:      st.cfg,
+		Seed:        st.seed,
+		From:        from,
+		Total:       len(st.log),
+		Now:         st.eng.Now(),
+		Digest:      st.eng.StateDigest(),
+		Commands:    append([]core.Command{}, st.log[from:]...),
+		Batch:       append([]core.Command(nil), st.batch...),
+		Admission:   st.adm.state(from),
+		BooksDigest: st.adm.digest() ^ batchDigest(st.batch),
+		seq:         seq,
 	}, nil
+}
+
+// batchDigest is FNV-1a over each staged command's op, task, weight and
+// group, in order, and 0 for an empty batch. It leaves out At, which
+// the boundary that applies the command restamps.
+func batchDigest(batch []core.Command) uint64 {
+	if len(batch) == 0 {
+		return 0
+	}
+	h := fnv.New64a()
+	for _, c := range batch {
+		_, _ = fmt.Fprintf(h, "%s %q %s %q\n", c.Op, c.Task, c.Weight, c.Group) // hash writes cannot fail
+	}
+	return h.Sum64()
 }
 
 // VerifyTail replays a complete tail (From == 0) on a fresh engine and

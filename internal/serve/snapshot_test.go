@@ -169,27 +169,32 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 }
 
 // TestRestoreRejectsTamperedSnapshot: a snapshot whose log no longer
-// matches its engine digest, or whose books no longer match its books
-// digest, must be refused, not silently restored.
+// matches its engine digest, or whose books or staged batch no longer
+// match its books digest, must be refused, not silently restored. A is
+// at 1/4 with a reweight to 1/8 staged: a restore that lost the batch
+// would book A at 1/8 while its engine ran A at 1/4 for good.
 func TestRestoreRejectsTamperedSnapshot(t *testing.T) {
 	sh := testShard(t, ShardConfig{M: 2, RecordSchedule: true}, 8)
 	admitOne(sh, core.OpJoin, "A", frac.New(1, 4))
 	admitOne(sh, core.OpJoin, "B", frac.New(1, 3))
 	sh.advance(8)
+	admitOne(sh, core.OpReweight, "A", frac.New(1, 8))
 	for _, tc := range []struct {
 		name   string
 		tamper func(*Snapshot)
+		want   string // in the error
 	}{
-		{"digest", func(snap *Snapshot) { snap.Digest++ }},
+		{"digest", func(snap *Snapshot) { snap.Digest++ }, "digest mismatch"},
 		{"book-entry", func(snap *Snapshot) {
 			w := &snap.Admission.Requested[0].Weight
 			*w = w.Div(frac.FromInt(2))
-		}},
+		}, "books digest mismatch"},
+		{"batch", func(snap *Snapshot) { snap.Batch = nil }, "books digest mismatch"},
 	} {
 		snap := mustSnapshot(t, sh)
 		tc.tamper(snap)
-		if _, err := restoreShard(snap, 8); err == nil {
-			t.Fatalf("tampered %s restored without error", tc.name)
+		if _, err := restoreShard(snap, 8); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("tampered %s restored with error %v, want a %s", tc.name, err, tc.want)
 		}
 	}
 	if _, err := restoreShard(mustSnapshot(t, sh), 8); err != nil {
@@ -222,8 +227,8 @@ func mustSnapshot(t *testing.T, sh *Shard) *Snapshot {
 }
 
 // stagedShard returns an M=1 shard whose staged work is one leave in
-// the batch and one join deferred by condition J: A's reweight down has
-// not enacted, so the engine has no room for C yet.
+// the batch. C's join waited in the engine for A's reweight down to
+// enact, which let it in at the end of the slot that followed.
 func stagedShard(t *testing.T) *Shard {
 	t.Helper()
 	sh := testShard(t, ShardConfig{M: 1}, 8)
@@ -234,8 +239,9 @@ func stagedShard(t *testing.T) *Shard {
 	admitOne(sh, core.OpJoin, "C", frac.New(1, 4))
 	sh.advance(1)
 	admitOne(sh, core.OpLeave, "B", frac.Rat{})
-	if len(sh.batch) != 1 || sh.batch[0].Op != core.OpLeave || len(sh.defJoins) != 1 {
-		t.Fatalf("staged batch %v, deferred joins %v; want one leave and one join", sh.batch, sh.defJoins)
+	if len(sh.batch) != 1 || sh.batch[0].Op != core.OpLeave || !sh.eng.Joined("C") || sh.ctr.deferred.Load() != 1 {
+		t.Fatalf("staged batch %v, C joined %v after %d deferrals; want one leave, and C in after one",
+			sh.batch, sh.eng.Joined("C"), sh.ctr.deferred.Load())
 	}
 	return sh
 }
@@ -270,7 +276,7 @@ func editSnapshot(t *testing.T, sh *Shard, edit func(map[string]json.RawMessage)
 func TestRestoreReadsSnapshotWithoutAt(t *testing.T) {
 	live := stagedShard(t)
 	snap := editSnapshot(t, live, func(fields map[string]json.RawMessage) {
-		for _, key := range []string{"batch", "deferred_joins"} {
+		for _, key := range []string{"batch"} {
 			var entries []map[string]json.RawMessage
 			if err := json.Unmarshal(fields[key], &entries); err != nil {
 				t.Fatal(err)
@@ -304,42 +310,131 @@ func TestRestoreReadsSnapshotWithoutAt(t *testing.T) {
 }
 
 // TestReplicaRefusesUnstageableWork: pending work no shard could have
-// staged — an op admission never takes, or a non-join waiting on
-// condition J — is a hard error for a replica and for a restore, not a
-// gap to resync from.
+// staged — an op admission never takes, a non-join waiting on
+// condition J, or queues a version-4 shard keeps in its engine — is a
+// hard error for a replica and for a restore, not a gap to resync from.
 func TestReplicaRefusesUnstageableWork(t *testing.T) {
 	sh := testShard(t, ShardConfig{M: 1}, 4)
 	admitOne(sh, core.OpJoin, "A", frac.New(1, 4))
 	sh.advance(1)
-	for _, tc := range []struct{ name, key, entries string }{
-		{"delay in batch", "batch", `[{"at":1,"op":"delay","task":"A","arg":1}]`},
-		{"reweight in deferred joins", "deferred_joins", `[{"at":1,"op":"reweight","task":"A","weight":"1/8"}]`},
-		{"deferred leaves in a version-3 tail", "deferred_leaves", `["A"]`},
+	for _, tc := range []struct {
+		name, key, entries string
+		version            int
+		want               string // in the error
+	}{
+		{"delay in batch", "batch", `[{"at":1,"op":"delay","task":"A","arg":1}]`, tailVersion, "is a delay"},
+		{"reweight in deferred joins", "deferred_joins", `[{"at":1,"op":"reweight","task":"A","weight":"1/8"}]`, 3, "is a reweight"},
+		{"deferred joins in a version-4 tail", "deferred_joins", `[{"at":1,"op":"join","task":"B","weight":"1/8"}]`, 4, "carries deferred work"},
+		{"deferred leaves in a version-3 tail", "deferred_leaves", `["A"]`, 3, "carries deferred work"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			snap := editSnapshot(t, sh, func(fields map[string]json.RawMessage) {
 				fields[tc.key] = json.RawMessage(tc.entries)
+				fields["version"] = json.RawMessage(fmt.Sprint(tc.version))
 			})
 			_, restoreErr := restoreShard(snap, 4)
 			for what, err := range map[string]error{"Replica.Apply": NewReplica(0).Apply(snap), "restoreShard": restoreErr} {
 				var gap GapError
-				if err == nil || errors.As(err, &gap) {
-					t.Errorf("%s answered %v, want a hard error", what, err)
+				if err == nil || errors.As(err, &gap) || !strings.Contains(err.Error(), tc.want) {
+					t.Errorf("%s answered %v, want a hard error that %s", what, err, tc.want)
 				}
 			}
 		})
 	}
 }
 
-// TestRestoreVersion2Snapshot restores testdata/snapshot_v2.json, a
-// version-2 file whose shard (M=2, early release) holds a staged leave,
-// a leave rule L was deferring and a join condition J was deferring.
-// Its log replays to its engine digest, its books match its books
-// digest, and the shard then drains every queue, its deferred leave
-// staged ahead of its batch, and cuts a version-3 tail that replays to
-// its digest.
+// TestRestoreVersion2Snapshot restores the files older shards wrote,
+// each holding a join that condition J was deferring outside the
+// engine:
+//
+//   - testdata/snapshot_v2.json (M=2, early release) also holds a
+//     staged leave and a leave rule L was deferring;
+//   - testdata/snapshot_v3.json (M=2, early release) also holds a
+//     staged join and reweight. The shard that wrote it let both joins
+//     in at t=7 and reached digest v3At40 at t=40.
+//
+// Each log replays to its engine digest and its books match its books
+// digest. The deferred work is staged in the order its version flushed
+// it: deferred leaves, then deferred joins, then the batch. The shard
+// then drains every queue without a failed apply, and cuts a
+// version-4 tail that replays to its digest.
 func TestRestoreVersion2Snapshot(t *testing.T) {
-	data, err := os.ReadFile("testdata/snapshot_v2.json")
+	const v3At40 = 0xd126a82622914300
+	for _, tc := range []struct {
+		file    string
+		version int
+		staged  []string // op and task of each staged command, in order
+		peak    int64    // deferred-join peak after the drain; 0 is not checked
+		at40    uint64   // digest at t=40; 0 is not checked
+	}{
+		{"testdata/snapshot_v2.json", 2, []string{"leave B", "join E", "leave C"}, 0, 0},
+		{"testdata/snapshot_v3.json", 3, []string{"join E", "join F", "reweight C"}, 2, v3At40},
+	} {
+		t.Run(fmt.Sprintf("v%d", tc.version), func(t *testing.T) {
+			data, err := os.ReadFile(tc.file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var snap Snapshot
+			if err := json.Unmarshal(data, &snap); err != nil {
+				t.Fatal(err)
+			}
+			if snap.Version != tc.version || len(snap.DeferredJoins) != 1 {
+				t.Fatalf("fixture is version %d with deferred joins %v", snap.Version, snap.DeferredJoins)
+			}
+			sh, err := restoreShard(&snap, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var staged []string
+			for _, c := range sh.batch {
+				staged = append(staged, c.Op.String()+" "+c.Task)
+			}
+			if fmt.Sprint(staged) != fmt.Sprint(tc.staged) {
+				t.Fatalf("restored batch %v, want %v", staged, tc.staged)
+			}
+			for {
+				st := sh.status(false)
+				if st.FailedApplies != 0 {
+					t.Fatalf("at t=%d: %d failed applies", st.Now, st.FailedApplies)
+				}
+				if st.PendingBatch+st.DeferredJoins+st.DeferredLeaves == 0 {
+					break
+				}
+				if st.Now > 100 {
+					t.Fatalf("at t=%d: batch %d, deferred joins %d, deferred leaves %d still pending",
+						st.Now, st.PendingBatch, st.DeferredJoins, st.DeferredLeaves)
+				}
+				sh.advance(1)
+			}
+			if peak := sh.ctr.deferredJoinPeak.Load(); tc.peak != 0 && peak != tc.peak {
+				t.Errorf("deferred-join peak %d, want %d", peak, tc.peak)
+			}
+			tail := mustSnapshot(t, sh)
+			digest, err := VerifyTail(tail)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tail.Version != tailVersion || digest != tail.Digest {
+				t.Fatalf("restored shard's tail is version %d with digest %016x, replays to %016x",
+					tail.Version, tail.Digest, digest)
+			}
+			if tc.at40 != 0 {
+				sh.advance(40 - sh.eng.Now())
+				if got := sh.eng.StateDigest(); got != tc.at40 {
+					t.Errorf("digest at t=40 is %016x, the writing shard's was %016x", got, tc.at40)
+				}
+			}
+		})
+	}
+}
+
+// TestRestoreStagedJoinWithoutBookEntry: a version-3 file whose
+// deferred join E has no book entry, with its books digest made to
+// match, restores, and the boundary that hands E to the engine neither
+// panics nor fails: E waits and enters like any other join.
+func TestRestoreStagedJoinWithoutBookEntry(t *testing.T) {
+	data, err := os.ReadFile("testdata/snapshot_v3.json")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,38 +442,36 @@ func TestRestoreVersion2Snapshot(t *testing.T) {
 	if err := json.Unmarshal(data, &snap); err != nil {
 		t.Fatal(err)
 	}
-	if snap.Version != 2 || len(snap.Batch) != 1 || len(snap.DeferredLeaves) != 1 || len(snap.DeferredJoins) != 1 {
-		t.Fatalf("fixture is version %d with batch %v, deferred leaves %v, deferred joins %v",
-			snap.Version, snap.Batch, snap.DeferredLeaves, snap.DeferredJoins)
+	books := &snap.Admission
+	without := func(names []string) (kept []string) {
+		for _, n := range names {
+			if n != "E" {
+				kept = append(kept, n)
+			}
+		}
+		return kept
 	}
+	books.Names, books.Pending = without(books.Names), without(books.Pending)
+	var requested []taskWeight
+	for _, tw := range books.Requested {
+		if tw.Task != "E" {
+			requested = append(requested, tw)
+		}
+	}
+	books.Requested = requested
+	var fresh shardState
+	if err := fresh.build(snap.Config, snap.Seed); err != nil {
+		t.Fatal(err)
+	}
+	fresh.adm.restore(*books)
+	snap.BooksDigest = fresh.adm.digest()
+
 	sh, err := restoreShard(&snap, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sh.batch) != 2 || sh.batch[0].Op != core.OpLeave || sh.batch[0].Task != snap.DeferredLeaves[0] {
-		t.Fatalf("restored batch %v, want the deferred leave of %s staged ahead of %v", sh.batch, snap.DeferredLeaves[0], snap.Batch)
-	}
-	for {
-		st := sh.status(false)
-		if st.FailedApplies != 0 {
-			t.Fatalf("at t=%d: %d failed applies", st.Now, st.FailedApplies)
-		}
-		if st.PendingBatch+st.DeferredJoins+st.DeferredLeaves == 0 {
-			break
-		}
-		if st.Now > 100 {
-			t.Fatalf("at t=%d: batch %d, deferred joins %d, deferred leaves %d still pending",
-				st.Now, st.PendingBatch, st.DeferredJoins, st.DeferredLeaves)
-		}
-		sh.advance(1)
-	}
-	tail := mustSnapshot(t, sh)
-	digest, err := VerifyTail(tail)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tail.Version != tailVersion || digest != tail.Digest {
-		t.Fatalf("restored shard's tail is version %d with digest %016x, replays to %016x",
-			tail.Version, tail.Digest, digest)
+	sh.advance(20)
+	if st := sh.status(false); st.FailedApplies != 0 || st.DeferredJoins != 0 || !sh.eng.Joined("E") {
+		t.Fatalf("at t=%d: %d failed applies, %d joins held, E joined %v", st.Now, st.FailedApplies, st.DeferredJoins, sh.eng.Joined("E"))
 	}
 }

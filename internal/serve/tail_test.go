@@ -276,8 +276,9 @@ func requireRunningBooksDigest(t *testing.T, what string, a *admission) {
 // joins and leaves the engine holds for rule L, and cuts land both
 // between admissions and at slot boundaries. The
 // running books digest of both sides must equal one recomputed from
-// scratch after every admission, boundary and apply. (abortJoin is not
-// reached: it runs only when the engine refuses an admitted join.)
+// scratch after every admission, boundary and apply. (release of a
+// join is not reached: it runs only when the engine refuses an
+// admitted join.)
 func TestFoldedBooksTrackThePrimary(t *testing.T) {
 	// One processor, so condition J defers some of genScript's joins.
 	cfgs := map[string]ShardConfig{

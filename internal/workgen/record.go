@@ -28,11 +28,11 @@ const maxAdvance = 1 << 20
 // Record fetches a snapshot from every shard of the daemon at base
 // (e.g. "http://127.0.0.1:9470") and decodes each straight into its
 // ShardTrace, which drops the snapshot fields replay does not read
-// (admission books, pending queues). The daemon keeps running;
-// snapshots are read-only. Commands still sitting in a slot batch or a
-// deferral queue are not yet applied and therefore not part of the
-// trace — record after a final advance has flushed them, or the trace
-// ends at the last applied state.
+// (admission books, staged batch). The daemon keeps running;
+// snapshots are read-only. Commands still sitting in a slot batch are
+// not yet applied and therefore not part of the trace — record after a
+// final advance has flushed them, or the trace ends at the last
+// applied state. A join or leave the engine still holds is in the log.
 func Record(client *http.Client, base string, shards int) (*Trace, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("workgen: record needs shards >= 1, got %d", shards)

@@ -25,10 +25,11 @@ import (
 // sync.
 
 // traceVersion is the snapshot format version a trace is read in.
-// Version 2 traces are read too: a version-3 log differs only in
-// logging each leave at the boundary that hands it to the engine, and
-// both replay through the same admission path.
-const traceVersion = 3
+// Version 2 and 3 traces are read too: a version-3 log differs only in
+// logging each leave at the boundary that hands it to the engine, a
+// version-4 log in doing the same for each join, and all of them replay
+// through the same admission path.
+const traceVersion = 4
 
 // ShardTrace is one shard's recorded state: the engine configuration it
 // ran under, the system it started from, the applied command log in
@@ -85,8 +86,8 @@ func (tr *Trace) Validate() error {
 	seen := make(map[int]bool, len(tr.Shards))
 	for i := range tr.Shards {
 		st := &tr.Shards[i]
-		if st.Version != traceVersion && st.Version != 2 {
-			return fmt.Errorf("workgen: trace shard %d is snapshot version %d, this build reads v2 and v%d",
+		if st.Version < 2 || st.Version > traceVersion {
+			return fmt.Errorf("workgen: trace shard %d is snapshot version %d, this build reads v2 to v%d",
 				st.Shard, st.Version, traceVersion)
 		}
 		if st.Shard < 0 {

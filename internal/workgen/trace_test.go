@@ -129,9 +129,11 @@ func TestDecodeTraceErrors(t *testing.T) {
 	if _, err := DecodeTrace(strings.NewReader("[" + okShard + "]")); err != nil {
 		t.Fatalf("the unchanged base shard must decode: %v", err)
 	}
-	v3 := strings.Replace(okShard, `"version":2`, `"version":3`, 1)
-	if _, err := DecodeTrace(strings.NewReader("[" + v3 + "]")); err != nil {
-		t.Fatalf("a version-3 shard must decode: %v", err)
+	for _, v := range []string{"3", "4"} {
+		shard := strings.Replace(okShard, `"version":2`, `"version":`+v, 1)
+		if _, err := DecodeTrace(strings.NewReader("[" + shard + "]")); err != nil {
+			t.Fatalf("a version-%s shard must decode: %v", v, err)
+		}
 	}
 	// mut is a one-shard trace with one substring of okShard replaced.
 	mut := func(old, new string) string {
@@ -146,7 +148,7 @@ func TestDecodeTraceErrors(t *testing.T) {
 		"null":                 "null\n",
 		"garbage":              "hello world\n",
 		"wrong version":        mut(`"version":2`, `"version":1`),
-		"future version":       mut(`"version":2`, `"version":4`),
+		"future version":       mut(`"version":2`, `"version":5`),
 		"missing version":      mut(`"version":2,`, ``),
 		"missing end":          strings.TrimSuffix(vs, "]\n"),
 		"truncated mid-shard":  vs[:len(vs)/2],

@@ -139,7 +139,10 @@ daemon_pid=""
 # holds each leave well past the slot it was admitted in. The engine
 # fixes that wait when the leave reaches it, so the strict drain must
 # empty every queue, and the replayed log, which holds leaves that
-# waited out such a lead, must reproduce both digests.
+# waited out such a lead, must reproduce both digests. The churn's
+# joins also wait in the engine for condition J (the phases above read
+# a deferred-join depth of 0), so the run must report a non-zero depth:
+# this is the phase whose replay covers joins logged while held.
 echo "workgen-smoke: early-release daemon, join-leave-churn, 4000 commands (strict), recording trace"
 "$tmp/pd2d" -addr "$addr" -shards 2 -m 2 -early-release >"$tmp/pd2d-er.log" 2>&1 &
 daemon_pid=$!
@@ -151,6 +154,10 @@ wait_healthy "$tmp/pd2d-er.log"
   | tee "$tmp/er.out"
 grep -q "strict checks passed" "$tmp/er.out" || {
   echo "workgen-smoke: early-release churn run failed its strict audit" >&2
+  exit 1
+}
+grep -Eq "max deferred-join depth [1-9]" "$tmp/er.out" || {
+  echo "workgen-smoke: early-release churn held no join for condition J" >&2
   exit 1
 }
 
