@@ -105,27 +105,40 @@ func (pp *pendingPool) newPending() *pending {
 	return &pending{reply: make(chan reply, 1)}
 }
 
+// Pooled-buffer ceilings: freePending drops a record's buffer that one
+// large request grew past these, so the pool never pins the largest
+// batch it carried. A 32-command record stays far below both.
+const (
+	maxPooledBytes = 64 << 10 // body, esc and out
+	maxPooledCmds  = 1024     // cmds and results entries
+)
+
 // freePending returns a record to the pool. The caller must have
 // received the record's reply (the channel must be empty) and must not
 // touch the record afterwards.
 func (pp *pendingPool) freePending(p *pending) {
 	p.stamp++
 	p.kind = 0
-	for i := range p.cmds {
-		p.cmds[i] = wireCmd{}
-	}
-	p.cmds = p.cmds[:0]
+	clear(p.cmds)
+	p.cmds = capped(p.cmds, maxPooledCmds)
 	p.slots = 0
 	p.withTasks = false
 	p.from = 0
-	p.body = p.body[:0]
-	p.esc = p.esc[:0]
-	for i := range p.results {
-		p.results[i] = CommandResult{}
-	}
-	p.results = p.results[:0]
-	p.out = p.out[:0]
+	p.body = capped(p.body, maxPooledBytes)
+	p.esc = capped(p.esc, maxPooledBytes)
+	clear(p.results)
+	p.results = capped(p.results, maxPooledCmds)
+	p.out = capped(p.out, maxPooledBytes)
 	pp.mu.Lock()
 	pp.free = append(pp.free, p)
 	pp.mu.Unlock()
+}
+
+// capped returns buf cut to length 0 for the next request, or nil when
+// its capacity is past ceiling.
+func capped[T any](buf []T, ceiling int) []T {
+	if cap(buf) > ceiling {
+		return nil
+	}
+	return buf[:0]
 }

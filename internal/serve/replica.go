@@ -37,7 +37,7 @@ func NewReplica(shard int) *Replica { return &Replica{shardState{id: shard}} }
 
 // Len returns the replicated log length — the index the replica wants
 // next.
-func (r *Replica) Len() int { return len(r.log) }
+func (r *Replica) Len() int { return r.log.len() }
 
 // Now returns the replica engine's clock, or 0 before the first tail.
 func (r *Replica) Now() int64 {
@@ -87,10 +87,10 @@ func (r *Replica) Apply(t *Tail) error {
 			return fmt.Errorf("serve: replica %d: %w", r.id, err)
 		}
 	}
-	if t.From > len(r.log) {
-		return GapError{Want: len(r.log)}
+	if t.From > r.log.len() {
+		return GapError{Want: r.log.len()}
 	}
-	skip := len(r.log) - t.From
+	skip := r.log.len() - t.From
 	if skip > len(t.Commands) {
 		skip = len(t.Commands) // replica already past this tail's coverage
 	}
@@ -98,12 +98,14 @@ func (r *Replica) Apply(t *Tail) error {
 	if err := r.eng.ReplayLog(fresh, t.Now); err != nil {
 		return fmt.Errorf("serve: replica %d replay: %w", r.id, err)
 	}
-	r.log = append(r.log, fresh...)
+	for _, c := range fresh {
+		r.log.append(c)
+	}
 	if got := r.eng.StateDigest(); got != t.Digest {
 		return fmt.Errorf("serve: replica %d digest mismatch at t=%d: replayed %016x, tail %016x",
 			r.id, t.Now, got, t.Digest)
 	}
-	r.adm.at = len(r.log)
+	r.adm.at = r.log.len()
 	r.adm.restore(t.Admission)
 	got := r.adm.digest()
 	if t.Version > 3 {

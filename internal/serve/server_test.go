@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -404,5 +406,39 @@ func TestTickerAdvancesShard(t *testing.T) {
 			t.Fatalf("shard clock still at %d after tick", st.Now)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestFreedRecordDropsLargeBuffers: a record that carried a batch at the
+// handler's 1 MiB limit goes back to the pool without the buffers it
+// grew, so the pool does not pin the largest batch it ever carried.
+func TestFreedRecordDropsLargeBuffers(t *testing.T) {
+	srv, _ := testServer(t, Options{Shards: 1, Config: ShardConfig{M: 1}})
+	var body bytes.Buffer
+	body.WriteByte('[')
+	for i := 0; body.Len() < 1<<20-64; i++ {
+		if i > 0 {
+			body.WriteByte(',')
+		}
+		fmt.Fprintf(&body, `{"op":"leave","task":"unknown-%07d"}`, i)
+	}
+	body.WriteByte(']')
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/shards/0/commands", &body))
+	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"error":"unknown_task"`) {
+		t.Fatalf("1 MiB batch of unknown leaves: %d %.200s", rec.Code, rec.Body.String())
+	}
+	sh := srv.shardAt(0)
+	sh.pool.mu.Lock()
+	defer sh.pool.mu.Unlock()
+	if len(sh.pool.free) == 0 {
+		t.Fatal("no record returned to the pool")
+	}
+	for _, p := range sh.pool.free {
+		if cap(p.body) > maxPooledBytes || cap(p.esc) > maxPooledBytes || cap(p.out) > maxPooledBytes ||
+			cap(p.cmds) > maxPooledCmds || cap(p.results) > maxPooledCmds {
+			t.Fatalf("pooled record keeps body %d, esc %d, out %d bytes, cmds %d, results %d entries",
+				cap(p.body), cap(p.esc), cap(p.out), cap(p.cmds), cap(p.results))
+		}
 	}
 }

@@ -96,7 +96,7 @@ type shardState struct {
 	seed  model.System
 	eng   *core.Scheduler
 	adm   *admission
-	log   []core.Command // commands actually applied, in order
+	log   cmdLog         // commands actually applied, in order
 	batch []core.Command // admitted this slot, applies at next boundary
 }
 
@@ -333,7 +333,7 @@ func (sh *Shard) flush() {
 		if err != nil {
 			sh.ctr.failedApplies.Add(1)
 		} else {
-			sh.log = append(sh.log, c)
+			sh.log.append(c)
 			sh.ctr.applied.Add(1)
 		}
 		switch c.Op {
@@ -355,7 +355,7 @@ func (sh *Shard) flush() {
 		}
 	}
 	sh.batch = sh.batch[:0]
-	sh.adm.at = len(sh.log)
+	sh.adm.at = sh.log.len()
 	// Deferred-join depth peaks right after a flush that deferred work;
 	// track it here so multi-slot advances cannot hide a transient.
 	// Single-writer, so the load/store pair cannot race another writer.

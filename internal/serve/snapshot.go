@@ -26,10 +26,9 @@ type Tail struct {
 	From    int          `json:"from"`
 	// Total is the primary's full log length after Commands; a follower
 	// whose own log does not reach From answers with the index it wants.
-	Total    int            `json:"total"`
-	Now      int64          `json:"now"`
-	Digest   uint64         `json:"digest"`
-	Commands []core.Command `json:"log,omitempty"`
+	Total  int    `json:"total"`
+	Now    int64  `json:"now"`
+	Digest uint64 `json:"digest"`
 
 	// Batch holds the staged commands, each with the slot it was
 	// admitted in; the boundary that applies one restamps it.
@@ -48,6 +47,9 @@ type Tail struct {
 	// BooksDigest is the books digest XORed with batchDigest of Batch;
 	// before version 4 it covered the books alone.
 	BooksDigest uint64 `json:"books_digest"`
+	// Commands are the commands applied since From. log is the last key,
+	// so a writer can stream it after the rest (see encodeTail).
+	Commands []core.Command `json:"log,omitempty"`
 
 	// seq is the shard's mutation sequence at the cut (see Seq). It is
 	// never encoded.
@@ -84,10 +86,10 @@ const tailVersion = 4
 // Tail.Seq). On a Shard, run-goroutine only (or after the loop has
 // exited).
 //
-//lint:allocok tails copy the log suffix and batch by design; replication traffic, not the per-slot path
+//lint:allocok tails decode the log suffix and copy the batch by design; replication traffic, not the per-slot path
 func (st *shardState) tail(from int, seq int64) (*Tail, error) {
-	if from < 0 || from > len(st.log) {
-		return nil, fmt.Errorf("serve: shard %d tail from %d outside [0,%d]", st.id, from, len(st.log))
+	if from < 0 || from > st.log.len() {
+		return nil, fmt.Errorf("serve: shard %d tail from %d outside [0,%d]", st.id, from, st.log.len())
 	}
 	return &Tail{
 		Version:     tailVersion,
@@ -95,10 +97,10 @@ func (st *shardState) tail(from int, seq int64) (*Tail, error) {
 		Config:      st.cfg,
 		Seed:        st.seed,
 		From:        from,
-		Total:       len(st.log),
+		Total:       st.log.len(),
 		Now:         st.eng.Now(),
 		Digest:      st.eng.StateDigest(),
-		Commands:    append([]core.Command{}, st.log[from:]...),
+		Commands:    st.log.from(from),
 		Batch:       append([]core.Command(nil), st.batch...),
 		Admission:   st.adm.state(from),
 		BooksDigest: st.adm.digest() ^ batchDigest(st.batch),

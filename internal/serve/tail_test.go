@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -9,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/frac"
 	"repro/internal/stats"
 )
@@ -328,5 +330,39 @@ func TestFoldedBooksTrackThePrimary(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestEncodeTailMatchesEncoder: the chunked tail writer must produce
+// the bytes writeJSON's json.Encoder does, with the log empty, inside
+// one chunk, at a chunk's edge and across several, for names JSON
+// escapes and with a batch and book entries in the tail.
+func TestEncodeTailMatchesEncoder(t *testing.T) {
+	for _, n := range []int{0, 1, tailChunk - 1, tailChunk, tailChunk + 1, 5000} {
+		tl := &Tail{
+			Version: tailVersion, Shard: 1, Config: ShardConfig{M: 2, Policy: "hybrid", OIThreshold: frac.New(1, 8)},
+			From: 3, Total: 3 + n, Now: 4000, Digest: 0xfeedface,
+			Batch: []core.Command{{At: 4000, Op: core.OpJoin, Task: "<b>&\u2028", Weight: frac.New(1, 3), Group: "g>"}},
+			Admission: admissionState{
+				Names:     []string{"<b>&\u2028", "T&1"},
+				Requested: []taskWeight{{Task: "<b>&\u2028", Weight: frac.New(1, 3)}, {Task: "T&1", Weight: frac.Zero}},
+				Pending:   []string{"<b>&\u2028"},
+			},
+			BooksDigest: 7,
+		}
+		for i := 0; i < n; i++ {
+			tl.Commands = append(tl.Commands, core.Command{
+				At: int64(i / 3), Op: core.CommandOp(i % 3), Task: fmt.Sprintf("T&%d<%d>", i%7, i), Weight: frac.New(1, int64(2+i%9)),
+			})
+		}
+		want := httptest.NewRecorder()
+		writeJSON(want, http.StatusOK, tl)
+		var got bytes.Buffer
+		if err := encodeTail(&got, tl); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Body.Bytes()) {
+			t.Fatalf("%d commands: encodeTail differs from json.Encoder\n got %.300q\nwant %.300q", n, got.Bytes(), want.Body.Bytes())
+		}
 	}
 }
