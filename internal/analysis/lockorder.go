@@ -4,8 +4,8 @@
 //
 // The serving layer is a single-writer design — each Shard goroutine
 // owns its engine — so the only mutexes in the hot path guard tiny
-// shared structures (the pending-record free list, the shared importer
-// cache). Precisely because locking is rare, nobody is thinking about
+// shared structures (the pending-record free list, the view a shard
+// publishes for status reads, the shared importer cache). Precisely because locking is rare, nobody is thinking about
 // lock hierarchies when a second mutex appears; a pair of functions
 // that take two locks in opposite orders is a deadlock that no unit
 // test will ever produce and one loaded weekend will.

@@ -215,14 +215,16 @@ func subTail(t *serve.Tail, from int) (*serve.Tail, error) {
 	return &c, nil
 }
 
-// postTail POSTs one tail to a peer's repl endpoint.
+// postTail POSTs one tail to a peer's repl endpoint. The body is
+// encoded by serve.EncodeTail, so a full push of a long log leaves no
+// log-sized buffer in encoding/json's pool.
 func (n *Node) postTail(base string, shard int, t *serve.Tail) (replAck, int, error) {
-	body, err := json.Marshal(t)
-	if err != nil {
+	var body bytes.Buffer
+	if err := serve.EncodeTail(&body, t); err != nil {
 		return replAck{}, 0, err
 	}
 	url := fmt.Sprintf("%s/v1/cluster/shards/%d/repl", base, shard)
-	resp, err := n.client.Post(url, "application/json", bytes.NewReader(body))
+	resp, err := n.client.Post(url, "application/json", &body)
 	if err != nil {
 		return replAck{}, 0, err
 	}

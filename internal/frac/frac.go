@@ -19,6 +19,7 @@
 package frac
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -43,7 +44,9 @@ var (
 	Half = Rat{1, 2}
 )
 
-// New returns the rational num/den in lowest terms. It panics if den == 0.
+// New returns the rational num/den in lowest terms. It panics if den == 0,
+// and with ErrOverflow if the reduced numerator or denominator has
+// magnitude 2^63 (an unreduced math.MinInt64 operand).
 func New(num, den int64) Rat {
 	if den == 0 {
 		panic("frac: zero denominator")
@@ -51,21 +54,64 @@ func New(num, den int64) Rat {
 	return norm(num, den)
 }
 
+// errZeroDen is Reduce's error for a zero denominator.
+var errZeroDen = errors.New("zero denominator")
+
+// Reduce is New for untrusted input: it returns the same value, or an
+// error instead of a panic when den is 0 or the reduced value does not
+// fit. It reduces the unsigned magnitudes, so a math.MinInt64 operand
+// is exact: MinInt64/MinInt64 is 1 and -2^62/MinInt64 is 1/2. A reduced
+// numerator or denominator of magnitude 2^63 is ErrOverflow: no Rat
+// holds it (a numerator of MinInt64 could not be negated). It never
+// allocates.
+func Reduce(num, den int64) (Rat, error) {
+	if den == 0 {
+		return Rat{}, errZeroDen
+	}
+	if num == 0 {
+		return Rat{0, 1}, nil
+	}
+	n, d := magnitude(num), magnitude(den)
+	g := gcdU64(n, d)
+	n, d = n/g, d/g
+	if n > math.MaxInt64 || d > math.MaxInt64 {
+		return Rat{}, ErrOverflow
+	}
+	if (num < 0) != (den < 0) {
+		return Rat{-int64(n), int64(d)}, nil
+	}
+	return Rat{int64(n), int64(d)}, nil
+}
+
 // FromInt returns the rational n/1.
 func FromInt(n int64) Rat {
 	return Rat{n, 1}
 }
 
-// norm reduces num/den to lowest terms with a positive denominator.
+// norm reduces num/den (den != 0) to lowest terms with a positive
+// denominator. It panics with ErrOverflow when the result does not fit.
 func norm(num, den int64) Rat {
-	if den < 0 {
-		num, den = -num, -den
+	r, err := Reduce(num, den)
+	if err != nil {
+		panic(err)
 	}
-	if num == 0 {
-		return Rat{0, 1}
+	return r
+}
+
+// magnitude returns |x| as a uint64; |MinInt64| is 2^63.
+func magnitude(x int64) uint64 {
+	if x < 0 {
+		return uint64(-(x + 1)) + 1
 	}
-	g := gcd64(abs64(num), den)
-	return Rat{num / g, den / g}
+	return uint64(x)
+}
+
+// gcdU64 returns the greatest common divisor of a and b, both > 0.
+func gcdU64(a, b uint64) uint64 {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
 }
 
 func abs64(x int64) int64 {
@@ -330,10 +376,11 @@ func Parse(s string) (Rat, error) {
 		if err != nil {
 			return Rat{}, fmt.Errorf("frac: parse %q: %w", s, err)
 		}
-		if den == 0 {
-			return Rat{}, fmt.Errorf("frac: parse %q: zero denominator", s)
+		r, err := Reduce(num, den)
+		if err != nil {
+			return Rat{}, fmt.Errorf("frac: parse %q: %w", s, err)
 		}
-		return New(num, den), nil
+		return r, nil
 	}
 	n, err := strconv.ParseInt(s, 10, 64)
 	if err != nil {

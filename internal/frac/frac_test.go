@@ -32,6 +32,48 @@ func TestNewNormalizes(t *testing.T) {
 	}
 }
 
+// TestMinInt64Operands: New reduces on magnitudes, so a math.MinInt64
+// operand that reduces is exact, and one that does not panics with
+// ErrOverflow (Reduce and Parse return it) instead of yielding a
+// negative denominator.
+func TestMinInt64Operands(t *testing.T) {
+	for _, c := range []struct {
+		num, den     int64
+		wantN, wantD int64
+	}{
+		{-1 << 62, math.MinInt64, 1, 2},
+		{math.MinInt64, math.MinInt64, 1, 1},
+		{math.MinInt64, 2, -1 << 62, 1},
+		{math.MinInt64, -4, 1 << 61, 1},
+		{6, math.MinInt64, -3, 1 << 62},
+		{math.MaxInt64, -math.MaxInt64, -1, 1},
+	} {
+		r := New(c.num, c.den)
+		if r.Num() != c.wantN || r.Den() != c.wantD {
+			t.Errorf("New(%d,%d) = %d/%d, want %d/%d", c.num, c.den, r.Num(), r.Den(), c.wantN, c.wantD)
+		}
+	}
+	for _, c := range [][2]int64{{1, math.MinInt64}, {math.MinInt64, 3}, {math.MinInt64, -1}, {-3, math.MinInt64}} {
+		if _, err := Reduce(c[0], c[1]); err != ErrOverflow {
+			t.Errorf("Reduce(%d,%d): err %v, want ErrOverflow", c[0], c[1], err)
+		}
+		if _, ok := tryRat(t, func() Rat { return New(c[0], c[1]) }); ok {
+			t.Errorf("New(%d,%d) did not panic", c[0], c[1])
+		}
+	}
+	if _, err := Reduce(1, 0); err == nil {
+		t.Error("Reduce(1,0) succeeded")
+	}
+	if r, err := Parse("-4611686018427387904/-9223372036854775808"); err != nil || !r.Eq(Half) {
+		t.Errorf("Parse(-2^62/MinInt64) = %v, %v; want 1/2", r, err)
+	}
+	for _, s := range []string{"-9223372036854775808/3", "1/-9223372036854775808"} {
+		if r, err := Parse(s); err == nil {
+			t.Errorf("Parse(%q) = %v, want an error", s, r)
+		}
+	}
+}
+
 func TestZeroValueIsZero(t *testing.T) {
 	var r Rat
 	if !r.IsZero() || r.Den() != 1 || r.Sign() != 0 {

@@ -20,6 +20,10 @@ func FuzzRatArith(f *testing.F) {
 	f.Add(int64(math.MaxInt64), int64(1), int64(1), int64(math.MaxInt64))
 	f.Add(int64(math.MinInt64), int64(3), int64(5), int64(7))
 	f.Add(int64(1), int64(math.MaxInt64), int64(1), int64(math.MaxInt64-1))
+	f.Add(int64(-1<<62), int64(math.MinInt64), int64(math.MinInt64), int64(math.MinInt64))
+	f.Add(int64(-1<<62), int64(math.MinInt64), int64(1), int64(3))
+	f.Add(int64(1), int64(math.MinInt64), int64(3), int64(math.MinInt64))
+	f.Add(int64(6), int64(math.MinInt64), int64(math.MinInt64), int64(-4))
 	f.Fuzz(func(t *testing.T, an, ad, bn, bd int64) {
 		if ad == 0 || bd == 0 {
 			return // New is specified to panic on zero denominators

@@ -34,8 +34,8 @@ func admitTemplate(t *testing.T, sh *Shard, cmds []core.Command) (queued, reject
 }
 
 func anomalies(sh *Shard) (rejectSpikes, driftExcur, backpressure, joinPeak int64) {
-	return sh.ctr.anomRejectSpikes.Load(), sh.ctr.anomDriftExcur.Load(),
-		sh.ctr.anomBackpressure.Load(), sh.ctr.deferredJoinPeak.Load()
+	return sh.ctr.anomRejectSpikes, sh.ctr.anomDriftExcur,
+		sh.ctr.anomBackpressure, sh.ctr.deferredJoinPeak
 }
 
 // TestAnomalyCountersCleanRun drives a polite workload and requires
@@ -62,8 +62,8 @@ func TestAnomalyCountersCleanRun(t *testing.T) {
 	if rs != 0 || de != 0 || bp != 0 || jp != 0 {
 		t.Errorf("clean run fired anomalies: rejectSpikes=%d driftExcur=%d backpressure=%d joinPeak=%d", rs, de, bp, jp)
 	}
-	if sh.ctr.failedApplies.Load() != 0 {
-		t.Errorf("failedApplies = %d", sh.ctr.failedApplies.Load())
+	if sh.ctr.failedApplies != 0 {
+		t.Errorf("failedApplies = %d", sh.ctr.failedApplies)
 	}
 }
 
@@ -101,11 +101,11 @@ func TestAnomalyRejectSpikeAdmissionCamp(t *testing.T) {
 	if rs == 0 {
 		t.Error("rejection flood did not fire the reject-spike counter")
 	}
-	if sh.ctr.failedApplies.Load() != 0 {
-		t.Errorf("failedApplies = %d", sh.ctr.failedApplies.Load())
+	if sh.ctr.failedApplies != 0 {
+		t.Errorf("failedApplies = %d", sh.ctr.failedApplies)
 	}
-	if sh.ctr.rejectedW.Load() != 64 {
-		t.Errorf("rejectedW = %d, want 64", sh.ctr.rejectedW.Load())
+	if sh.ctr.rejectedW != 64 {
+		t.Errorf("rejectedW = %d, want 64", sh.ctr.rejectedW)
 	}
 }
 
@@ -154,8 +154,8 @@ func TestAnomalyDriftExcursionsStorm(t *testing.T) {
 			sh.advance(2)
 			ts.Advanced()
 		}
-		if sh.ctr.failedApplies.Load() != 0 {
-			t.Fatalf("failedApplies = %d", sh.ctr.failedApplies.Load())
+		if sh.ctr.failedApplies != 0 {
+			t.Fatalf("failedApplies = %d", sh.ctr.failedApplies)
 		}
 		_, de, _, _ := anomalies(sh)
 		return sh, de
@@ -205,8 +205,8 @@ func TestDeferredJoinPeakDrains(t *testing.T) {
 	if _, _, _, after := anomalies(sh); after != peak {
 		t.Errorf("peak moved from %d to %d after the drain; it is a high-watermark", peak, after)
 	}
-	if sh.ctr.failedApplies.Load() != 0 {
-		t.Errorf("failedApplies = %d", sh.ctr.failedApplies.Load())
+	if sh.ctr.failedApplies != 0 {
+		t.Errorf("failedApplies = %d", sh.ctr.failedApplies)
 	}
 	// B eventually joined for real.
 	if !sh.eng.Joined("B") {
@@ -220,7 +220,7 @@ func TestDeferredJoinPeakDrains(t *testing.T) {
 func TestAnomalyBackpressureWindows(t *testing.T) {
 	sh := testShard(t, ShardConfig{M: 1}, 4)
 	// Window 1: three 429s (as the HTTP layer would record them).
-	sh.ctr.backpressured.Add(3)
+	sh.reqs.backpressured.Add(3)
 	sh.advance(1)
 	if _, _, bp, _ := anomalies(sh); bp != 1 {
 		t.Fatalf("backpressure spikes = %d after one hot window, want 1", bp)
@@ -231,7 +231,7 @@ func TestAnomalyBackpressureWindows(t *testing.T) {
 		t.Fatalf("backpressure spikes grew to %d across quiet windows", bp)
 	}
 	// Another hot window.
-	sh.ctr.backpressured.Add(1)
+	sh.reqs.backpressured.Add(1)
 	sh.advance(1)
 	if _, _, bp, _ := anomalies(sh); bp != 2 {
 		t.Fatalf("backpressure spikes = %d after a second hot window, want 2", bp)
@@ -267,7 +267,7 @@ func TestHeavyFloodCapsAtM(t *testing.T) {
 	if got := sh.adm.total; got != frac.FromInt(m) {
 		t.Errorf("requested total %s, want exactly %d", got, m)
 	}
-	if sh.ctr.failedApplies.Load() != 0 {
-		t.Errorf("failedApplies = %d", sh.ctr.failedApplies.Load())
+	if sh.ctr.failedApplies != 0 {
+		t.Errorf("failedApplies = %d", sh.ctr.failedApplies)
 	}
 }

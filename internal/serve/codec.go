@@ -656,7 +656,8 @@ func parseInt64(b []byte) (int64, bool) {
 }
 
 // parseRatBytes mirrors frac.Parse over bytes: "a/b" or "a", parts
-// trimmed of (unicode) space, zero denominators refused.
+// trimmed of (unicode) space, zero denominators and values that do not
+// fit refused.
 //
 //lint:noalloc hot wire decode path
 func parseRatBytes(b []byte) (frac.Rat, error) {
@@ -670,10 +671,11 @@ func parseRatBytes(b []byte) (frac.Rat, error) {
 		if !ok {
 			return frac.Rat{}, jsonErrf("frac: parse %q: invalid integer", b)
 		}
-		if den == 0 {
-			return frac.Rat{}, jsonErrf("frac: parse %q: zero denominator", b)
+		r, err := frac.Reduce(num, den)
+		if err != nil {
+			return frac.Rat{}, jsonErrf("frac: parse %q: %v", b, err)
 		}
-		return frac.New(num, den), nil
+		return r, nil
 	}
 	n, ok := parseInt64(b)
 	if !ok {

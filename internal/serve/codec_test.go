@@ -209,6 +209,8 @@ var commandCorpus = []string{
 	`{"op":"join","task":"a","weight":"-1/-2"}`,
 	`{"op":"join","task":"a","weight":"9223372036854775808/2"}`,
 	`{"op":"join","task":"a","weight":"3/9223372036854775807"}`,
+	`{"op":"join","task":"a","weight":"-4611686018427387904/-9223372036854775808"}`,
+	`{"op":"join","task":"a","weight":"-9223372036854775808/3"}`,
 	"{\"op\":\"join\",\"task\":\"a\",\"weight\":\"\u00a01/2\u00a0\"}",
 	`{"op":"join","task":"a","weight":"1_0/20"}`,
 	`{"op":"join","task":"a","weight":1}`,
@@ -328,7 +330,7 @@ func reweightBatchBody(n int) []byte {
 }
 
 // TestWirePathZeroAlloc is the tentpole's acceptance criterion: one
-// full decode → admit → encode round trip, running in pooled buffers,
+// full decode → admit → publish → encode round trip, running in pooled buffers,
 // performs zero steady-state allocations.
 func TestWirePathZeroAlloc(t *testing.T) {
 	const n = 32
@@ -351,6 +353,7 @@ func TestWirePathZeroAlloc(t *testing.T) {
 			results = append(results, sh.admit(&cmds[i]))
 		}
 		sh.batch = sh.batch[:0] // keep the staged batch from growing across rounds
+		sh.publish(nil)
 		out = appendCommandResults(out[:0], results)
 	}
 	round() // warm the buffers

@@ -10,8 +10,10 @@
 //   - Single writer. A shard's *core.Scheduler is touched by exactly one
 //     goroutine (the shard loop). HTTP handlers never reach the engine;
 //     they park a request in the shard's mailbox and wait for the reply.
-//     Reads (status, state dumps, snapshots) flow through the same
-//     mailbox, so they observe slot-boundary-consistent state.
+//     Reads that need the engine (per-task status rows, state dumps,
+//     snapshots) flow through the same mailbox, so they observe
+//     slot-boundary-consistent state. A plain status read copies the
+//     view the loop publishes after every record it answers instead.
 //
 //   - Admission before mutation. Property (W) — the sum of admitted task
 //     weights may not exceed the processor count M — is enforced at the

@@ -24,7 +24,8 @@ const (
 	pendCommands pendingKind = iota
 	// pendAdvance asks the shard to step its clock.
 	pendAdvance
-	// pendQuery asks for a ShardStatus.
+	// pendQuery asks for a ShardStatus with per-task rows (a status
+	// read without them copies the shard's view instead).
 	pendQuery
 	// pendState asks for the canonical engine-state dump and digest.
 	pendState
@@ -55,10 +56,9 @@ type pending struct {
 	stamp uint64
 	kind  pendingKind
 
-	cmds      []wireCmd // pendCommands
-	slots     int64     // pendAdvance
-	withTasks bool      // pendQuery: include per-task status rows
-	from      int       // pendLog: first log index the tail should carry
+	cmds  []wireCmd // pendCommands
+	slots int64     // pendAdvance
+	from  int       // pendLog: first log index the tail should carry
 
 	// Pooled wire buffers, owned by the record so the whole
 	// read-decode-admit-encode round trip reuses one allocation set:
@@ -122,7 +122,6 @@ func (pp *pendingPool) freePending(p *pending) {
 	clear(p.cmds)
 	p.cmds = capped(p.cmds, maxPooledCmds)
 	p.slots = 0
-	p.withTasks = false
 	p.from = 0
 	p.body = capped(p.body, maxPooledBytes)
 	p.esc = capped(p.esc, maxPooledBytes)

@@ -4,58 +4,114 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"sync"
 	"sync/atomic"
+
+	"repro/internal/frac"
 )
 
-// counters is the shard's lock-free observability surface: monotone
-// atomics bumped by whichever side owns the event (the shard loop for
-// engine-side events, handlers for backpressure) plus a gauge snapshot
-// republished by the shard loop at every slot boundary. The /metrics
-// handler reads these without touching the mailbox, so scraping never
-// competes with traffic for the single writer.
+// counters are the shard loop's event counts. Only the loop writes
+// them, so they are plain integers; handlers and /metrics read the copy
+// the loop last published in the shard's view.
 type counters struct {
-	accepted      atomic.Int64 // commands admitted (property (W) passed)
-	rejectedW     atomic.Int64 // 409s carrying weight headroom
-	rejectedOther atomic.Int64 // 404/409 conflicts and unknowns
-	backpressured atomic.Int64 // 429s from a full mailbox
-	applied       atomic.Int64 // commands applied to the engine
-	deferred      atomic.Int64 // boundary deferrals (rules L / J)
-	failedApplies atomic.Int64 // engine refusals of admitted commands (must stay 0)
-	advances      atomic.Int64 // slots stepped
-	queries       atomic.Int64 // status queries served
+	accepted      int64 // commands admitted (property (W) passed)
+	rejectedW     int64 // 409s carrying weight headroom
+	rejectedOther int64 // 404/409 conflicts and unknowns
+	applied       int64 // commands applied to the engine
+	deferred      int64 // boundary deferrals (rules L / J)
+	failedApplies int64 // engine refusals of admitted commands (must stay 0)
+	advances      int64 // slots stepped
 	// mutations counts the command records and advances the shard has
-	// handled, bumped on the shard goroutine before it replies: the
-	// shard's mutation sequence (Server.ShardSeq, Tail.Seq).
-	mutations atomic.Int64
+	// handled, bumped on the shard goroutine before it publishes and
+	// replies: the shard's mutation sequence (Server.ShardSeq, Tail.Seq).
+	mutations int64
 
 	// Anomaly counters: slot-boundary windows in which the shard was
 	// observably degrading. They quantify *graceful* degradation — the
 	// pathological-workload tests assert these fire while failedApplies
-	// stays zero. Bumped by the shard loop (noteAnomalies) except for
-	// deferred-join peak, which flush maintains.
-	anomRejectSpikes atomic.Int64 // windows whose rejection rate spiked (see anomalyMinDecisions)
-	anomDriftExcur   atomic.Int64 // boundaries where a task's |drift| exceeded the configured bound
-	anomBackpressure atomic.Int64 // windows with fresh 429 backpressure
-	deferredJoinPeak atomic.Int64 // high-watermark of the condition-J join queue
-
-	gauge atomic.Pointer[ShardStatus]
+	// stays zero. Bumped by noteAnomalies except for deferred-join peak,
+	// which flush maintains.
+	anomRejectSpikes int64 // windows whose rejection rate spiked (see anomalyMinDecisions)
+	anomDriftExcur   int64 // boundaries where a task's |drift| exceeded the configured bound
+	anomBackpressure int64 // windows with fresh 429 backpressure
+	deferredJoinPeak int64 // high-watermark of the condition-J join queue
 }
 
-// fill copies the counter values into a wire status.
-func (c *counters) fill(st *ShardStatus) {
-	st.Accepted = c.accepted.Load()
-	st.RejectedW = c.rejectedW.Load()
-	st.RejectedOther = c.rejectedOther.Load()
-	st.Backpressured = c.backpressured.Load()
-	st.Applied = c.applied.Load()
-	st.Deferred = c.deferred.Load()
-	st.FailedApplies = c.failedApplies.Load()
-	st.Advances = c.advances.Load()
-	st.Queries = c.queries.Load()
-	st.AnomalyRejectSpikes = c.anomRejectSpikes.Load()
-	st.AnomalyDriftExcursions = c.anomDriftExcur.Load()
-	st.AnomalyBackpressureSpikes = c.anomBackpressure.Load()
-	st.DeferredJoinPeak = c.deferredJoinPeak.Load()
+// requestCounts are the counts bumped outside the loop, read live:
+// handlers count the requests a full mailbox refuses and the status
+// reads they answer from the view; the loop counts the ?tasks=1 reads
+// it answers.
+type requestCounts struct {
+	backpressured atomic.Int64 // 429s from a full mailbox
+	queries       atomic.Int64 // status queries served
+}
+
+// fill copies the counts into a wire status.
+func (c *counters) fill(st *ShardStatus, rc *requestCounts) {
+	st.Accepted = c.accepted
+	st.RejectedW = c.rejectedW
+	st.RejectedOther = c.rejectedOther
+	st.Backpressured = rc.backpressured.Load()
+	st.Applied = c.applied
+	st.Deferred = c.deferred
+	st.FailedApplies = c.failedApplies
+	st.Advances = c.advances
+	st.Queries = rc.queries.Load()
+	st.AnomalyRejectSpikes = c.anomRejectSpikes
+	st.AnomalyDriftExcursions = c.anomDriftExcur
+	st.AnomalyBackpressureSpikes = c.anomBackpressure
+	st.DeferredJoinPeak = c.deferredJoinPeak
+}
+
+// view is what a shard's loop last published: the status of the last
+// slot boundary and, as of the last record the loop answered, the
+// books' requested total, the staged batch length and the loop's
+// counters. Only the loop stores it, after every command record and
+// boundary and before it replies, so a read sent after any reply sees
+// that record, and one store covers every field, so a read never mixes
+// two records. Status reads and /metrics copy it instead of taking a
+// mailbox record. A mutex rather than an atomic pointer: publishing a
+// fresh value per record through a pointer would allocate on the write
+// path.
+type view struct {
+	mu     sync.Mutex
+	status *ShardStatus // never written once published
+	total  frac.Rat
+	batch  int
+	ctr    counters
+}
+
+// store publishes the loop's state; st, when not nil, replaces the
+// boundary status.
+func (v *view) store(st *ShardStatus, total frac.Rat, batch int, ctr *counters) {
+	v.mu.Lock()
+	if st != nil {
+		v.status = st
+	}
+	v.total, v.batch, v.ctr = total, batch, *ctr
+	v.mu.Unlock()
+}
+
+// read returns a copy of the published status carrying the books'
+// total and headroom, the batch length and the loop's counters, with
+// the request counts read live.
+func (v *view) read(rc *requestCounts) *ShardStatus {
+	v.mu.Lock()
+	st := *v.status
+	total := v.total
+	st.PendingBatch = v.batch
+	v.ctr.fill(&st, rc)
+	v.mu.Unlock()
+	st.RequestedWt = total.String()
+	st.Headroom = frac.FromInt(int64(st.M)).Sub(total).String()
+	return &st
+}
+
+// seq returns the published mutation sequence.
+func (v *view) seq() int64 {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.ctr.mutations
 }
 
 // Cluster role codes published on pd2d_cluster_role{shard}: 0 when the
@@ -171,39 +227,29 @@ func (cs *ClusterStats) fillStatus(shard int, st *ShardStatus) {
 // (nil otherwise).
 func writeMetrics(w io.Writer, shards []*Shard, cs *ClusterStats) error {
 	var b strings.Builder
-	for _, f := range []struct {
-		name string
-		v    func(c *counters) int64
-	}{
-		{"pd2d_commands_accepted_total", func(c *counters) int64 { return c.accepted.Load() }},
-		{"pd2d_commands_rejected_weight_total", func(c *counters) int64 { return c.rejectedW.Load() }},
-		{"pd2d_commands_rejected_other_total", func(c *counters) int64 { return c.rejectedOther.Load() }},
-		{"pd2d_commands_backpressured_total", func(c *counters) int64 { return c.backpressured.Load() }},
-		{"pd2d_commands_applied_total", func(c *counters) int64 { return c.applied.Load() }},
-		{"pd2d_commands_deferred_total", func(c *counters) int64 { return c.deferred.Load() }},
-		{"pd2d_commands_failed_applies_total", func(c *counters) int64 { return c.failedApplies.Load() }},
-		{"pd2d_slots_advanced_total", func(c *counters) int64 { return c.advances.Load() }},
-		{"pd2d_queries_total", func(c *counters) int64 { return c.queries.Load() }},
-		{"pd2d_anomaly_reject_spikes_total", func(c *counters) int64 { return c.anomRejectSpikes.Load() }},
-		{"pd2d_anomaly_drift_excursions_total", func(c *counters) int64 { return c.anomDriftExcur.Load() }},
-		{"pd2d_anomaly_backpressure_spikes_total", func(c *counters) int64 { return c.anomBackpressure.Load() }},
-		{"pd2d_anomaly_deferred_join_peak", func(c *counters) int64 { return c.deferredJoinPeak.Load() }},
-	} {
-		for _, sh := range shards {
-			fmt.Fprintf(&b, "%s{shard=\"%d\"} %d\n", f.name, sh.id, f.v(&sh.ctr))
-		}
-	}
-	// The gauges read the status each shard last published, loaded once
-	// so one shard's gauges agree; a shard that has published none yet
-	// prints no gauge lines.
+	// Every family reads the shard's view, copied once per shard so a
+	// shard's families agree with each other.
 	sts := make([]*ShardStatus, len(shards))
 	for i, sh := range shards {
-		sts[i] = sh.ctr.gauge.Load()
+		sts[i] = sh.view.read(&sh.reqs)
 	}
 	for _, f := range []struct {
 		name string
 		v    func(st *ShardStatus) any // an integer or a float64, printed as %d or %g
 	}{
+		{"pd2d_commands_accepted_total", func(st *ShardStatus) any { return st.Accepted }},
+		{"pd2d_commands_rejected_weight_total", func(st *ShardStatus) any { return st.RejectedW }},
+		{"pd2d_commands_rejected_other_total", func(st *ShardStatus) any { return st.RejectedOther }},
+		{"pd2d_commands_backpressured_total", func(st *ShardStatus) any { return st.Backpressured }},
+		{"pd2d_commands_applied_total", func(st *ShardStatus) any { return st.Applied }},
+		{"pd2d_commands_deferred_total", func(st *ShardStatus) any { return st.Deferred }},
+		{"pd2d_commands_failed_applies_total", func(st *ShardStatus) any { return st.FailedApplies }},
+		{"pd2d_slots_advanced_total", func(st *ShardStatus) any { return st.Advances }},
+		{"pd2d_queries_total", func(st *ShardStatus) any { return st.Queries }},
+		{"pd2d_anomaly_reject_spikes_total", func(st *ShardStatus) any { return st.AnomalyRejectSpikes }},
+		{"pd2d_anomaly_drift_excursions_total", func(st *ShardStatus) any { return st.AnomalyDriftExcursions }},
+		{"pd2d_anomaly_backpressure_spikes_total", func(st *ShardStatus) any { return st.AnomalyBackpressureSpikes }},
+		{"pd2d_anomaly_deferred_join_peak", func(st *ShardStatus) any { return st.DeferredJoinPeak }},
 		{"pd2d_shard_now", func(st *ShardStatus) any { return st.Now }},
 		{"pd2d_shard_active_tasks", func(st *ShardStatus) any { return st.ActiveTasks }},
 		{"pd2d_shard_misses", func(st *ShardStatus) any { return st.Misses }},
@@ -217,9 +263,7 @@ func writeMetrics(w io.Writer, shards []*Shard, cs *ClusterStats) error {
 		{"pd2d_shard_sum_abs_lag", func(st *ShardStatus) any { return st.SumAbsLagFloat }},
 	} {
 		for i, sh := range shards {
-			if sts[i] != nil {
-				fmt.Fprintf(&b, "%s{shard=\"%d\"} %v\n", f.name, sh.id, f.v(sts[i]))
-			}
+			fmt.Fprintf(&b, "%s{shard=\"%d\"} %v\n", f.name, sh.id, f.v(sts[i]))
 		}
 	}
 	if cs != nil {

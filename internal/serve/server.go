@@ -174,12 +174,12 @@ func (s *Server) ShardTail(i, from int) (*Tail, error) {
 }
 
 // ShardSeq returns shard i's mutation sequence: the command records and
-// advances its current instance has handled. The shard counts a record
-// before it replies, so a sequence read after a mutation's handler
-// returned covers that mutation, and any tail whose Seq reaches it
-// carries the mutation. The count restarts at zero when InstallShard
-// replaces the instance.
-func (s *Server) ShardSeq(i int) int64 { return s.shardAt(i).ctr.mutations.Load() }
+// advances its current instance has handled. The shard counts and
+// publishes a record before it replies, so a sequence read after a
+// mutation's handler returned covers that mutation, and any tail whose
+// Seq reaches it carries the mutation. The count restarts at zero when
+// InstallShard replaces the instance.
+func (s *Server) ShardSeq(i int) int64 { return s.shardAt(i).view.seq() }
 
 // Advance steps shard i's clock by slots through the mailbox — the
 // in-process equivalent of POST /v1/shards/{shard}/advance, used by the
@@ -338,7 +338,7 @@ func (s *Server) exchange(w http.ResponseWriter, sh *Shard, p *pending) (reply, 
 	}
 	if !sh.submit(p) {
 		sh.pool.freePending(p)
-		sh.ctr.backpressured.Add(1)
+		sh.reqs.backpressured.Add(1)
 		w.Header().Set("Retry-After", s.retryAfter)
 		writeError(w, http.StatusTooManyRequests, errFull, "shard mailbox is full; retry later")
 		return reply{}, false
@@ -448,23 +448,37 @@ func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request) {
 	sh.pool.freePending(p)
 }
 
+// handleQuery answers a status read. A plain read copies what the
+// shard's loop last published, so it never waits behind an advance and
+// a full mailbox never refuses it; ?tasks=1 asks the loop, because
+// per-task rows need the engine.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	sh := s.shardFrom(w, r)
 	if sh == nil {
 		return
 	}
-	p := sh.pool.newPending()
-	p.kind = pendQuery
-	p.withTasks = r.URL.Query().Get("tasks") != ""
-	rep, ok := s.exchange(w, sh, p)
-	if !ok {
-		return
+	var st *ShardStatus
+	if r.URL.Query().Get("tasks") == "" {
+		if s.stopping.Load() {
+			writeError(w, http.StatusServiceUnavailable, errDraining, "server is shutting down")
+			return
+		}
+		sh.reqs.queries.Add(1)
+		st = sh.view.read(&sh.reqs)
+	} else {
+		p := sh.pool.newPending()
+		p.kind = pendQuery
+		rep, ok := s.exchange(w, sh, p)
+		if !ok {
+			return
+		}
+		sh.pool.freePending(p) // the status reply is a fresh copy, not pooled
+		st = rep.status
 	}
-	sh.pool.freePending(p) // the status reply is a fresh copy, not pooled
 	if cs := s.cstats.Load(); cs != nil {
-		cs.fillStatus(sh.id, rep.status)
+		cs.fillStatus(sh.id, st)
 	}
-	writeJSON(w, http.StatusOK, rep.status)
+	writeJSON(w, http.StatusOK, st)
 }
 
 func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
@@ -533,19 +547,20 @@ func (s *Server) writeTail(w http.ResponseWriter, sh *Shard, from int) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
-	_ = encodeTail(w, rep.tail) // client gone; nothing useful to do with a short write
+	_ = EncodeTail(w, rep.tail) // client gone; nothing useful to do with a short write
 }
 
-// tailChunk is how many commands encodeTail marshals at a time.
+// tailChunk is how many commands EncodeTail marshals at a time.
 const tailChunk = 1024
 
-// encodeTail writes t as a json.Encoder would, byte for byte, but
+// EncodeTail writes t as a json.Encoder would, byte for byte, but
 // marshals its log tailChunk commands at a time. encoding/json keeps
 // each encode's buffer in a sync.Pool, where it survives a collection;
 // encoding the whole tail at once would leave a buffer the size of the
 // shard's log there. log is Tail's last key, so the rest of the tail
-// marshals first, without it.
-func encodeTail(w io.Writer, t *Tail) error {
+// marshals first, without it. The /log reply and the cluster's
+// replication push both write tails through it.
+func EncodeTail(w io.Writer, t *Tail) error {
 	head := *t
 	head.Commands = nil
 	b, err := json.Marshal(&head)

@@ -88,6 +88,22 @@ func TestCommandEndpointCodes(t *testing.T) {
 	}
 }
 
+// TestMinInt64Weights: a weight with a math.MinInt64 part is reduced
+// exactly or refused with 400, never a handler panic.
+func TestMinInt64Weights(t *testing.T) {
+	_, ts := testServer(t, Options{Shards: 1, Config: ShardConfig{M: 1}})
+	url := ts.URL + "/v1/shards/0/commands"
+	code, body := postJSON(t, url, CommandRequest{Op: "join", Task: "A", Weight: "-9223372036854775808/3"})
+	var res ErrorResponse
+	if err := json.Unmarshal(body, &res); code != http.StatusBadRequest || err != nil || res.Error != errInvalid {
+		t.Fatalf("join at -2^63/3: %d: %s", code, body)
+	}
+	code, body = postJSON(t, url, CommandRequest{Op: "join", Task: "B", Weight: "-4611686018427387904/-9223372036854775808"})
+	if code != http.StatusOK || !strings.Contains(string(body), `"queued"`) {
+		t.Fatalf("join at -2^62/-2^63 (1/2): %d: %s", code, body)
+	}
+}
+
 func TestBatchEndpoint(t *testing.T) {
 	_, ts := testServer(t, Options{Shards: 1, Config: ShardConfig{M: 2}})
 	url := ts.URL + "/v1/shards/0/commands"
@@ -156,11 +172,12 @@ func TestBackpressure429(t *testing.T) {
 	if !strings.Contains(string(body), errFull) {
 		t.Fatalf("429 body: %s", body)
 	}
-	if sh.ctr.backpressured.Load() != 1 {
-		t.Fatalf("backpressured counter = %d", sh.ctr.backpressured.Load())
+	if sh.reqs.backpressured.Load() != 1 {
+		t.Fatalf("backpressured counter = %d", sh.reqs.backpressured.Load())
 	}
 	// The counter counts refused requests, not commands: a 3-command
-	// batch and a status read add one each.
+	// batch and a status read with per-task rows add one each. (A plain
+	// status read copies the shard's view and is never refused.)
 	batch := strings.NewReader(`[{"op":"join","task":"B","weight":"1/8"},{"op":"join","task":"C","weight":"1/8"},{"op":"join","task":"D","weight":"1/8"}]`)
 	resp, err = http.Post(ts.URL+"/v1/shards/0/commands", "application/json", batch)
 	if err != nil {
@@ -170,15 +187,15 @@ func TestBackpressure429(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("full mailbox, batch: %d", resp.StatusCode)
 	}
-	resp, err = http.Get(ts.URL + "/v1/shards/0")
+	resp, err = http.Get(ts.URL + "/v1/shards/0?tasks=1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("full mailbox, status read: %d", resp.StatusCode)
+		t.Fatalf("full mailbox, status read with tasks: %d", resp.StatusCode)
 	}
-	if got := sh.ctr.backpressured.Load(); got != 3 {
+	if got := sh.reqs.backpressured.Load(); got != 3 {
 		t.Fatalf("backpressured counter = %d after three refused requests, want 3", got)
 	}
 }
@@ -195,6 +212,16 @@ func TestStoppedServerAnswers503(t *testing.T) {
 	code, body := postJSON(t, ts.URL+"/v1/shards/0/commands", CommandRequest{Op: "join", Task: "A", Weight: "1/4"})
 	if code != http.StatusServiceUnavailable || !strings.Contains(string(body), errDraining) {
 		t.Fatalf("post after stop: %d: %s", code, body)
+	}
+	// A plain status read never enters the mailbox, and still drains.
+	resp, err := http.Get(ts.URL + "/v1/shards/0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(string(body), errDraining) {
+		t.Fatalf("status read after stop: %d: %s", resp.StatusCode, body)
 	}
 }
 

@@ -117,8 +117,8 @@ func (st *shardState) build(cfg ShardConfig, seed model.System) error {
 // Shard is one independently scheduled engine instance. Its state and
 // the fields below the channel block are owned by the run goroutine
 // between Start and the close of done; the HTTP side communicates
-// exclusively through the mailbox (see mailbox.go) and the atomic
-// counters in ctr.
+// through the mailbox (see mailbox.go), reads what the loop published
+// in view, and bumps the counts in reqs.
 type Shard struct {
 	shardState
 
@@ -134,7 +134,9 @@ type Shard struct {
 	lastRejections    int64
 	lastBackpressured int64
 
-	ctr counters
+	ctr  counters
+	reqs requestCounts
+	view view
 }
 
 // newShard builds a stopped shard with an empty engine. Tasks arrive
@@ -230,14 +232,15 @@ func (sh *Shard) handle(p *pending) {
 			results = append(results, sh.admit(&p.cmds[i]))
 		}
 		p.results = results
-		sh.ctr.mutations.Add(1)
+		sh.ctr.mutations++
+		sh.publish(nil)
 		p.reply <- reply{results: results, now: sh.eng.Now()}
 	case pendAdvance:
 		sh.advance(p.slots)
 		p.reply <- reply{now: sh.eng.Now()}
 	case pendQuery:
-		sh.ctr.queries.Add(1)
-		st := sh.status(p.withTasks)
+		sh.reqs.queries.Add(1)
+		st := sh.status(true)
 		p.reply <- reply{status: st, now: sh.eng.Now()}
 	case pendState:
 		var b strings.Builder
@@ -245,7 +248,7 @@ func (sh *Shard) handle(p *pending) {
 		//lint:allow hotalloc the state reply is a caller-owned copy; the render itself reuses the engine's buffer
 		p.reply <- reply{state: []byte(b.String()), digest: sh.eng.StateDigest(), now: sh.eng.Now()}
 	case pendLog:
-		t, err := sh.tail(p.from, sh.ctr.mutations.Load())
+		t, err := sh.tail(p.from, sh.ctr.mutations)
 		p.reply <- reply{tail: t, err: err, now: sh.eng.Now()}
 	default:
 		panic(fmt.Sprintf("serve: unhandled pending kind %d", p.kind))
@@ -279,7 +282,7 @@ func (sh *Shard) admit(c *wireCmd) CommandResult {
 	staged.At = sh.eng.Now()
 	staged.Task = name
 	sh.batch = append(sh.batch, staged)
-	sh.ctr.accepted.Add(1)
+	sh.ctr.accepted++
 	return CommandResult{Status: "queued", Slot: sh.eng.Now()}
 }
 
@@ -292,13 +295,13 @@ func (sh *Shard) rejected(aerr *admissionError) CommandResult {
 	case errWeight:
 		res.Code = 409
 		res.Headroom = aerr.headroom.String()
-		sh.ctr.rejectedW.Add(1)
+		sh.ctr.rejectedW++
 	case errUnknown:
 		res.Code = 404
-		sh.ctr.rejectedOther.Add(1)
+		sh.ctr.rejectedOther++
 	default: // errConflict and anything future
 		res.Code = 409
-		sh.ctr.rejectedOther.Add(1)
+		sh.ctr.rejectedOther++
 	}
 	return res
 }
@@ -313,9 +316,9 @@ func (sh *Shard) advance(n int64) {
 	for i := int64(0); i < n; i++ {
 		sh.flush()
 		sh.eng.Step()
-		sh.ctr.advances.Add(1)
+		sh.ctr.advances++
 	}
-	sh.ctr.mutations.Add(1)
+	sh.ctr.mutations++
 	sh.publishStatus()
 }
 
@@ -331,22 +334,22 @@ func (sh *Shard) flush() {
 		c.At = now
 		err := sh.eng.Apply(c)
 		if err != nil {
-			sh.ctr.failedApplies.Add(1)
+			sh.ctr.failedApplies++
 		} else {
 			sh.log.append(c)
-			sh.ctr.applied.Add(1)
+			sh.ctr.applied++
 		}
 		switch c.Op {
 		case core.OpJoin:
 			if err != nil {
 				sh.adm.release(c.Task)
 			} else if sh.adm.waiting(sh.adm.tasks[c.Task]) {
-				sh.ctr.deferred.Add(1)
+				sh.ctr.deferred++
 			}
 		case core.OpLeave:
 			sh.adm.release(c.Task)
 			if m, _ := sh.eng.Metrics(c.Task); m.Leaving {
-				sh.ctr.deferred.Add(1)
+				sh.ctr.deferred++
 			}
 		case core.OpReweight:
 			// The books took the new weight at admission.
@@ -358,10 +361,7 @@ func (sh *Shard) flush() {
 	sh.adm.at = sh.log.len()
 	// Deferred-join depth peaks right after a flush that deferred work;
 	// track it here so multi-slot advances cannot hide a transient.
-	// Single-writer, so the load/store pair cannot race another writer.
-	if d := int64(sh.eng.JoinQueue()); d > sh.ctr.deferredJoinPeak.Load() {
-		sh.ctr.deferredJoinPeak.Store(d)
-	}
+	sh.ctr.deferredJoinPeak = max(sh.ctr.deferredJoinPeak, int64(sh.eng.JoinQueue()))
 }
 
 // status assembles the shard's wire status from engine and admission
@@ -385,7 +385,7 @@ func (sh *Shard) status(withTasks bool) *ShardStatus {
 		PendingBatch:      len(sh.batch),
 		DeferredJoins:     sh.eng.JoinQueue(),
 	}
-	sh.ctr.fill(st)
+	sh.ctr.fill(st, &sh.reqs)
 	active := 0
 	maxDrift := frac.Rat{}
 	sumLag := frac.Rat{}
@@ -441,34 +441,42 @@ const anomalyMinDecisions = 8
 //
 //lint:allocok AllMetrics composes the per-task metric slice; runs once per publish boundary, not per slot
 func (sh *Shard) noteAnomalies() {
-	accepted := sh.ctr.accepted.Load()
-	rejections := sh.ctr.rejectedW.Load() + sh.ctr.rejectedOther.Load()
+	accepted := sh.ctr.accepted
+	rejections := sh.ctr.rejectedW + sh.ctr.rejectedOther
 	decisions := accepted + rejections
 	dDec := decisions - sh.lastDecisions
 	dRej := rejections - sh.lastRejections
 	sh.lastDecisions = decisions
 	sh.lastRejections = rejections
 	if dDec >= anomalyMinDecisions && 2*dRej > dDec {
-		sh.ctr.anomRejectSpikes.Add(1)
+		sh.ctr.anomRejectSpikes++
 	}
-	if bp := sh.ctr.backpressured.Load(); bp > sh.lastBackpressured {
-		sh.ctr.anomBackpressure.Add(1)
+	if bp := sh.reqs.backpressured.Load(); bp > sh.lastBackpressured {
+		sh.ctr.anomBackpressure++
 		sh.lastBackpressured = bp
 	}
 	if sh.cfg.DriftBound.Sign() > 0 {
 		for _, m := range sh.eng.AllMetrics() {
 			if sh.cfg.DriftBound.Less(m.Drift.Abs()) {
-				sh.ctr.anomDriftExcur.Add(1)
+				sh.ctr.anomDriftExcur++
 				break
 			}
 		}
 	}
 }
 
-// publishStatus refreshes the lock-free gauge the /metrics handler
-// reads. Called at every boundary and at loop exit. Anomaly windows
-// close first so the published status carries their fresh values.
+// publish refreshes the view that status reads and /metrics copy: the
+// books' total, the batch length and the counters, and st, when not
+// nil, as the boundary status. The loop calls it after every command
+// record and at every boundary, before it replies.
+func (sh *Shard) publish(st *ShardStatus) {
+	sh.view.store(st, sh.adm.total, len(sh.batch), &sh.ctr)
+}
+
+// publishStatus publishes a fresh boundary status. Called at every
+// boundary and at loop exit. Anomaly windows close first so the
+// published status carries their fresh values.
 func (sh *Shard) publishStatus() {
 	sh.noteAnomalies()
-	sh.ctr.gauge.Store(sh.status(false))
+	sh.publish(sh.status(false))
 }

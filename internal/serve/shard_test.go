@@ -72,8 +72,8 @@ func TestAdmissionPropertyW(t *testing.T) {
 	if got := sh.adm.total.String(); got != "3/4" {
 		t.Fatalf("requested total = %s, want 3/4", got)
 	}
-	if sh.ctr.failedApplies.Load() != 0 {
-		t.Fatalf("failedApplies = %d", sh.ctr.failedApplies.Load())
+	if sh.ctr.failedApplies != 0 {
+		t.Fatalf("failedApplies = %d", sh.ctr.failedApplies)
 	}
 }
 
@@ -98,8 +98,8 @@ func TestBatchAppliesAtSlotBoundary(t *testing.T) {
 	if len(sh.batch) != 0 {
 		t.Fatal("batch not cleared at boundary")
 	}
-	if sh.ctr.applied.Load() != 2 || sh.ctr.failedApplies.Load() != 0 {
-		t.Fatalf("applied=%d failed=%d", sh.ctr.applied.Load(), sh.ctr.failedApplies.Load())
+	if sh.ctr.applied != 2 || sh.ctr.failedApplies != 0 {
+		t.Fatalf("applied=%d failed=%d", sh.ctr.applied, sh.ctr.failedApplies)
 	}
 }
 
@@ -128,8 +128,8 @@ func TestDeferredLeaveRuleL(t *testing.T) {
 	if m, _ := sh.eng.Metrics("A"); m.Active || m.Leaving {
 		t.Fatalf("engine has A active %v, leaving %v after slot 3; want neither", m.Active, m.Leaving)
 	}
-	if sh.ctr.failedApplies.Load() != 0 {
-		t.Fatalf("failedApplies = %d", sh.ctr.failedApplies.Load())
+	if sh.ctr.failedApplies != 0 {
+		t.Fatalf("failedApplies = %d", sh.ctr.failedApplies)
 	}
 	// The freed weight is reusable, the name is not.
 	if res := admitOne(sh, core.OpJoin, "A", frac.New(1, 3)); res.Error != errConflict {
@@ -170,11 +170,11 @@ func TestDeferredJoinConditionJ(t *testing.T) {
 	if !sh.eng.Joined("E") {
 		t.Fatal("join E never entered within 30 slots")
 	}
-	if !deferredAtFirstBoundary && sh.ctr.deferred.Load() == 0 {
+	if !deferredAtFirstBoundary && sh.ctr.deferred == 0 {
 		t.Log("join E was never deferred (engine drained swt immediately); condition-J path untested here")
 	}
-	if sh.ctr.failedApplies.Load() != 0 {
-		t.Fatalf("failedApplies = %d", sh.ctr.failedApplies.Load())
+	if sh.ctr.failedApplies != 0 {
+		t.Fatalf("failedApplies = %d", sh.ctr.failedApplies)
 	}
 }
 
@@ -234,7 +234,7 @@ func TestShardLoopDrain(t *testing.T) {
 	if total == 0 {
 		t.Fatal("no queries answered")
 	}
-	if got := sh.ctr.queries.Load(); got != int64(total) {
+	if got := sh.reqs.queries.Load(); got != int64(total) {
 		t.Fatalf("shard counted %d queries, workers saw %d", got, total)
 	}
 }
@@ -325,10 +325,10 @@ func TestQueuedRecordsPoliceW(t *testing.T) {
 	<-adv.reply
 	sh.pool.freePending(adv)
 	sh.stop()
-	if n := sh.ctr.failedApplies.Load(); n != 0 {
+	if n := sh.ctr.failedApplies; n != 0 {
 		t.Fatalf("failedApplies = %d after the boundary", n)
 	}
-	if n := sh.ctr.rejectedW.Load(); n != 3 {
+	if n := sh.ctr.rejectedW; n != 3 {
 		t.Fatalf("rejectedW = %d, want 3", n)
 	}
 }
@@ -372,10 +372,10 @@ func TestEarlyReleaseLeaveDeparts(t *testing.T) {
 		t.Fatalf("at t=%d: %d deferred leaves, headroom %s, %d active; want 0, 2 and 0",
 			st.Now, st.DeferredLeaves, st.Headroom, st.ActiveTasks)
 	}
-	if got := sh.ctr.deferred.Load(); got != 1 {
+	if got := sh.ctr.deferred; got != 1 {
 		t.Fatalf("deferred counter %d, want 1 for the leave the engine held", got)
 	}
-	if sh.ctr.failedApplies.Load() != 0 {
-		t.Fatalf("failedApplies = %d", sh.ctr.failedApplies.Load())
+	if sh.ctr.failedApplies != 0 {
+		t.Fatalf("failedApplies = %d", sh.ctr.failedApplies)
 	}
 }

@@ -48,7 +48,7 @@ type Tail struct {
 	// before version 4 it covered the books alone.
 	BooksDigest uint64 `json:"books_digest"`
 	// Commands are the commands applied since From. log is the last key,
-	// so a writer can stream it after the rest (see encodeTail).
+	// so a writer can stream it after the rest (see EncodeTail).
 	Commands []core.Command `json:"log,omitempty"`
 
 	// seq is the shard's mutation sequence at the cut (see Seq). It is

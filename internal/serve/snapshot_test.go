@@ -159,9 +159,9 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 					t.Fatalf("seed %d: final states diverge:\n--- live ---\n%s--- restored ---\n%s",
 						seed, want, got)
 				}
-				if live.ctr.failedApplies.Load() != 0 || restored.ctr.failedApplies.Load() != 0 {
+				if live.ctr.failedApplies != 0 || restored.ctr.failedApplies != 0 {
 					t.Fatalf("seed %d: failed applies: live %d, restored %d", seed,
-						live.ctr.failedApplies.Load(), restored.ctr.failedApplies.Load())
+						live.ctr.failedApplies, restored.ctr.failedApplies)
 				}
 			}
 		})
@@ -239,9 +239,9 @@ func stagedShard(t *testing.T) *Shard {
 	admitOne(sh, core.OpJoin, "C", frac.New(1, 4))
 	sh.advance(1)
 	admitOne(sh, core.OpLeave, "B", frac.Rat{})
-	if len(sh.batch) != 1 || sh.batch[0].Op != core.OpLeave || !sh.eng.Joined("C") || sh.ctr.deferred.Load() != 1 {
+	if len(sh.batch) != 1 || sh.batch[0].Op != core.OpLeave || !sh.eng.Joined("C") || sh.ctr.deferred != 1 {
 		t.Fatalf("staged batch %v, C joined %v after %d deferrals; want one leave, and C in after one",
-			sh.batch, sh.eng.Joined("C"), sh.ctr.deferred.Load())
+			sh.batch, sh.eng.Joined("C"), sh.ctr.deferred)
 	}
 	return sh
 }
@@ -304,8 +304,8 @@ func TestRestoreReadsSnapshotWithoutAt(t *testing.T) {
 		t.Fatalf("restored at (now=%d, %016x), live at (now=%d, %016x)", restored.eng.Now(),
 			restored.eng.StateDigest(), live.eng.Now(), live.eng.StateDigest())
 	}
-	if live.ctr.failedApplies.Load() != 0 || restored.ctr.failedApplies.Load() != 0 {
-		t.Fatalf("failed applies: live %d, restored %d", live.ctr.failedApplies.Load(), restored.ctr.failedApplies.Load())
+	if live.ctr.failedApplies != 0 || restored.ctr.failedApplies != 0 {
+		t.Fatalf("failed applies: live %d, restored %d", live.ctr.failedApplies, restored.ctr.failedApplies)
 	}
 }
 
@@ -407,7 +407,7 @@ func TestRestoreVersion2Snapshot(t *testing.T) {
 				}
 				sh.advance(1)
 			}
-			if peak := sh.ctr.deferredJoinPeak.Load(); tc.peak != 0 && peak != tc.peak {
+			if peak := sh.ctr.deferredJoinPeak; tc.peak != 0 && peak != tc.peak {
 				t.Errorf("deferred-join peak %d, want %d", peak, tc.peak)
 			}
 			tail := mustSnapshot(t, sh)

@@ -358,11 +358,11 @@ func TestEncodeTailMatchesEncoder(t *testing.T) {
 		want := httptest.NewRecorder()
 		writeJSON(want, http.StatusOK, tl)
 		var got bytes.Buffer
-		if err := encodeTail(&got, tl); err != nil {
+		if err := EncodeTail(&got, tl); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got.Bytes(), want.Body.Bytes()) {
-			t.Fatalf("%d commands: encodeTail differs from json.Encoder\n got %.300q\nwant %.300q", n, got.Bytes(), want.Body.Bytes())
+			t.Fatalf("%d commands: EncodeTail differs from json.Encoder\n got %.300q\nwant %.300q", n, got.Bytes(), want.Body.Bytes())
 		}
 	}
 }

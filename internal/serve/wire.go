@@ -67,8 +67,9 @@ type TaskStatus struct {
 	Misses      int64   `json:"misses"`
 }
 
-// ShardStatus is the query reply for one shard: the engine clock and
-// counters at the last slot boundary plus the admission books.
+// ShardStatus is the query reply for one shard: the engine state at the
+// last slot boundary plus the admission books, the staged batch length
+// and the counters as of the last record the shard answered.
 type ShardStatus struct {
 	Shard        int    `json:"shard"`
 	Now          int64  `json:"now"`
