@@ -180,6 +180,46 @@ func BenchmarkReweightStorm(b *testing.B) {
 	}
 }
 
+// BenchmarkReweightStormShard measures one slot of a pd2bench
+// node-batch32 shard's command stream: M=4, 64 tasks, and 256 reweights
+// to 1/64 or 2/64 on random tasks before each Step, so most of them skip
+// a change the last one left unenacted. One op is the 256 Initiates and
+// the Step.
+func BenchmarkReweightStormShard(b *testing.B) {
+	for _, kind := range []PolicyKind{PolicyOI, PolicyLJ} {
+		b.Run(kind.String(), func(b *testing.B) {
+			names := make([]string, 64)
+			var tasks []Spec
+			for i := range names {
+				names[i] = fmt.Sprintf("t%d", i)
+				tasks = append(tasks, Spec{Name: names[i], Weight: NewRat(1, 64)})
+			}
+			s, err := NewScheduler(Config{M: 4, Policy: kind, Police: true}, System{M: 4, Tasks: tasks})
+			if err != nil {
+				b.Fatal(err)
+			}
+			weights := []Rat{NewRat(1, 64), NewRat(2, 64)}
+			x := uint64(25) // xorshift state: the stream is the same every run
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := 0; j < 256; j++ {
+					x ^= x << 13
+					x ^= x >> 7
+					x ^= x << 17
+					if err := s.Initiate(names[x%64], weights[(x>>6)%2]); err != nil {
+						b.Fatal(err)
+					}
+				}
+				s.Step()
+			}
+			if len(s.Misses()) != 0 {
+				b.Fatalf("misses: %v", s.Misses())
+			}
+		})
+	}
+}
+
 // BenchmarkReweight measures the cost of one initiation + enactment cycle
 // under each policy. The paper notes reweighting is O(log N) per task; here
 // the engine's bookkeeping dominates.

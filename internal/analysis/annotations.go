@@ -31,8 +31,9 @@ type heapKeySpec struct {
 }
 
 // heapKeyTable registers the event-driven engine's heaps (the indexed
-// PD² ready-heap and the six calendar heaps share two key structs) and
-// the self-test fixture. Keep in sync with docs/LINT.md.
+// PD² ready-heap and the six calendar heaps share two key structs; the
+// enact and resolve calendars also index their tasks) and the self-test
+// fixture. Keep in sync with docs/LINT.md.
 var heapKeyTable = []heapKeySpec{
 	{
 		Pkg:     "repro/internal/core",
@@ -40,7 +41,14 @@ var heapKeyTable = []heapKeySpec{
 		Fields:  []string{"at", "seq"},
 		Owner:   "eventHeap",
 		AllowIn: []string{"Scheduler.pushEvent"},
-		Why:     "calendar entries are ordered by (at, seq); pushEvent stamps seq before insertion and events are immutable afterwards",
+		Why:     "calendar entries are ordered by (at, seq); pushEvent stamps seq before insertion, a lazy calendar's entries are immutable afterwards, and an indexed calendar re-keys a task's one entry only in eventHeap.set, which re-fixes the heap",
+	},
+	{
+		Pkg:    "repro/internal/core",
+		Struct: "taskState",
+		Fields: []string{"calIdx"},
+		Owner:  "eventHeap",
+		Why:    "calIdx is the task's slot in the indexed enact and resolve calendars; only eventHeap's set, swap and popDue move entries, so only they may write it",
 	},
 	{
 		Pkg:     "repro/internal/core",
@@ -62,7 +70,7 @@ var heapKeyTable = []heapKeySpec{
 	{
 		Pkg:     "repro/internal/analysis/testdata/src/heapkey",
 		Struct:  "item",
-		Fields:  []string{"key", "idx"},
+		Fields:  []string{"key", "idx", "slots"},
 		Owner:   "minheap",
 		AllowIn: []string{"rekey"},
 		Why:     "fixture: rekey updates the key and immediately fixes the heap",
@@ -312,6 +320,7 @@ var allocFreeTable = map[string]string{
 	"sync.RWMutex.RLock":              "atomic counter; never allocates",
 	"sync.RWMutex.RUnlock":            "atomic counter; never allocates",
 	"math/bits.Mul64":                 "compiler intrinsic; pure register arithmetic",
+	"math/bits.TrailingZeros64":       "compiler intrinsic (TZCNT/BSF); pure register arithmetic",
 	"sort.Search":                     "binary search over caller state; no allocation",
 	"sync/atomic.Int64.Add":           "hardware atomic; never allocates",
 	"sync/atomic.Int64.Load":          "hardware atomic; never allocates",

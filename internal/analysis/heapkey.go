@@ -107,9 +107,21 @@ func runHeapKey(p *Pass) []Diagnostic {
 }
 
 // keyField resolves e (if it is a selector of a registered ordering
-// key) to the field object and its spec.
+// key, or an element of one that is an array) to the field object and
+// its spec.
 func keyField(info *types.Info, e ast.Expr, keyOf map[*types.Var]*heapKeySpec) (*types.Var, *heapKeySpec) {
-	sel, ok := unparen(e).(*ast.SelectorExpr)
+	e = unparen(e)
+	for {
+		ix, ok := e.(*ast.IndexExpr)
+		if !ok {
+			break
+		}
+		if _, isArray := info.TypeOf(ix.X).Underlying().(*types.Array); !isArray {
+			break
+		}
+		e = unparen(ix.X)
+	}
+	sel, ok := e.(*ast.SelectorExpr)
 	if !ok {
 		return nil, nil
 	}

@@ -3,11 +3,13 @@
 // table with owner minheap and allowed writer rekey.
 package heapkey
 
-// item is heap-organized; key orders it, idx is its heap slot.
+// item is heap-organized; key orders it, idx is its heap slot, and
+// slots its position in two more indexed heaps.
 type item struct {
-	key int64
-	idx int
-	val string
+	key   int64
+	idx   int
+	val   string
+	slots [2]int
 }
 
 // minheap owns the ordering keys: all its methods may write them.
@@ -58,6 +60,11 @@ func badAddress(it *item) *int64 {
 	return &it.key
 }
 
+// badElementWrite writes one element of an array-valued index field.
+func badElementWrite(it *item) {
+	it.slots[1] = 4
+}
+
 // ---------------------------------------------------------------------
 // Accepted negatives.
 
@@ -68,7 +75,7 @@ func okValueWrite(it *item) {
 
 // okReadKey only reads the keys.
 func okReadKey(it *item) int64 {
-	if it.idx >= 0 {
+	if it.idx >= 0 && it.slots[0] >= 0 {
 		return it.key
 	}
 	return -1

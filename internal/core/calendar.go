@@ -14,13 +14,27 @@ import (
 // (miss detection) and D(I_SW,·)-waiter resolutions — keyed by
 // (time, push sequence). Each Step pops only the events due now.
 //
-// Events are intentionally *lazy*: pushing is cheap and duplicates or
-// stale entries are allowed. Every pop re-validates the event against the
-// task's current state using exactly the predicate the original per-slot
-// scan evaluated, so a stale event is simply dropped and the engine's
-// observable behavior stays byte-for-byte identical to the scan. Events
-// that reference a pooled subtask additionally carry the subtask's reuse
-// stamp (see subtask.stamp).
+// Every pop re-validates the event against the task's current state
+// using exactly the predicate the original per-slot scan evaluated, so a
+// stale event is simply dropped and the engine's observable behavior
+// stays byte-for-byte identical to the scan. Events that reference a
+// pooled subtask additionally carry the subtask's reuse stamp (see
+// subtask.stamp).
+//
+// Two kinds are indexed, the other four lazy:
+//
+//   - Enact and resolve are indexed: a task holds at most one entry in
+//     each, and a push re-keys that entry in place (eventHeap.set). This
+//     is exact. An enact entry passes validation only at ts.enact.at,
+//     the time of the latest push; a resolve entry only matters at the
+//     current waiter's forecast, which is exact (forecastDone), so an
+//     earlier entry would pop to a no-op and a later one after the
+//     waiter resolved. The index bounds the heaps under reweight
+//     storms: each Initiate that skips an unenacted change (Sec. 3.2)
+//     would otherwise leave a stale entry behind.
+//   - Join, release, ER and miss stay lazy: a push appends, and stale or
+//     duplicate entries wait to be popped and dropped. They hold
+//     O(tasks) entries on every measured stream.
 
 // eventKind enumerates the calendar heaps of the event-driven engine.
 // Each kind has its own heap on the Scheduler and its own pop-time
@@ -77,19 +91,70 @@ type tevent struct {
 // global push counter, making the pop order deterministic.
 type eventHeap struct {
 	ev []tevent
+	// indexed makes the heap hold at most one entry per task, at
+	// ev[ts.calIdx[slot]] (-1: none); set re-keys it in place.
+	indexed bool
+	slot    int
 }
 
+// Slots of taskState.calIdx, one per indexed calendar.
+const (
+	calSlotEnact = iota
+	calSlotResolve
+	numCalSlots
+)
+
+// noCalIdx is a new task's calIdx: no entry in any indexed calendar.
+var noCalIdx = [numCalSlots]int{-1, -1}
+
+// push adds e to a lazy heap, or re-keys e.ts's entry in an indexed one.
 func (h *eventHeap) push(e tevent) {
+	if h.indexed {
+		h.set(e)
+		return
+	}
 	h.ev = append(h.ev, e)
-	i := len(h.ev) - 1
+	h.siftUp(len(h.ev) - 1)
+}
+
+// set gives e.ts's one entry the key (e.at, e.seq), adding the entry if
+// the task has none, and restores the heap order.
+func (h *eventHeap) set(e tevent) {
+	i := e.ts.calIdx[h.slot]
+	if i < 0 {
+		i = len(h.ev)
+		e.ts.calIdx[h.slot] = i
+		h.ev = append(h.ev, e)
+	} else {
+		h.ev[i].at = e.at
+		h.ev[i].seq = e.seq
+	}
+	if !h.siftUp(i) {
+		h.siftDown(i)
+	}
+}
+
+// swap exchanges two entries, keeping an indexed heap's index current.
+func (h *eventHeap) swap(i, j int) {
+	h.ev[i], h.ev[j] = h.ev[j], h.ev[i]
+	if h.indexed {
+		h.ev[i].ts.calIdx[h.slot] = i
+		h.ev[j].ts.calIdx[h.slot] = j
+	}
+}
+
+func (h *eventHeap) siftUp(i int) bool {
+	moved := false
 	for i > 0 {
 		p := (i - 1) / 2
 		if !h.ev[i].before(h.ev[p]) {
 			break
 		}
-		h.ev[i], h.ev[p] = h.ev[p], h.ev[i]
+		h.swap(i, p)
 		i = p
+		moved = true
 	}
+	return moved
 }
 
 func (e tevent) before(f tevent) bool {
@@ -107,9 +172,12 @@ func (h *eventHeap) popDue(t model.Time) (tevent, bool) {
 	}
 	e := h.ev[0]
 	last := len(h.ev) - 1
-	h.ev[0] = h.ev[last]
+	h.swap(0, last)
 	h.ev[last] = tevent{} // release pointers
 	h.ev = h.ev[:last]
+	if h.indexed {
+		e.ts.calIdx[h.slot] = -1
+	}
 	h.siftDown(0)
 	return e, true
 }
@@ -128,7 +196,7 @@ func (h *eventHeap) siftDown(i int) {
 		if !h.ev[m].before(h.ev[i]) {
 			return
 		}
-		h.ev[i], h.ev[m] = h.ev[m], h.ev[i]
+		h.swap(i, m)
 		i = m
 	}
 }

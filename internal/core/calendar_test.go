@@ -58,19 +58,42 @@ func TestCalendarDispatch(t *testing.T) {
 		}
 		seen[h] = k
 	}
-	// pushEvent routes to the kind's heap and stamps increasing seq.
+	// pushEvent routes to the kind's heap and stamps increasing seq. A
+	// lazy calendar (release) keeps both pushes for one task; an indexed
+	// one (resolve) keeps one entry, re-keyed to the later push.
 	base := s.pendingEvents()
 	ts := s.tasks[0]
-	s.pushEvent(evKindResolve, tevent{at: model.Time(7), ts: ts})
-	s.pushEvent(evKindResolve, tevent{at: model.Time(7), ts: ts})
-	if got := len(s.calendar(evKindResolve).ev); got != 2 {
-		t.Fatalf("resolve heap holds %d events, want 2", got)
+	rel := len(s.calendar(evKindRelease).ev)
+	s.pushEvent(evKindRelease, tevent{at: model.Time(9), ts: ts})
+	s.pushEvent(evKindRelease, tevent{at: model.Time(9), ts: ts})
+	if got := len(s.calendar(evKindRelease).ev); got != rel+2 {
+		t.Fatalf("release heap holds %d events, want %d", got, rel+2)
 	}
-	if got := s.pendingEvents(); got != base+2 {
-		t.Fatalf("pendingEvents = %d, want %d", got, base+2)
+	s.pushEvent(evKindResolve, tevent{at: model.Time(7), ts: ts})
+	first := s.calendar(evKindResolve).ev[0].seq
+	s.pushEvent(evKindResolve, tevent{at: model.Time(8), ts: ts})
+	if got := len(s.calendar(evKindResolve).ev); got != 1 {
+		t.Fatalf("resolve heap holds %d events, want 1", got)
 	}
-	e1, ok1 := s.calendar(evKindResolve).popDue(model.Time(7))
-	e2, ok2 := s.calendar(evKindResolve).popDue(model.Time(7))
+	if got := s.pendingEvents(); got != base+3 {
+		t.Fatalf("pendingEvents = %d, want %d", got, base+3)
+	}
+	if _, ok := s.calendar(evKindResolve).popDue(model.Time(7)); ok {
+		t.Fatal("resolve entry still due at the first push's time 7")
+	}
+	e, ok := s.calendar(evKindResolve).popDue(model.Time(8))
+	if !ok || e.ts != ts || e.seq <= first {
+		t.Fatalf("re-keyed entry: ok=%v seq %d (first push %d), want the later push", ok, e.seq, first)
+	}
+	if ts.calIdx[calSlotResolve] != -1 {
+		t.Fatalf("popped task keeps resolve index %d", ts.calIdx[calSlotResolve])
+	}
+	h := s.calendar(evKindRelease)
+	for len(h.ev) > 0 && h.ev[0].at < 9 {
+		h.popDue(9) // New's time-0 releases
+	}
+	e1, ok1 := h.popDue(model.Time(9))
+	e2, ok2 := h.popDue(model.Time(9))
 	if !ok1 || !ok2 || e1.seq >= e2.seq {
 		t.Fatalf("pop order not seq-deterministic: (%v,%v) seq %d,%d", ok1, ok2, e1.seq, e2.seq)
 	}

@@ -93,7 +93,7 @@ func (s *Scheduler) syncAccrual(ts *taskState, upTo model.Time) {
 			// Steady slots (Fig. 5 line 10): min(w, 1-cum) per slot, i.e.
 			// k-1 slots of w and a final partial slot.
 			rem := frac.One.Sub(cum)
-			k := rem.Div(w).Ceil()
+			k := frac.CeilQuo(rem, w)
 			if avail := int64(upTo - start); k <= avail {
 				lastAlloc = rem.Sub(w.MulInt(k - 1))
 				added = added.Add(rem)
@@ -186,7 +186,7 @@ func (s *Scheduler) forecastDone(ts *taskState, sub *subtask) model.Time {
 				// own first slot predates sub's release and is materialized,
 				// so only the steady phase remains.
 				prem := frac.One.Sub(p.swCum)
-				pk := prem.Div(w).Ceil()
+				pk := frac.CeilQuo(prem, w)
 				if ts.accrSynced+model.Time(pk) <= sub.release+1 {
 					pair = prem.Sub(w.MulInt(pk - 1))
 				}
@@ -200,7 +200,7 @@ func (s *Scheduler) forecastDone(ts *taskState, sub *subtask) model.Time {
 		start++
 	}
 	rem := frac.One.Sub(cum)
-	return start + model.Time(rem.Div(w).Ceil())
+	return start + model.Time(frac.CeilQuo(rem, w))
 }
 
 // scheduleResolve arranges for the task's pending D(I_SW,·) waiter to be
@@ -209,7 +209,7 @@ func (s *Scheduler) forecastDone(ts *taskState, sub *subtask) model.Time {
 // attach at most one waiter at a time.
 func (s *Scheduler) scheduleResolve(ts *taskState) {
 	var sub *subtask
-	if e := ts.enact; e != nil && e.waitD != nil {
+	if e := &ts.enact; e.pending && e.waitD != nil {
 		sub = e.waitD
 	}
 	if r := &ts.nextRel; r.waitD != nil {

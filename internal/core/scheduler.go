@@ -174,6 +174,12 @@ type Scheduler struct {
 	tasks    []*taskState
 	byName   map[string]*taskState
 	totalSwt frac.Rat
+	// live holds the joined, not-left tasks in no fixed order (each at
+	// its liveIdx), so Live folds O(live tasks), not O(history).
+	live []*taskState
+	// maxAbsDrift is the largest |drift| any task has reached: the max
+	// of every task's TaskMetrics.MaxAbsDrift, kept by recordDrift.
+	maxAbsDrift frac.Rat
 
 	schedule   [][]SlotEntry // per-slot scheduled quanta (RecordSchedule)
 	misses     []MissEvent
@@ -191,11 +197,11 @@ type Scheduler struct {
 	seq       uint64
 	markGen   uint64
 	evJoin    eventHeap // deferred joins of the initial system
-	evEnact   eventHeap // concrete enactment times
+	evEnact   eventHeap // concrete enactment times (indexed)
 	evRelease eventHeap // concrete release times
 	evER      eventHeap // ERfair speculation candidates
 	evMiss    eventHeap // subtask deadlines (miss detection)
-	evResolve eventHeap // D(I_SW,·)-waiter resolution forecasts
+	evResolve eventHeap // D(I_SW,·)-waiter resolution forecasts (indexed)
 
 	// joinQ holds the joins Apply could not let in yet, in admission
 	// order: condition J refused the head, which blocks the rest. Step
@@ -238,6 +244,8 @@ func New(cfg Config, sys model.System) (*Scheduler, error) {
 		drifts: make(map[string][]DriftEvent),
 	}
 	s.ready.sched = s
+	s.evEnact = eventHeap{indexed: true, slot: calSlotEnact}
+	s.evResolve = eventHeap{indexed: true, slot: calSlotResolve}
 	for _, spec := range sys.Tasks {
 		if err := checkAdmissibleWeight(spec.Weight, cfg.AllowHeavy); err != nil {
 			return nil, fmt.Errorf("core: task %s: %w", spec.Name, err)
@@ -255,6 +263,7 @@ func New(cfg Config, sys model.System) (*Scheduler, error) {
 			lastCPU:     -1,
 			lastRunSlot: noTime,
 			readyIdx:    -1,
+			calIdx:      noCalIdx,
 		}
 		s.tasks = append(s.tasks, ts)
 		s.byName[ts.name] = ts
@@ -314,7 +323,8 @@ func (s *Scheduler) pendingEvents() int {
 }
 
 // pushEvent stamps the event with the next push sequence number and adds
-// it to the calendar of the given kind.
+// it to the calendar of the given kind; in an indexed calendar it re-keys
+// the task's one entry instead.
 func (s *Scheduler) pushEvent(k eventKind, e tevent) {
 	s.seq++
 	e.seq = s.seq
@@ -326,6 +336,8 @@ func (s *Scheduler) pushEvent(k eventKind, e tevent) {
 func (s *Scheduler) joinNow(ts *taskState) {
 	ts.joined = true
 	ts.join = s.now
+	ts.liveIdx = len(s.live)
+	s.live = append(s.live, ts)
 	ts.accrSynced = s.now
 	ts.psSynced = s.now
 	s.totalSwt = s.totalSwt.Add(ts.swt)
@@ -444,6 +456,34 @@ func (s *Scheduler) AllMetrics() []TaskMetrics {
 	return out
 }
 
+// LiveSummary folds the tasks that hold scheduling weight: what a
+// status reads from AllMetrics, without a row per task ever held.
+type LiveSummary struct {
+	Active    int      // tasks with TaskMetrics.Active
+	Leaving   int      // tasks with TaskMetrics.Leaving (all Active)
+	SumAbsLag frac.Rat // Σ |TaskMetrics.Lag| over the Active tasks
+}
+
+// Live returns the LiveSummary in one pass over the live tasks. It
+// syncs them as AllMetrics does (departed tasks are frozen), allocates
+// nothing, and costs O(live tasks) however many tasks have left.
+func (s *Scheduler) Live() LiveSummary {
+	var sum LiveSummary
+	for _, ts := range s.live {
+		s.syncTask(ts, s.now)
+		sum.Active++
+		if ts.departing() {
+			sum.Leaving++
+		}
+		sum.SumAbsLag = sum.SumAbsLag.Add(ts.cumCSW.Sub(frac.FromInt(ts.scheduledQuanta)).Abs())
+	}
+	return sum
+}
+
+// MaxAbsDrift returns the largest |drift| any task has reached, the
+// max over AllMetrics' MaxAbsDrift, in O(1).
+func (s *Scheduler) MaxAbsDrift() frac.Rat { return s.maxAbsDrift }
+
 // Errors returned by the mutation methods.
 var (
 	ErrUnknownTask = errors.New("core: unknown task")
@@ -475,7 +515,7 @@ func (s *Scheduler) Initiate(name string, v frac.Rat) error {
 	}
 	// A request for the current scheduling weight with nothing pending is a
 	// no-op: there is no change to enact.
-	if v.Eq(ts.swt) && ts.enact == nil && !ts.ljLeaving && ts.nextRel.waitD == nil {
+	if v.Eq(ts.swt) && !ts.enact.pending && !ts.ljLeaving && ts.nextRel.waitD == nil {
 		s.syncPS(ts, s.now) // wt changes the I_PS rate from now on
 		ts.wt = v
 		return nil
@@ -496,7 +536,7 @@ func (s *Scheduler) Initiate(name string, v frac.Rat) error {
 	}
 	// A new initiation skips any previously initiated but unenacted event
 	// (Sec. 3.2), so cancel pending enactments before applying the rules.
-	ts.enact = nil
+	ts.enact = pendingEnact{}
 	// Under ERfair a successor may have been instantiated speculatively
 	// (nominal release in the future). The reweighting rules reason about
 	// subtasks released at or before t_c, so speculation must be unwound:
@@ -511,7 +551,7 @@ func (s *Scheduler) Initiate(name string, v frac.Rat) error {
 	}
 	// Register the resulting calendar entries: a concrete enactment or
 	// release time, or a waiter-resolution forecast.
-	if e := ts.enact; e != nil && e.waitD == nil {
+	if e := &ts.enact; e.pending && e.waitD == nil {
 		s.pushEvent(evKindEnact, tevent{at: e.at, ts: ts})
 	}
 	if r := &ts.nextRel; r.waitD == nil && r.at != noTime {
@@ -579,15 +619,15 @@ func (s *Scheduler) initiateOI(ts *taskState, v frac.Rat) {
 	tj := ts.lastReleased
 	// No subtask released at or before t_c: enact immediately.
 	if tj == nil || tj.release > t {
-		ts.enact = &pendingEnact{target: v, at: t, releaseWithEnact: true}
+		ts.enact = pendingEnact{pending: true, target: v, at: t, releaseWithEnact: true}
 		ts.nextRel = pendingRelease{at: noTime}
 		return
 	}
 	// Last-released subtask's deadline has passed: enact at
 	// max(t_c, d(T_j) + b(T_j)).
 	if tj.deadline <= t {
-		ts.enact = &pendingEnact{
-			target: v, at: maxTime(t, tj.deadline+tj.bbit), releaseWithEnact: true,
+		ts.enact = pendingEnact{
+			pending: true, target: v, at: maxTime(t, tj.deadline+tj.bbit), releaseWithEnact: true,
 		}
 		ts.nextRel = pendingRelease{at: noTime}
 		return
@@ -604,7 +644,7 @@ func (s *Scheduler) initiateOI(ts *taskState, v frac.Rat) {
 		if ts.swt.Less(v) {
 			// Rule I(i): increase — enact immediately; the next subtask is
 			// released at D(I_SW, T_j) + b(T_j).
-			ts.enact = &pendingEnact{target: v, at: t, releaseWithEnact: false}
+			ts.enact = pendingEnact{pending: true, target: v, at: t, releaseWithEnact: false}
 			ts.nextRel = pendingRelease{
 				at: noTime, epochStart: true, waitD: tj, addB: tj.bbit, clamp: t,
 			}
@@ -613,8 +653,8 @@ func (s *Scheduler) initiateOI(ts *taskState, v frac.Rat) {
 		}
 		// Rule I(ii): decrease (or same weight re-request after a skip) —
 		// enact at D(I_SW, T_j) + b(T_j) and release then.
-		ts.enact = &pendingEnact{
-			target: v, at: noTime, waitD: tj, addB: tj.bbit, clamp: t,
+		ts.enact = pendingEnact{
+			pending: true, target: v, at: noTime, waitD: tj, addB: tj.bbit, clamp: t,
 			releaseWithEnact: true,
 		}
 		ts.nextRel = pendingRelease{at: noTime}
@@ -632,13 +672,13 @@ func (s *Scheduler) initiateOI(ts *taskState, v frac.Rat) {
 func (s *Scheduler) enactAfterHalt(ts *taskState, tj *subtask, v frac.Rat) {
 	t := s.now
 	if tj.abs == 1 || tj.prev == nil {
-		ts.enact = &pendingEnact{target: v, at: t, releaseWithEnact: true}
+		ts.enact = pendingEnact{pending: true, target: v, at: t, releaseWithEnact: true}
 		ts.nextRel = pendingRelease{at: noTime}
 		return
 	}
 	prev := tj.prev
-	ts.enact = &pendingEnact{
-		target: v, at: noTime, waitD: prev, addB: prev.bbit, clamp: t,
+	ts.enact = pendingEnact{
+		pending: true, target: v, at: noTime, waitD: prev, addB: prev.bbit, clamp: t,
 		releaseWithEnact: true,
 	}
 	ts.nextRel = pendingRelease{at: noTime}
@@ -655,7 +695,7 @@ func (s *Scheduler) initiateLJ(ts *taskState, v frac.Rat) {
 	if tj := ts.lastReleased; tj != nil && !tj.halted {
 		at = maxTime(t, tj.deadline+tj.bbit)
 	}
-	ts.enact = &pendingEnact{target: v, at: at, releaseWithEnact: true, viaLJ: true}
+	ts.enact = pendingEnact{pending: true, target: v, at: at, releaseWithEnact: true, viaLJ: true}
 	ts.nextRel = pendingRelease{at: noTime}
 	ts.ljLeaving = true
 }
@@ -707,6 +747,7 @@ func (s *Scheduler) join(spec model.Spec, wait bool) error {
 		lastCPU:     -1,
 		lastRunSlot: noTime,
 		readyIdx:    -1,
+		calIdx:      noCalIdx,
 	}
 	s.tasks = append(s.tasks, ts)
 	s.byName[ts.name] = ts
@@ -754,7 +795,7 @@ func (s *Scheduler) DelayNext(name string, sep int64) error {
 	if sep == 0 {
 		return nil
 	}
-	if ts.enact != nil || ts.nextRel.waitD != nil || ts.ljLeaving {
+	if ts.enact.pending || ts.nextRel.waitD != nil || ts.ljLeaving {
 		return fmt.Errorf("core: cannot delay %s while a reweighting event is in flight", name)
 	}
 	s.syncTask(ts, s.now) // materialize before unwinding/mutating the pause window
@@ -849,7 +890,11 @@ func (s *Scheduler) leaveNow(ts *taskState) {
 		}
 	}
 	ts.left = true
-	ts.enact = nil
+	last := s.live[len(s.live)-1]
+	s.live[ts.liveIdx], last.liveIdx = last, ts.liveIdx
+	s.live[len(s.live)-1] = nil
+	s.live = s.live[:len(s.live)-1]
+	ts.enact = pendingEnact{}
 	ts.nextRel = pendingRelease{at: noTime}
 	s.totalSwt = s.totalSwt.Sub(ts.swt)
 	s.updateOffer(ts)
@@ -882,7 +927,7 @@ func (s *Scheduler) Depart(name string) error {
 	// Sync-before-mutation: materialize the lazy accrual state at t_c so
 	// the unwind below observes exactly what the per-slot engine would.
 	s.syncTask(ts, s.now)
-	ts.enact = nil
+	ts.enact = pendingEnact{}
 	s.unwindSpeculation(ts)
 	at := s.now
 	tj := ts.lastReleased
@@ -892,7 +937,7 @@ func (s *Scheduler) Depart(name string) error {
 	if tj != nil {
 		at = maxTime(at, tj.deadline+tj.bbit)
 	}
-	ts.enact = &pendingEnact{at: at, depart: true}
+	ts.enact = pendingEnact{pending: true, at: at, depart: true}
 	ts.nextRel = pendingRelease{at: noTime}
 	s.pushEvent(evKindEnact, tevent{at: at, ts: ts})
 	return nil
@@ -934,13 +979,13 @@ func (s *Scheduler) Step() {
 	// Enactments due now: non-increases first so that freed capacity can be
 	// claimed by increases policed under (W) in the same slot.
 	if due := s.collectDue(evKindEnact, t, func(ts *taskState) bool {
-		e := ts.enact
-		return e != nil && e.waitD == nil && e.at == t && !ts.left
+		e := &ts.enact
+		return e.pending && e.waitD == nil && e.at == t && !ts.left
 	}); len(due) > 0 {
 		for pass := 0; pass < 2; pass++ {
 			for _, ts := range due {
-				e := ts.enact
-				if e == nil || e.at != t || ts.left {
+				e := &ts.enact
+				if !e.pending || e.at != t || ts.left {
 					continue
 				}
 				increase := ts.swt.Less(e.target)
@@ -998,7 +1043,7 @@ func (s *Scheduler) Step() {
 						s.pushEvent(evKindRelease, tevent{at: t, ts: ts})
 					}
 				}
-				ts.enact = nil
+				ts.enact = pendingEnact{}
 				// The new weight changes the completion forecast any
 				// remaining waiter was scheduled on.
 				s.scheduleResolve(ts)
@@ -1042,7 +1087,7 @@ func (s *Scheduler) Step() {
 			// An epoch-start release may not fire while its weight change is
 			// still pending (policing can defer the enactment past the release
 			// time the D-waiter resolved to); retry next slot.
-			if ts.nextRel.epochStart && ts.enact != nil {
+			if ts.nextRel.epochStart && ts.enact.pending {
 				s.pushEvent(evKindRelease, tevent{at: t + 1, ts: ts})
 				continue
 			}
@@ -1051,7 +1096,7 @@ func (s *Scheduler) Step() {
 				s.release(ts, maxTime(ts.nextRel.at, t))
 			case s.cfg.EarlyRelease && ts.nextRel.at > t &&
 				!ts.nextRel.epochStart && !ts.nextRel.noEarly &&
-				ts.enact == nil && !ts.ljLeaving &&
+				!ts.enact.pending && !ts.ljLeaving &&
 				ts.lastReleased != nil && ts.earliestIncomplete() == nil:
 				s.release(ts, ts.nextRel.at)
 			}
@@ -1198,7 +1243,7 @@ func (s *Scheduler) Step() {
 	// forecast waiter resolutions run now, with the affected task's
 	// accrual materialized through slot t so D(I_SW,·) is known.
 	if due := s.collectDue(evKindResolve, t, func(ts *taskState) bool {
-		return (ts.enact != nil && ts.enact.waitD != nil) || ts.nextRel.waitD != nil
+		return (ts.enact.pending && ts.enact.waitD != nil) || ts.nextRel.waitD != nil
 	}); len(due) > 0 {
 		for _, ts := range due {
 			s.syncAccrual(ts, t+1)
@@ -1441,8 +1486,11 @@ func (s *Scheduler) freeSubtask(sub *subtask) {
 // subtask: drift = A(I_PS, T, 0, u) - A(I_CSW, T, 0, u) (Eqn (5)).
 func (s *Scheduler) recordDrift(ts *taskState, u model.Time) {
 	ts.drift = ts.cumPS.Sub(ts.cumCSW)
-	if ts.maxAbsDrift.Less(ts.drift.Abs()) {
-		ts.maxAbsDrift = ts.drift.Abs()
+	if d := ts.drift.Abs(); ts.maxAbsDrift.Less(d) {
+		ts.maxAbsDrift = d
+		if s.maxAbsDrift.Less(d) {
+			s.maxAbsDrift = d
+		}
 	}
 	if s.cfg.RecordDriftEvents {
 		s.drifts[ts.name] = append(s.drifts[ts.name], DriftEvent{At: u, Value: ts.drift})
@@ -1454,7 +1502,7 @@ func (s *Scheduler) recordDrift(ts *taskState, u model.Time) {
 // accrual is lazy, so callers materialize the awaited subtask's state
 // first), and registers the now-concrete times on the calendars.
 func (s *Scheduler) resolveWaiters(ts *taskState) {
-	if e := ts.enact; e != nil && e.waitD != nil && e.waitD.swDone {
+	if e := &ts.enact; e.pending && e.waitD != nil && e.waitD.swDone {
 		e.at = maxTime(e.clamp, e.waitD.swDoneTime+e.addB)
 		e.waitD = nil
 		s.pushEvent(evKindEnact, tevent{at: e.at, ts: ts})

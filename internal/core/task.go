@@ -83,10 +83,12 @@ func (s *subtask) String() string {
 }
 
 // pendingEnact is a reweighting enactment that has been determined but not
-// yet applied (rules O and I can defer enactment).
+// yet applied (rules O and I can defer enactment). A task holds it by
+// value; the zero value, with pending false, is no enactment.
 type pendingEnact struct {
-	target frac.Rat
-	at     model.Time // enactment time, or noTime while waiting on waitD
+	pending bool
+	target  frac.Rat
+	at      model.Time // enactment time, or noTime while waiting on waitD
 	// waitD, when non-nil, means the enactment time is
 	// max(clamp, D(I_SW, waitD) + addB) and D is not yet known.
 	waitD *subtask
@@ -123,9 +125,10 @@ type taskState struct {
 	name  string
 	group string
 
-	joined bool // has entered the system
-	left   bool // has permanently left
-	join   model.Time
+	joined  bool // has entered the system
+	left    bool // has permanently left
+	join    model.Time
+	liveIdx int // position in Scheduler.live while joined and not left
 
 	wt  frac.Rat // actual weight wt(T, t): changes at initiation
 	swt frac.Rat // scheduling weight swt(T, t): changes at enactment
@@ -135,7 +138,7 @@ type taskState struct {
 	epochN       int64    // epoch-relative index of lastReleased
 	absN         int64    // absolute index of lastReleased
 	nextRel      pendingRelease
-	enact        *pendingEnact
+	enact        pendingEnact
 
 	// Under PolicyLJ a task that has initiated a change stops releasing
 	// subtasks until it "rejoins"; ljTarget holds the weight to rejoin with.
@@ -186,6 +189,9 @@ type taskState struct {
 	// readyIdx is the task's position in the scheduler's ready heap, or -1.
 	offer    *subtask
 	readyIdx int
+	// calIdx is the task's position in each indexed calendar (enact,
+	// resolve; see calendar.go), or -1 where it has no entry.
+	calIdx [numCalSlots]int
 	// accrSynced / psSynced mark the lazy accrual frontier: cumSW/cumCSW
 	// and the live subtasks' swCum state are exact as of the start of slot
 	// accrSynced (all slots < accrSynced accrued); likewise cumPS as of
@@ -202,7 +208,7 @@ type taskState struct {
 }
 
 // departing reports whether a Depart awaits rule L.
-func (ts *taskState) departing() bool { return ts.enact != nil && ts.enact.depart }
+func (ts *taskState) departing() bool { return ts.enact.pending && ts.enact.depart }
 
 // earliestIncomplete returns the earliest released subtask that is neither
 // scheduled, halted nor absent, or nil. Windows of consecutive subtasks can

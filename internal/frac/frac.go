@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"strconv"
 	"strings"
 )
@@ -72,8 +73,9 @@ func Reduce(num, den int64) (Rat, error) {
 		return Rat{0, 1}, nil
 	}
 	n, d := magnitude(num), magnitude(den)
-	g := gcdU64(n, d)
-	n, d = n/g, d/g
+	if g := gcdU64(n, d); g != 1 {
+		n, d = n/g, d/g
+	}
 	if n > math.MaxInt64 || d > math.MaxInt64 {
 		return Rat{}, ErrOverflow
 	}
@@ -83,7 +85,9 @@ func Reduce(num, den int64) (Rat, error) {
 	return Rat{int64(n), int64(d)}, nil
 }
 
-// FromInt returns the rational n/1.
+// FromInt returns the rational n/1. FromInt(math.MinInt64) is exact,
+// but its Neg and Abs panic with ErrOverflow, and so do the operations
+// built on them (Sub by it, Div by it, Inv).
 func FromInt(n int64) Rat {
 	return Rat{n, 1}
 }
@@ -98,6 +102,20 @@ func norm(num, den int64) Rat {
 	return r
 }
 
+// canon returns num/den as a Rat when the caller has proved num/den is
+// already in lowest terms with den > 0, so no gcd is needed. Zero
+// becomes 0/1, and a numerator of math.MinInt64 panics with ErrOverflow,
+// as Reduce would.
+func canon(num, den int64) Rat {
+	switch num {
+	case 0:
+		return Rat{0, 1}
+	case math.MinInt64:
+		panic(ErrOverflow)
+	}
+	return Rat{num, den}
+}
+
 // magnitude returns |x| as a uint64; |MinInt64| is 2^63.
 func magnitude(x int64) uint64 {
 	if x < 0 {
@@ -106,12 +124,28 @@ func magnitude(x int64) uint64 {
 	return uint64(x)
 }
 
-// gcdU64 returns the greatest common divisor of a and b, both > 0.
+// gcdU64 returns the greatest common divisor of a and b; gcd(0, b) is b.
+// It is Stein's binary algorithm: shifts and subtractions only, no
+// division.
 func gcdU64(a, b uint64) uint64 {
-	for b != 0 {
-		a, b = b, a%b
+	if a == 0 {
+		return b
 	}
-	return a
+	if b == 0 {
+		return a
+	}
+	shift := bits.TrailingZeros64(a | b)
+	a >>= bits.TrailingZeros64(a)
+	for {
+		b >>= bits.TrailingZeros64(b)
+		if a > b {
+			a, b = b, a
+		}
+		b -= a
+		if b == 0 {
+			return a << shift
+		}
+	}
 }
 
 func abs64(x int64) int64 {
@@ -124,16 +158,10 @@ func abs64(x int64) int64 {
 	return x
 }
 
-// gcd64 returns the greatest common divisor of a and b, both > 0 expected
-// (a may be 0, in which case b is returned).
+// gcd64 returns the greatest common divisor of a >= 0 and b > 0 (a may
+// be 0, in which case b is returned).
 func gcd64(a, b int64) int64 {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	if a == 0 {
-		return 1
-	}
-	return a
+	return int64(gcdU64(uint64(a), uint64(b)))
 }
 
 // checked arithmetic helpers ------------------------------------------------
@@ -146,15 +174,21 @@ func addChecked(a, b int64) int64 {
 	return s
 }
 
+// mulChecked returns a*b, or panics with ErrOverflow when the product
+// leaves int64. The 128-bit product of the magnitudes decides, so no
+// division is needed.
 func mulChecked(a, b int64) int64 {
-	if a == 0 || b == 0 {
-		return 0
+	hi, lo := bits.Mul64(magnitude(a), magnitude(b))
+	if (a < 0) != (b < 0) {
+		if hi != 0 || lo > 1<<63 {
+			panic(ErrOverflow)
+		}
+		return int64(-lo) // -2^63 wraps onto itself, exactly math.MinInt64
 	}
-	p := a * b
-	if p/b != a {
+	if hi != 0 || lo > math.MaxInt64 {
 		panic(ErrOverflow)
 	}
-	return p
+	return int64(lo)
 }
 
 // Num returns the numerator (in lowest terms; sign carried here).
@@ -183,12 +217,17 @@ func (r Rat) Sign() int {
 	}
 }
 
-// Neg returns -r.
+// Neg returns -r. It panics with ErrOverflow when the numerator is
+// math.MinInt64 (FromInt(math.MinInt64)), whose negation has no int64.
 func (r Rat) Neg() Rat {
+	if r.num == math.MinInt64 {
+		panic(ErrOverflow)
+	}
 	return Rat{-r.num, r.Den()}
 }
 
-// Abs returns |r|.
+// Abs returns |r|. Like Neg, it panics with ErrOverflow on a
+// math.MinInt64 numerator.
 func (r Rat) Abs() Rat {
 	if r.num < 0 {
 		return r.Neg()
@@ -196,15 +235,33 @@ func (r Rat) Abs() Rat {
 	return Rat{r.num, r.Den()}
 }
 
-// Add returns r + s.
+// Add returns r + s. Operands are in lowest terms, so most sums need no
+// gcd over the full result: a sum with an integer is already reduced,
+// and otherwise only gcd(n, gcd(rd, sd)) can divide the result (Knuth,
+// TAOCP 4.5.1).
 func (r Rat) Add(s Rat) Rat {
 	rd, sd := r.Den(), s.Den()
+	switch {
+	case sd == 1:
+		return canon(addChecked(r.num, mulChecked(s.num, rd)), rd)
+	case rd == 1:
+		return canon(addChecked(mulChecked(r.num, sd), s.num), sd)
+	case rd == sd:
+		// Equal denominators (a weight's multiples): one checked add,
+		// then reduce.
+		return norm(addChecked(r.num, s.num), rd)
+	}
 	// Use the lcm-style reduction to keep intermediates small.
 	g := gcd64(rd, sd)
 	// r.num*(sd/g) + s.num*(rd/g), over rd*(sd/g)
 	n := addChecked(mulChecked(r.num, sd/g), mulChecked(s.num, rd/g))
 	d := mulChecked(rd, sd/g)
-	return norm(n, d)
+	if g != 1 {
+		if g2 := int64(gcdU64(magnitude(n), uint64(g))); g2 != 1 {
+			n, d = n/g2, d/g2
+		}
+	}
+	return canon(n, d)
 }
 
 // Sub returns r - s.
@@ -218,7 +275,7 @@ func (r Rat) Mul(s Rat) Rat {
 	g2 := gcd64(abs64(s.num), rd)
 	n := mulChecked(r.num/g1, s.num/g2)
 	d := mulChecked(rd/g2, sd/g1)
-	return norm(n, d)
+	return canon(n, d) // cross-reduced operands in lowest terms leave nothing to reduce
 }
 
 // Div returns r / s. It panics if s == 0.
@@ -239,7 +296,7 @@ func (r Rat) withSign(sign int) Rat {
 // MulInt returns r * n.
 func (r Rat) MulInt(n int64) Rat {
 	g := gcd64(abs64(n), r.Den())
-	return norm(mulChecked(r.num, n/g), r.Den()/g)
+	return canon(mulChecked(r.num, n/g), r.Den()/g)
 }
 
 // Inv returns 1/r. It panics if r == 0.
@@ -254,20 +311,30 @@ func (r Rat) Inv() Rat {
 }
 
 // Cmp compares r and s, returning -1 if r < s, 0 if r == s, +1 if r > s.
+// It is exact for every pair of values: the cross products are compared
+// at 128 bits, so Cmp never overflows.
 func (r Rat) Cmp(s Rat) int {
-	// r.num/rd ? s.num/sd  <=>  r.num*sd ? s.num*rd (denominators positive).
-	rd, sd := r.Den(), s.Den()
-	g := gcd64(rd, sd)
-	a := mulChecked(r.num, sd/g)
-	b := mulChecked(s.num, rd/g)
-	switch {
-	case a < b:
-		return -1
-	case a > b:
+	rs, ss := r.Sign(), s.Sign()
+	if rs != ss {
+		if rs < ss {
+			return -1
+		}
 		return 1
-	default:
+	}
+	if rs == 0 {
 		return 0
 	}
+	// Same sign: r.num/rd ? s.num/sd  <=>  |r.num|*sd ? |s.num|*rd,
+	// flipped for negatives (denominators are positive).
+	ah, al := bits.Mul64(magnitude(r.num), uint64(s.Den()))
+	bh, bl := bits.Mul64(magnitude(s.num), uint64(r.Den()))
+	switch {
+	case ah == bh && al == bl:
+		return 0
+	case ah < bh || (ah == bh && al < bl):
+		return -rs
+	}
+	return rs
 }
 
 // Eq reports whether r == s.
@@ -334,7 +401,36 @@ func CeilDivInt(i int64, r Rat) int64 {
 	if r.Sign() <= 0 {
 		panic("frac: CeilDivInt requires positive divisor")
 	}
-	return FromInt(i).Mul(r.Inv()).Ceil()
+	return CeilQuo(FromInt(i), r)
+}
+
+// CeilQuo returns ⌈r/s⌉ for s > 0, the value of r.Div(s).Ceil(), with
+// one integer division of the cross products instead of building the
+// reduced quotient. It panics if s <= 0, and with ErrOverflow when the
+// result leaves int64.
+func CeilQuo(r, s Rat) int64 {
+	if s.Sign() <= 0 {
+		panic("frac: CeilQuo requires positive divisor")
+	}
+	nh, nl := bits.Mul64(magnitude(r.num), uint64(s.Den()))
+	dh, dl := bits.Mul64(uint64(r.Den()), uint64(s.num))
+	if nh != 0 || dh != 0 {
+		return r.Div(s).Ceil() // operands past 64-bit cross products
+	}
+	q, rem := nl/dl, nl%dl
+	if r.num < 0 { // ⌈-x⌉ = -⌊x⌋
+		if q > 1<<63 {
+			panic(ErrOverflow)
+		}
+		return -int64(q) // -2^63 wraps onto itself, exactly math.MinInt64
+	}
+	if rem != 0 {
+		q++
+	}
+	if q > math.MaxInt64 {
+		panic(ErrOverflow)
+	}
+	return int64(q)
 }
 
 // Float64 returns the nearest float64 to r. Intended for reporting only.

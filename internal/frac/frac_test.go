@@ -74,6 +74,39 @@ func TestMinInt64Operands(t *testing.T) {
 	}
 }
 
+// TestMinInt64Integer: FromInt and Parse's integer form hold
+// math.MinInt64 exactly, and every operation that would negate it
+// panics with ErrOverflow instead of returning the value unchanged.
+func TestMinInt64Integer(t *testing.T) {
+	p, err := Parse("-9223372036854775808")
+	if err != nil {
+		t.Fatalf("Parse(MinInt64): %v", err)
+	}
+	for _, m := range []Rat{FromInt(math.MinInt64), p} {
+		if m.Num() != math.MinInt64 || m.Den() != 1 {
+			t.Fatalf("MinInt64 integer = %d/%d", m.Num(), m.Den())
+		}
+		for name, op := range map[string]func() Rat{
+			"Neg":    m.Neg,
+			"Abs":    m.Abs,
+			"Inv":    m.Inv,
+			"Sub":    func() Rat { return One.Sub(m) },
+			"Div":    func() Rat { return One.Div(m) },
+			"MulInt": func() Rat { return m.MulInt(-1) },
+		} {
+			if r, ok := tryRat(t, op); ok {
+				t.Errorf("%s of MinInt64 = %v, want ErrOverflow", name, r)
+			}
+		}
+		if got := m.Add(One); got.Num() != math.MinInt64+1 {
+			t.Errorf("MinInt64+1 = %v", got)
+		}
+		if m.Cmp(FromInt(math.MaxInt64)) != -1 || FromInt(-1).Cmp(m) != 1 {
+			t.Errorf("Cmp misorders MinInt64")
+		}
+	}
+}
+
 func TestZeroValueIsZero(t *testing.T) {
 	var r Rat
 	if !r.IsZero() || r.Den() != 1 || r.Sign() != 0 {

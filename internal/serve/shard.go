@@ -386,19 +386,18 @@ func (sh *Shard) status(withTasks bool) *ShardStatus {
 		DeferredJoins:     sh.eng.JoinQueue(),
 	}
 	sh.ctr.fill(st, &sh.reqs)
-	active := 0
-	maxDrift := frac.Rat{}
-	sumLag := frac.Rat{}
-	for _, m := range sh.eng.AllMetrics() {
-		if m.Active {
-			active++
-			sumLag = sumLag.Add(m.Lag.Abs())
-		}
-		if m.Leaving {
-			st.DeferredLeaves++
-		}
-		maxDrift = frac.Max(maxDrift, m.MaxAbsDrift)
-		if withTasks {
+	// The aggregates fold only the live tasks, so a boundary's publish
+	// costs O(live tasks) however many tasks the shard has held.
+	live := sh.eng.Live()
+	maxDrift := sh.eng.MaxAbsDrift()
+	st.ActiveTasks = live.Active
+	st.DeferredLeaves = live.Leaving
+	st.MaxAbsDrift = maxDrift.String()
+	st.MaxAbsDriftFloat = maxDrift.Float64()
+	st.SumAbsLag = live.SumAbsLag.String()
+	st.SumAbsLagFloat = live.SumAbsLag.Float64()
+	if withTasks {
+		for _, m := range sh.eng.AllMetrics() {
 			st.Tasks = append(st.Tasks, TaskStatus{
 				Name:        m.Name,
 				Weight:      m.Weight.String(),
@@ -414,11 +413,6 @@ func (sh *Shard) status(withTasks bool) *ShardStatus {
 			})
 		}
 	}
-	st.ActiveTasks = active
-	st.MaxAbsDrift = maxDrift.String()
-	st.MaxAbsDriftFloat = maxDrift.Float64()
-	st.SumAbsLag = sumLag.String()
-	st.SumAbsLagFloat = sumLag.Float64()
 	return st
 }
 
