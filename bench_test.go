@@ -154,9 +154,11 @@ func BenchmarkSchedulerSlot(b *testing.B) {
 func BenchmarkReweightStorm(b *testing.B) {
 	const n = 512
 	const batch = 32
+	names := make([]string, n)
 	var tasks []Spec
-	for i := 0; i < n; i++ {
-		tasks = append(tasks, Spec{Name: fmt.Sprintf("T%d", i), Weight: NewRat(1, 256)})
+	for i := range names {
+		names[i] = fmt.Sprintf("T%d", i)
+		tasks = append(tasks, Spec{Name: names[i], Weight: NewRat(1, 256)})
 	}
 	s, err := NewScheduler(Config{M: 4, Policy: PolicyOI, Police: true},
 		System{M: 4, Tasks: tasks})
@@ -164,12 +166,12 @@ func BenchmarkReweightStorm(b *testing.B) {
 		b.Fatal(err)
 	}
 	weights := []Rat{NewRat(1, 256), NewRat(1, 128), NewRat(1, 200)}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		base := (i * batch) % n
 		for j := 0; j < batch; j++ {
-			name := fmt.Sprintf("T%d", (base+j)%n)
-			if err := s.Initiate(name, weights[(i+j)%len(weights)]); err != nil {
+			if err := s.Initiate(names[(base+j)%n], weights[(i+j)%len(weights)]); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -233,10 +235,14 @@ func BenchmarkReweight(b *testing.B) {
 				b.Fatal(err)
 			}
 			weights := []Rat{NewRat(1, 10), NewRat(1, 5), NewRat(3, 10)}
+			names := make([]string, len(tasks))
+			for i, t := range tasks {
+				names[i] = t.Name
+			}
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				name := fmt.Sprintf("T#%d", i%16)
-				if err := s.Initiate(name, weights[i%len(weights)]); err != nil {
+				if err := s.Initiate(names[i%16], weights[i%len(weights)]); err != nil {
 					b.Fatal(err)
 				}
 				s.Step()

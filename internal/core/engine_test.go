@@ -174,6 +174,7 @@ func TestLiveSummaryMatchesAllMetrics(t *testing.T) {
 					if m.Active {
 						want.Active++
 						want.SumAbsLag = want.SumAbsLag.Add(m.Lag.Abs())
+						want.MaxDrift = frac.Max(want.MaxDrift, m.Drift.Abs())
 					}
 					if m.Leaving {
 						want.Leaving++
@@ -182,7 +183,7 @@ func TestLiveSummaryMatchesAllMetrics(t *testing.T) {
 				}
 				got := s.Live()
 				sawLeaving = sawLeaving || got.Leaving > 0
-				if got.Active != want.Active || got.Leaving != want.Leaving || !got.SumAbsLag.Eq(want.SumAbsLag) {
+				if got.Active != want.Active || got.Leaving != want.Leaving || !got.SumAbsLag.Eq(want.SumAbsLag) || !got.MaxDrift.Eq(want.MaxDrift) {
 					t.Fatalf("slot %d: Live() = %+v, AllMetrics fold = %+v", slot, got, want)
 				}
 				if !s.MaxAbsDrift().Eq(maxDrift) {

@@ -462,6 +462,7 @@ type LiveSummary struct {
 	Active    int      // tasks with TaskMetrics.Active
 	Leaving   int      // tasks with TaskMetrics.Leaving (all Active)
 	SumAbsLag frac.Rat // Σ |TaskMetrics.Lag| over the Active tasks
+	MaxDrift  frac.Rat // max |TaskMetrics.Drift| over the Active tasks, now
 }
 
 // Live returns the LiveSummary in one pass over the live tasks. It
@@ -476,6 +477,7 @@ func (s *Scheduler) Live() LiveSummary {
 			sum.Leaving++
 		}
 		sum.SumAbsLag = sum.SumAbsLag.Add(ts.cumCSW.Sub(frac.FromInt(ts.scheduledQuanta)).Abs())
+		sum.MaxDrift = frac.Max(sum.MaxDrift, ts.drift.Abs())
 	}
 	return sum
 }

@@ -47,6 +47,11 @@ type admission struct {
 	// dig is the books digest: the XOR of every entry's h, kept
 	// running by touch and restore.
 	dig uint64
+	// last is the newest end of the stamp-order list: stamp moves an
+	// entry there, and at never falls, so walking prev from last meets
+	// the entries newest stamp first, and state(from) stops at the
+	// first one stamped below from.
+	last *taskEntry
 }
 
 // taskEntry is one task's admission record.
@@ -72,6 +77,9 @@ type taskEntry struct {
 	// h is the entry's hash as of its last change, its share of
 	// admission.dig; 0 for an entry not yet hashed into it.
 	h uint64
+	// prev and next link the entries in stamp order (see
+	// admission.last).
+	prev, next *taskEntry
 }
 
 func newAdmission(eng *core.Scheduler) *admission {
@@ -115,15 +123,35 @@ func newTaskEntry(raw []byte, w frac.Rat) *taskEntry {
 	return &taskEntry{name: string(raw), w: w, live: true, pending: true}
 }
 
-// touch records a change to e, made just before: it stamps e at a.at
-// and swaps e's old hash in the running books digest for its new one.
+// touch records a change to e, made just before: it stamps e and swaps
+// e's old hash in the running books digest for its new one.
 //
 //lint:noalloc hot admission path: one entry hash per admitted command
 func (a *admission) touch(e *taskEntry) {
-	e.at = a.at
+	a.stamp(e)
 	a.dig ^= e.h
 	e.h = e.hash()
 	a.dig ^= e.h
+}
+
+// stamp stamps e at a.at and moves it to the newest end of the
+// stamp-order list; a new entry joins the list here.
+func (a *admission) stamp(e *taskEntry) {
+	e.at = a.at
+	if a.last == e {
+		return
+	}
+	if e.prev != nil {
+		e.prev.next = e.next
+	}
+	if e.next != nil {
+		e.next.prev = e.prev
+	}
+	e.prev, e.next = a.last, nil
+	if a.last != nil {
+		a.last.next = e
+	}
+	a.last = e
 }
 
 // admitJoin reserves name and weight for a joining task and returns the
@@ -231,7 +259,9 @@ func (a *admission) release(name string) {
 // state serializes the entries stamped >= from: all of them for a
 // snapshot (from 0), the ones changed since the cut a follower holds
 // for a replication tail. restore upserts them. Slices are sorted so the
-// encoding is byte-stable. It predates the single-map layout.
+// encoding is byte-stable. It predates the single-map layout. It walks
+// only those entries, newest first, so a tail cut costs what changed
+// since from, not every name the shard has admitted.
 type admissionState struct {
 	Names     []string     `json:"names"`
 	Requested []taskWeight `json:"requested"`
@@ -246,20 +276,21 @@ type taskWeight struct {
 
 func (a *admission) state(from int) admissionState {
 	var st admissionState
-	st.Names = make([]string, 0, len(a.tasks))
-	for name, e := range a.tasks {
-		if e.at < from {
-			continue
-		}
-		st.Names = append(st.Names, name)
+	n := 0
+	for e := a.last; e != nil && e.at >= from; e = e.prev {
+		n++
+	}
+	st.Names = make([]string, 0, n)
+	for e := a.last; e != nil && e.at >= from; e = e.prev {
+		st.Names = append(st.Names, e.name)
 		if e.live {
-			st.Requested = append(st.Requested, taskWeight{Task: name, Weight: e.w})
+			st.Requested = append(st.Requested, taskWeight{Task: e.name, Weight: e.w})
 		}
 		if e.pending {
-			st.Pending = append(st.Pending, name)
+			st.Pending = append(st.Pending, e.name)
 		}
 		if e.leaving {
-			st.Leaving = append(st.Leaving, name)
+			st.Leaving = append(st.Leaving, e.name)
 		}
 	}
 	sort.Strings(st.Names)
@@ -292,7 +323,8 @@ func (a *admission) restore(st admissionState) {
 			a.total = a.total.Sub(e.w)
 		}
 		detach(e)
-		*e = taskEntry{name: e.name, at: a.at}
+		*e = taskEntry{name: e.name, prev: e.prev, next: e.next}
+		a.stamp(e)
 		return e
 	}
 	for _, name := range st.Names {

@@ -169,6 +169,61 @@ func TestAnomalyDriftExcursionsStorm(t *testing.T) {
 	}
 }
 
+// TestAnomalyDriftExcursionsLiveOnly: a task that leaves with a drift
+// past the bound stops counting. A reweighted task builds a drift past
+// 1/1024 while a calm task runs beside it; once the first has left,
+// no live task exceeds the bound, and the counter stays flat over the
+// next 20 boundaries, though the departed task's frozen drift still
+// exceeds it.
+func TestAnomalyDriftExcursionsLiveOnly(t *testing.T) {
+	bound := frac.New(1, 1024)
+	sh := testShard(t, ShardConfig{M: 1, DriftBound: bound}, 64)
+	for _, task := range []string{"A", "B"} {
+		if res := admitOne(sh, core.OpJoin, task, frac.New(1, 64)); res.Status != "queued" {
+			t.Fatalf("join %s: %+v", task, res)
+		}
+	}
+	sh.advance(1)
+	for round := 0; round < 16; round++ {
+		w := frac.New(int64(1+30*(round%2)), 64) // the reweight-storm template's swing
+		if res := admitOne(sh, core.OpReweight, "A", w); res.Status != "queued" {
+			t.Fatalf("round %d: reweight A to %v: %+v", round, w, res)
+		}
+		sh.advance(2)
+	}
+	if _, de, _, _ := anomalies(sh); de == 0 {
+		t.Fatal("reweighting A past the bound counted no excursion")
+	}
+	if res := admitOne(sh, core.OpLeave, "A", frac.Rat{}); res.Status != "queued" {
+		t.Fatalf("leave A: %+v", res)
+	}
+	for slot := 0; ; slot++ {
+		sh.advance(1)
+		if m, _ := sh.eng.Metrics("A"); !m.Active {
+			if !bound.Less(m.Drift.Abs()) {
+				t.Fatalf("A left with |drift| %v, not past the bound %v; the scenario shows nothing", m.Drift.Abs(), bound)
+			}
+			break
+		}
+		if slot == 64 {
+			t.Fatal("A's leave did not take effect within 64 slots")
+		}
+	}
+	if b, _ := sh.eng.Metrics("B"); !b.Active || bound.Less(b.Drift.Abs()) {
+		t.Fatalf("calm task B: active %v, |drift| %v", b.Active, b.Drift.Abs())
+	}
+	_, before, _, _ := anomalies(sh)
+	for i := 0; i < 20; i++ {
+		sh.advance(1)
+	}
+	if _, after, _, _ := anomalies(sh); after != before {
+		t.Fatalf("drift excursions went %d -> %d over 20 boundaries with no live task past the bound", before, after)
+	}
+	if sh.ctr.failedApplies != 0 {
+		t.Fatalf("failedApplies = %d", sh.ctr.failedApplies)
+	}
+}
+
 // TestDeferredJoinPeakDrains provokes a condition-J deferral (a join
 // admitted on requested weight that must wait for scheduling weight to
 // decay), checks the peak gauge records it, and checks the queue drains

@@ -4,7 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -24,9 +24,10 @@ func checkCmdLog(t *testing.T, cmds []core.Command) {
 		t.Fatalf("len %d after %d appends", l.len(), len(cmds))
 	}
 	for i := 0; i <= len(cmds); i++ {
-		want := append([]core.Command{}, cmds[i:]...) // from never returns nil
-		if got := l.from(i); !reflect.DeepEqual(got, want) {
-			t.Fatalf("from(%d) of %d:\n got %v\nwant %v", i, len(cmds), got, want)
+		// == on Commands, not reflect.DeepEqual: the fuzzer checks every
+		// cut of up to 160 records.
+		if got := l.from(i); got == nil || !slices.Equal(got, cmds[i:]) {
+			t.Fatalf("from(%d) of %d:\n got %v\nwant %v", i, len(cmds), got, cmds[i:])
 		}
 	}
 }
@@ -34,7 +35,9 @@ func checkCmdLog(t *testing.T, cmds []core.Command) {
 // TestCmdLogRoundTrip covers every op and the edges of each field: the
 // zero-value weight and 0/1, negative and int64-scale weights, Arg at
 // both int64 extremes, empty and non-ASCII names and groups, and At
-// steps of 0, of 2³² and more, and backwards across the int64 range.
+// steps of 0, of 2³² and more, and backwards across the int64 range;
+// then the weight table past its size and the same-At flag across
+// marks.
 func TestCmdLogRoundTrip(t *testing.T) {
 	weights := []frac.Rat{
 		{},
@@ -69,25 +72,76 @@ func TestCmdLogRoundTrip(t *testing.T) {
 	for n := 0; n <= len(cmds); n++ {
 		checkCmdLog(t, cmds[:n])
 	}
+
+	// The tables: 300 distinct weights, of which only the first
+	// logWeights are tabled, runs of one At longer than a mark's span,
+	// and At steps at, just before and just after mark boundaries.
+	cmds, at = nil, 0
+	for i := 0; i < 300; i++ {
+		cmds = append(cmds, core.Command{At: at, Op: core.OpReweight, Task: fmt.Sprintf("t%d", i%7), Weight: frac.New(int64(i+1), 997)})
+		if i%100 == 99 {
+			at++ // runs of 100 records at one At
+		}
+	}
+	for i := 0; i < 4*logMarkEvery; i++ {
+		if k := i % logMarkEvery; k == 0 || k == 1 || k == logMarkEvery-1 {
+			at += int64(i) - 50 // steps crossing mark boundaries, some backwards
+		}
+		cmds = append(cmds, core.Command{At: at, Op: core.CommandOp(i % 5), Task: "u", Weight: frac.New(int64(i%300+1), 997), Arg: int64(i % 3)})
+	}
+	checkCmdLog(t, cmds)
+
+	var l cmdLog
+	for _, c := range cmds {
+		l.append(c)
+	}
+	if len(l.weights) != logWeights {
+		t.Fatalf("weight table holds %d weights, want %d", len(l.weights), logWeights)
+	}
+	for i, w := range l.weights {
+		if want := frac.New(int64(i+1), 997); w != want {
+			t.Fatalf("weight table[%d] = %v, want %v (order of first use)", i, w, want)
+		}
+	}
+	if got, want := len(l.markOff), (len(cmds)+logMarkEvery-1)/logMarkEvery; got != want || len(l.markAt) != want {
+		t.Fatalf("%d and %d marks for %d records, want %d", got, len(l.markAt), len(cmds), want)
+	}
 }
 
-// TestCmdLogReweightIsFiveBytes pins the record size the log exists
-// for: a same-slot reweight on a 64-task shard is one head byte, one At
-// step, one name index and one byte each for num and den.
-func TestCmdLogReweightIsFiveBytes(t *testing.T) {
+// TestCmdLogReweightIsThreeBytes pins the record size the log exists
+// for: a same-slot reweight to a tabled weight on a 64-task shard is
+// one head byte, one name index and one weight index. A weight past
+// the table is written inline, as before the table.
+func TestCmdLogReweightIsThreeBytes(t *testing.T) {
 	var l cmdLog
 	for i := 0; i < 64; i++ {
 		l.append(core.Command{Op: core.OpJoin, Task: fmt.Sprintf("t%d", i), Weight: frac.New(1, 64)})
 	}
-	before := len(l.buf)
-	l.append(core.Command{Op: core.OpReweight, Task: "t63", Weight: frac.New(3, 64)})
-	if got := len(l.buf) - before; got != 5 {
-		t.Fatalf("reweight record is %d bytes, want 5", got)
+	size := func(c core.Command) int {
+		before := len(l.buf)
+		l.append(c)
+		return len(l.buf) - before
+	}
+	if got := size(core.Command{Op: core.OpReweight, Task: "t63", Weight: frac.New(3, 64)}); got != 3 {
+		t.Fatalf("reweight record is %d bytes, want 3", got)
+	}
+	if got := size(core.Command{At: 1, Op: core.OpReweight, Task: "t0", Weight: frac.New(1, 64)}); got != 4 {
+		t.Fatalf("next slot's first reweight is %d bytes, want 4 (with its At step)", got)
+	}
+	for i := len(l.weights); i < logWeights; i++ {
+		l.append(core.Command{At: 1, Op: core.OpReweight, Task: "t1", Weight: frac.New(int64(i), 1000)})
+	}
+	if got := size(core.Command{At: 1, Op: core.OpReweight, Task: "t2", Weight: frac.New(3, 64)}); got != 3 {
+		t.Fatalf("reweight to a tabled weight after the table filled is %d bytes, want 3", got)
+	}
+	if got := size(core.Command{At: 1, Op: core.OpReweight, Task: "t2", Weight: frac.New(5, 64)}); got != 4 {
+		t.Fatalf("reweight to an untabled weight is %d bytes, want 4 (num and den inline)", got)
 	}
 }
 
-// fuzzCommands decodes fuzz input into at most 4 marks' worth of
-// commands (checkCmdLog is quadratic). Per command, one byte picks the
+// fuzzCommands decodes fuzz input into at most 5 marks' worth of
+// commands (checkCmdLog is quadratic), enough to fill the weight table
+// and overflow it. Per command, one byte picks the
 // op (mod 5), which of weight, group and Arg are set, and whether At
 // and the weight's num and den are full int64s or one byte each (a
 // full-width weight costs its gcd on every decode, so most stay small);
@@ -105,7 +159,7 @@ func fuzzCommands(data []byte) []core.Command {
 		cmds []core.Command
 		at   int64
 	)
-	for len(data) > 0 && len(cmds) < 4*logMarkEvery {
+	for len(data) > 0 && len(cmds) < 5*logMarkEvery {
 		head := take(1)[0]
 		if head&0x40 != 0 {
 			at += i64()
@@ -141,6 +195,27 @@ func FuzzCmdLog(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x0a, 0, 2, 't', '0', 1, 64})
 	f.Add([]byte{0xfc, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, 3, 0xe3, 0x81, 0x82})
+	// The weight table and the marks: 150 distinct weights (the table
+	// takes the first 128), a run of one At across three marks, and
+	// full-width At steps on the records either side of each mark.
+	var overflow, run, steps []byte
+	for i := 0; i < 150; i++ {
+		overflow = append(overflow, recWeight, 0, 1, 't', byte(int8(i-75)), 251)
+	}
+	for i := 0; i < 100; i++ {
+		run = append(run, byte(core.OpReweight)|recWeight, 0, 1, byte('a'+i%3), byte(1+i%2), 64)
+	}
+	for i := 0; i < 4*logMarkEvery; i++ {
+		if k := i % logMarkEvery; k == 0 || k == logMarkEvery-1 {
+			steps = binary.LittleEndian.AppendUint64(append(steps, 0x40|byte(core.OpReweight)|recWeight), uint64(int64(i)<<40-1))
+		} else {
+			steps = append(steps, byte(core.OpReweight)|recWeight, 0)
+		}
+		steps = append(steps, 1, 'u', 1, 64)
+	}
+	f.Add(overflow)
+	f.Add(run)
+	f.Add(steps)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkCmdLog(t, fuzzCommands(data))
 	})

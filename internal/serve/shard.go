@@ -28,8 +28,8 @@ type ShardConfig struct {
 	// byte-exact differential tests, costly over long horizons.
 	RecordSchedule bool `json:"record_schedule,omitempty"`
 	// DriftBound, when positive, is the anomaly threshold for
-	// instantaneous per-task |drift|: a slot boundary where any task
-	// exceeds it bumps pd2d_anomaly_drift_excursions_total. Exact
+	// instantaneous per-task |drift|: a slot boundary where any live
+	// task exceeds it bumps pd2d_anomaly_drift_excursions_total. Exact
 	// rational so the comparison is deterministic. Observability only —
 	// it never influences scheduling, admission, or digests (CoreConfig
 	// ignores it).
@@ -240,7 +240,7 @@ func (sh *Shard) handle(p *pending) {
 		p.reply <- reply{now: sh.eng.Now()}
 	case pendQuery:
 		sh.reqs.queries.Add(1)
-		st := sh.status(true)
+		st := sh.status(sh.eng.Live(), true)
 		p.reply <- reply{status: st, now: sh.eng.Now()}
 	case pendState:
 		var b strings.Builder
@@ -365,10 +365,10 @@ func (sh *Shard) flush() {
 }
 
 // status assembles the shard's wire status from engine and admission
-// state. Run-goroutine only.
+// state and live, the engine's Live summary. Run-goroutine only.
 //
 //lint:allocok composes a fresh status snapshot per query/publish; the reply escapes to HTTP handlers, so reuse would race
-func (sh *Shard) status(withTasks bool) *ShardStatus {
+func (sh *Shard) status(live core.LiveSummary, withTasks bool) *ShardStatus {
 	st := &ShardStatus{
 		Shard:             sh.id,
 		Now:               sh.eng.Now(),
@@ -388,7 +388,6 @@ func (sh *Shard) status(withTasks bool) *ShardStatus {
 	sh.ctr.fill(st, &sh.reqs)
 	// The aggregates fold only the live tasks, so a boundary's publish
 	// costs O(live tasks) however many tasks the shard has held.
-	live := sh.eng.Live()
 	maxDrift := sh.eng.MaxAbsDrift()
 	st.ActiveTasks = live.Active
 	st.DeferredLeaves = live.Leaving
@@ -427,14 +426,14 @@ const anomalyMinDecisions = 8
 //   - reject spike: at least anomalyMinDecisions admission decisions
 //     and a majority of them rejections;
 //   - backpressure spike: any fresh 429s since the last boundary;
-//   - drift excursion: some task's instantaneous |drift| exceeds the
-//     configured DriftBound (exact comparison; zero bound disables).
+//   - drift excursion: some live task's instantaneous |drift|, whose
+//     largest is maxDrift, exceeds the configured DriftBound (exact
+//     comparison; zero bound disables). A departed task's frozen drift
+//     never counts.
 //
 // Counters cross the window monotonically, so deltas against the saved
 // baselines are exact. Run-goroutine only.
-//
-//lint:allocok AllMetrics composes the per-task metric slice; runs once per publish boundary, not per slot
-func (sh *Shard) noteAnomalies() {
+func (sh *Shard) noteAnomalies(maxDrift frac.Rat) {
 	accepted := sh.ctr.accepted
 	rejections := sh.ctr.rejectedW + sh.ctr.rejectedOther
 	decisions := accepted + rejections
@@ -449,13 +448,8 @@ func (sh *Shard) noteAnomalies() {
 		sh.ctr.anomBackpressure++
 		sh.lastBackpressured = bp
 	}
-	if sh.cfg.DriftBound.Sign() > 0 {
-		for _, m := range sh.eng.AllMetrics() {
-			if sh.cfg.DriftBound.Less(m.Drift.Abs()) {
-				sh.ctr.anomDriftExcur++
-				break
-			}
-		}
+	if sh.cfg.DriftBound.Sign() > 0 && sh.cfg.DriftBound.Less(maxDrift) {
+		sh.ctr.anomDriftExcur++
 	}
 }
 
@@ -469,8 +463,10 @@ func (sh *Shard) publish(st *ShardStatus) {
 
 // publishStatus publishes a fresh boundary status. Called at every
 // boundary and at loop exit. Anomaly windows close first so the
-// published status carries their fresh values.
+// published status carries their fresh values; both read one pass over
+// the live tasks.
 func (sh *Shard) publishStatus() {
-	sh.noteAnomalies()
-	sh.publish(sh.status(false))
+	live := sh.eng.Live()
+	sh.noteAnomalies(live.MaxDrift)
+	sh.publish(sh.status(live, false))
 }

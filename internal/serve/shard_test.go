@@ -364,13 +364,13 @@ func TestEarlyReleaseLeaveDeparts(t *testing.T) {
 	}
 	sh.advance(1)
 	for sh.eng.Now() <= 24 {
-		if st := sh.status(false); st.DeferredLeaves != 1 || st.Headroom != "2" || st.ActiveTasks != 1 {
+		if st := sh.status(sh.eng.Live(), false); st.DeferredLeaves != 1 || st.Headroom != "2" || st.ActiveTasks != 1 {
 			t.Fatalf("at t=%d: %d deferred leaves, headroom %s, %d active; want 1, 2 and 1 until slot 24 is stepped",
 				st.Now, st.DeferredLeaves, st.Headroom, st.ActiveTasks)
 		}
 		sh.advance(1)
 	}
-	if st := sh.status(false); st.DeferredLeaves != 0 || st.Headroom != "2" || st.ActiveTasks != 0 {
+	if st := sh.status(sh.eng.Live(), false); st.DeferredLeaves != 0 || st.Headroom != "2" || st.ActiveTasks != 0 {
 		t.Fatalf("at t=%d: %d deferred leaves, headroom %s, %d active; want 0, 2 and 0",
 			st.Now, st.DeferredLeaves, st.Headroom, st.ActiveTasks)
 	}
@@ -396,7 +396,7 @@ func TestBoundaryStatusFoldsLiveTasks(t *testing.T) {
 	sh.advance(1)
 	check := func(when string) (leaving int) {
 		t.Helper()
-		st := sh.status(false)
+		st := sh.status(sh.eng.Live(), false)
 		active, maxDrift, sumLag := 0, frac.Zero, frac.Zero
 		for _, m := range sh.eng.AllMetrics() {
 			if m.Active {

@@ -2,7 +2,7 @@ package serve
 
 import (
 	"fmt"
-	"hash/fnv"
+	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/model"
@@ -110,16 +110,30 @@ func (st *shardState) tail(from int, seq int64) (*Tail, error) {
 
 // batchDigest is FNV-1a over each staged command's op, task, weight and
 // group, in order, and 0 for an empty batch. It leaves out At, which
-// the boundary that applies the command restamps.
+// the boundary that applies the command restamps. Each command hashes
+// as the line fmt's "%s %q %s %q\n" would print, built in one buffer
+// that the commands reuse.
 func batchDigest(batch []core.Command) uint64 {
 	if len(batch) == 0 {
 		return 0
 	}
-	h := fnv.New64a()
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	h := uint64(offset64)
+	var line [128]byte
 	for _, c := range batch {
-		_, _ = fmt.Fprintf(h, "%s %q %s %q\n", c.Op, c.Task, c.Weight, c.Group) // hash writes cannot fail
+		b := append(line[:0], c.Op.String()...)
+		b = append(b, ' ')
+		b = strconv.AppendQuote(b, c.Task)
+		b = append(b, ' ')
+		b = c.Weight.Append(b)
+		b = append(b, ' ')
+		b = strconv.AppendQuote(b, c.Group)
+		b = append(b, '\n')
+		for _, x := range b {
+			h = (h ^ uint64(x)) * prime64
+		}
 	}
-	return h.Sum64()
+	return h
 }
 
 // VerifyTail replays a complete tail (From == 0) on a fresh engine and

@@ -394,7 +394,7 @@ func TestRestoreVersion2Snapshot(t *testing.T) {
 				t.Fatalf("restored batch %v, want %v", staged, tc.staged)
 			}
 			for {
-				st := sh.status(false)
+				st := sh.status(sh.eng.Live(), false)
 				if st.FailedApplies != 0 {
 					t.Fatalf("at t=%d: %d failed applies", st.Now, st.FailedApplies)
 				}
@@ -471,7 +471,7 @@ func TestRestoreStagedJoinWithoutBookEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	sh.advance(20)
-	if st := sh.status(false); st.FailedApplies != 0 || st.DeferredJoins != 0 || !sh.eng.Joined("E") {
+	if st := sh.status(sh.eng.Live(), false); st.FailedApplies != 0 || st.DeferredJoins != 0 || !sh.eng.Joined("E") {
 		t.Fatalf("at t=%d: %d failed applies, %d joins held, E joined %v", st.Now, st.FailedApplies, st.DeferredJoins, sh.eng.Joined("E"))
 	}
 }

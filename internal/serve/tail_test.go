@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -270,6 +273,28 @@ func requireRunningBooksDigest(t *testing.T, what string, a *admission) {
 	}
 }
 
+// requireStampOrder fails unless the books' stamp-order list holds
+// every entry once, newest stamp last, and state(f), which walks it,
+// gives what fullScanState gives for each f in fs.
+func requireStampOrder(t *testing.T, what string, a *admission, fs ...int) {
+	t.Helper()
+	n := 0
+	for e := a.last; e != nil; e = e.prev {
+		if e.prev != nil && (e.prev.next != e || e.prev.at > e.at) {
+			t.Fatalf("%s: stamp-order list broken at %q (at %d) after %q (at %d)", what, e.name, e.at, e.prev.name, e.prev.at)
+		}
+		n++
+	}
+	if n != len(a.tasks) {
+		t.Fatalf("%s: stamp-order list holds %d of %d entries", what, n, len(a.tasks))
+	}
+	for _, f := range fs {
+		if got, want := a.state(f), fullScanState(a, f); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: state(%d) = %+v, full scan %+v", what, f, got, want)
+		}
+	}
+}
+
 // TestFoldedBooksTrackThePrimary: a replica that applies each tail cut
 // from the log index of the cut before it holds the primary's books,
 // entry by entry, after every apply, so the stamps leave out no changed
@@ -278,8 +303,10 @@ func requireRunningBooksDigest(t *testing.T, what string, a *admission) {
 // joins and leaves the engine holds for rule L, and cuts land both
 // between admissions and at slot boundaries. The
 // running books digest of both sides must equal one recomputed from
-// scratch after every admission, boundary and apply. (release of a
-// join is not reached: it runs only when the engine refuses an
+// scratch after every admission, boundary and apply, and state(f) on
+// both sides must give what a scan over every entry gives, for cuts at
+// 0, at the last cut, inside the log, at its end and past it. (release
+// of a join is not reached: it runs only when the engine refuses an
 // admitted join.)
 func TestFoldedBooksTrackThePrimary(t *testing.T) {
 	// One processor, so condition J defers some of genScript's joins.
@@ -298,7 +325,9 @@ func TestFoldedBooksTrackThePrimary(t *testing.T) {
 				sh := testShard(t, cfg, 8)
 				rep, from := NewReplica(0), 0
 				maybeCut := func() {
-					requireRunningBooksDigest(t, fmt.Sprintf("seed %d primary at t=%d", seed, sh.eng.Now()), sh.adm)
+					what, n := fmt.Sprintf("seed %d primary at t=%d", seed, sh.eng.Now()), sh.log.len()
+					requireRunningBooksDigest(t, what, sh.adm)
+					requireStampOrder(t, what, sh.adm, 0, from, n/2, n, n+1)
 					if coin.Intn(2) == 0 {
 						return
 					}
@@ -309,7 +338,9 @@ func TestFoldedBooksTrackThePrimary(t *testing.T) {
 					if err := rep.Apply(tl); err != nil {
 						t.Fatalf("seed %d at t=%d, cut from %d: %v", seed, tl.Now, from, err)
 					}
-					requireRunningBooksDigest(t, fmt.Sprintf("seed %d applied at t=%d", seed, tl.Now), rep.adm)
+					what = fmt.Sprintf("seed %d applied at t=%d", seed, tl.Now)
+					requireRunningBooksDigest(t, what, rep.adm)
+					requireStampOrder(t, what, rep.adm, 0, from, tl.Total/2, tl.Total, tl.Total+1)
 					if got, want := rep.adm.state(0), sh.adm.state(0); !reflect.DeepEqual(got, want) {
 						t.Fatalf("seed %d at t=%d: replica books %+v, primary %+v", seed, tl.Now, got, want)
 					}
@@ -330,6 +361,85 @@ func TestFoldedBooksTrackThePrimary(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// fullScanState is admission.state as a scan over every entry, the
+// oracle for the stamp-order walk.
+func fullScanState(a *admission, from int) admissionState {
+	var st admissionState
+	st.Names = make([]string, 0, len(a.tasks))
+	for name, e := range a.tasks {
+		if e.at < from {
+			continue
+		}
+		st.Names = append(st.Names, name)
+		if e.live {
+			st.Requested = append(st.Requested, taskWeight{Task: name, Weight: e.w})
+		}
+		if e.pending {
+			st.Pending = append(st.Pending, name)
+		}
+		if e.leaving {
+			st.Leaving = append(st.Leaving, name)
+		}
+	}
+	sort.Strings(st.Names)
+	sort.Slice(st.Requested, func(i, j int) bool { return st.Requested[i].Task < st.Requested[j].Task })
+	sort.Strings(st.Pending)
+	sort.Strings(st.Leaving)
+	return st
+}
+
+// TestBatchDigestMatchesFmt: batchDigest hashes the bytes the fmt
+// rendering it replaced hashed, so v4 tails and snapshot files keep
+// verifying. Random batches draw names with quotes, backslashes,
+// control bytes, non-ASCII, U+2028, invalid UTF-8 and more than the
+// line buffer holds, and weights across the int64 range; an ordinary
+// batch hashes without allocating.
+func TestBatchDigestMatchesFmt(t *testing.T) {
+	fmtDigest := func(batch []core.Command) uint64 {
+		if len(batch) == 0 {
+			return 0
+		}
+		h := fnv.New64a()
+		for _, c := range batch {
+			fmt.Fprintf(h, "%s %q %s %q\n", c.Op, c.Task, c.Weight, c.Group)
+		}
+		return h.Sum64()
+	}
+	pieces := []string{"A", "t7", `"`, `\`, "\x00", "\n", "é", "タスク", "\u2028", "\u2029", "\xff", "\x7f", "😀", "<&>", strings.Repeat("long", 40)}
+	weights := []frac.Rat{{}, frac.Zero, frac.New(1, 64), frac.New(-3, 7), frac.FromInt(math.MinInt64), frac.New(math.MaxInt64, math.MaxInt64-1)}
+	r := stats.NewStream(26, 0)
+	name := func() string {
+		var b strings.Builder
+		for n := r.Intn(4); n > 0; n-- {
+			b.WriteString(pieces[r.Intn(len(pieces))])
+		}
+		return b.String()
+	}
+	for trial := 0; trial < 500; trial++ {
+		batch := make([]core.Command, r.Intn(6))
+		for i := range batch {
+			batch[i] = core.Command{
+				At:     int64(r.Intn(100)),
+				Op:     []core.CommandOp{core.OpJoin, core.OpReweight, core.OpLeave}[r.Intn(3)],
+				Task:   name(),
+				Weight: weights[r.Intn(len(weights))],
+				Group:  name(),
+			}
+		}
+		if got, want := batchDigest(batch), fmtDigest(batch); got != want {
+			t.Fatalf("trial %d: batchDigest %016x, fmt rendering %016x, batch %+v", trial, got, want, batch)
+		}
+	}
+	batch := []core.Command{
+		{Op: core.OpJoin, Task: "A", Weight: frac.New(1, 64)},
+		{Op: core.OpReweight, Task: "B", Weight: frac.New(3, 64), Group: "g"},
+		{Op: core.OpLeave, Task: "C"},
+	}
+	if got := testing.AllocsPerRun(100, func() { batchDigest(batch) }); got != 0 {
+		t.Errorf("batchDigest allocates %.1f times for a 3-command batch, want 0", got)
 	}
 }
 
