@@ -13,7 +13,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -262,7 +261,7 @@ func loadSnapshots(dir string) ([]*serve.Snapshot, error) {
 			return nil, err
 		}
 		var snap serve.Snapshot
-		if err := json.Unmarshal(data, &snap); err != nil {
+		if err := snap.UnmarshalJSON(data); err != nil {
 			return nil, fmt.Errorf("decoding %s: %w", path, err)
 		}
 		snaps = append(snaps, &snap)
@@ -270,22 +269,19 @@ func loadSnapshots(dir string) ([]*serve.Snapshot, error) {
 	return snaps, nil
 }
 
-// writeSnapshots persists one file per shard, via a temp file + rename
-// so a crash mid-write never leaves a truncated snapshot behind. Each
-// temp file is synced before its rename, and the directory after the
-// renames, so a power loss cannot persist a rename without its data.
+// writeSnapshots persists one file per shard, each streamed through
+// serve.EncodeTail into a temp file that is synced and then renamed, so
+// a crash mid-write never leaves a truncated snapshot behind; the
+// directory is synced after the renames, so a power loss cannot persist
+// a rename without its data.
 func writeSnapshots(dir string, snaps []*serve.Snapshot) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
 	for _, snap := range snaps {
-		data, err := json.MarshalIndent(snap, "", " ")
-		if err != nil {
-			return err
-		}
 		path := snapshotPath(dir, snap.Shard)
 		tmp := path + ".tmp"
-		if err := writeSynced(tmp, data); err != nil {
+		if err := writeSynced(tmp, snap); err != nil {
 			return err
 		}
 		if err := os.Rename(tmp, path); err != nil {
@@ -295,13 +291,13 @@ func writeSnapshots(dir string, snaps []*serve.Snapshot) error {
 	return syncDir(dir)
 }
 
-// writeSynced writes data to path and syncs it to stable storage.
-func writeSynced(path string, data []byte) error {
+// writeSynced writes snap to path and syncs it to stable storage.
+func writeSynced(path string, snap *serve.Snapshot) error {
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
-	_, err = f.Write(data)
+	err = serve.EncodeTail(f, snap)
 	if err == nil {
 		err = f.Sync()
 	}

@@ -7,16 +7,23 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/serve"
 )
 
+// tailRef is serve.Tail without its JSON methods, so encoding/json
+// walks it by reflection: the reference for what a file holds, and the
+// writer of the indented files pd2d wrote before the tail codec.
+type tailRef serve.Tail
+
 // TestSnapshotFilesRoundTrip: writeSnapshots then loadSnapshots gives
-// back every shard's snapshot unchanged, each file is a format-2 tail
-// carrying its books digest, the loaded snapshots restore, and no temp
-// file is left behind.
+// back every shard's snapshot unchanged, each file is encoding/json's
+// compact encoding of a version-4 tail carrying its books digest, an
+// indented file written the old way loads the same, the loaded
+// snapshots restore, and no temp file is left behind.
 func TestSnapshotFilesRoundTrip(t *testing.T) {
 	opts := serve.Options{Shards: 2, Config: serve.ShardConfig{M: 2, Policy: "oi"}}
 	srv, err := serve.New(opts)
@@ -57,14 +64,17 @@ func TestSnapshotFilesRoundTrip(t *testing.T) {
 		t.Fatalf("loaded %d snapshots, wrote %d", len(got), len(want))
 	}
 	for i := range want {
-		w, _ := json.Marshal(want[i])
-		g, _ := json.Marshal(got[i])
+		w, _ := json.Marshal((*tailRef)(want[i]))
+		g, _ := json.Marshal((*tailRef)(got[i]))
 		if string(g) != string(w) {
 			t.Fatalf("shard %d snapshot changed on disk:\nwrote  %s\nloaded %s", i, w, g)
 		}
 		data, err := os.ReadFile(snapshotPath(dir, i))
 		if err != nil {
 			t.Fatal(err)
+		}
+		if string(data) != string(w)+"\n" {
+			t.Fatalf("shard %d file is not encoding/json's compact encoding:\nfile %s\njson %s", i, data, w)
 		}
 		var file struct {
 			Version     int    `json:"version"`
@@ -80,6 +90,29 @@ func TestSnapshotFilesRoundTrip(t *testing.T) {
 	}
 	if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(tmps) != 0 {
 		t.Fatalf("temp files left behind: %v", tmps)
+	}
+
+	old := filepath.Join(t.TempDir(), "old")
+	if err := os.MkdirAll(old, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, snap := range want {
+		data, err := json.MarshalIndent((*tailRef)(snap), "", " ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(snapshotPath(old, snap.Shard), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	indented, err := loadSnapshots(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if !reflect.DeepEqual(indented[i], got[i]) {
+			t.Fatalf("shard %d: indented file loads as %+v, compact one as %+v", i, indented[i], got[i])
+		}
 	}
 	opts.Snapshots = got
 	if _, err := serve.New(opts); err != nil {

@@ -1,12 +1,12 @@
 // The detflow check: determinism taint must never reach the replayable
 // command surface.
 //
-// ROADMAP item 4 puts the adaptive controller's decisions into the
-// command log and replays them; the differential replay test then
-// demands that Apply/ReplayLog/Replay produce bit-identical state
-// digests. That only holds if no input to the command surface depends
-// on the wall clock, the unseeded global rand source, or map iteration
-// order. The v1 determinism check bans those sources *inside simulator
+// The command log is replayed: restore, replication and the
+// differential replay tests demand that Apply/ReplayLog/Replay produce
+// bit-identical state digests, and ROADMAP item 4(c) will inject a
+// wall clock into internal/serve for its stage histograms. That only
+// holds if no input to the command surface depends on the wall clock,
+// the unseeded global rand source, or map iteration order. The v1 determinism check bans those sources *inside simulator
 // packages*; detflow closes the interprocedural gap: a cmd/ tool may
 // freely read time.Now for its own reporting, but the moment a function
 // that (transitively) reads nondeterministic input also (transitively)

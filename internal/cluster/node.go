@@ -41,6 +41,45 @@ type replAck struct {
 	Want  int   `json:"want"`
 }
 
+// appendJSON appends the ack as json.Encoder writes it, newline included.
+func (a replAck) appendJSON(dst []byte) []byte {
+	dst = append(dst, `{"acked":`...)
+	dst = strconv.AppendInt(dst, int64(a.Acked), 10)
+	dst = append(dst, `,"now":`...)
+	dst = strconv.AppendInt(dst, a.Now, 10)
+	dst = append(dst, `,"want":`...)
+	dst = strconv.AppendInt(dst, int64(a.Want), 10)
+	return append(dst, "}\n"...)
+}
+
+// parseReplAck reads an ack as appendJSON writes it: an object of the
+// three integer keys in any order, with whitespace around it.
+func parseReplAck(b []byte) (replAck, error) {
+	var a replAck
+	body := bytes.TrimSpace(b)
+	if len(body) < 2 || body[0] != '{' || body[len(body)-1] != '}' {
+		return a, fmt.Errorf("cluster: push ack %q is not an object", b)
+	}
+	for _, m := range bytes.Split(body[1:len(body)-1], []byte(",")) {
+		k, v, _ := bytes.Cut(m, []byte(":"))
+		n, err := strconv.ParseInt(string(v), 10, 64)
+		if err != nil {
+			return a, fmt.Errorf("cluster: push ack %q: %v", b, err)
+		}
+		switch string(k) {
+		case `"acked"`:
+			a.Acked = int(n)
+		case `"now"`:
+			a.Now = n
+		case `"want"`:
+			a.Want = int(n)
+		default:
+			return a, fmt.Errorf("cluster: push ack %q has key %s", b, k)
+		}
+	}
+	return a, nil
+}
+
 // PromoteResponse reports the state a node installed when it took over
 // a shard; the caller compares Digest against its own expectation.
 type PromoteResponse struct {

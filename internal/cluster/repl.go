@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"strconv"
@@ -190,6 +191,8 @@ func (n *Node) pushToFollower(shard int, base string, tail *serve.Tail, fs *foll
 				return fmt.Errorf("push refused (receiver believes it is primary)")
 			}
 			from = ack.Want
+		case http.StatusRequestEntityTooLarge:
+			return fmt.Errorf("push answered 413: the tail is over the follower's %d-byte /repl limit", maxReplBody)
 		default:
 			return fmt.Errorf("push answered %d", status)
 		}
@@ -215,23 +218,32 @@ func subTail(t *serve.Tail, from int) (*serve.Tail, error) {
 	return &c, nil
 }
 
-// postTail POSTs one tail to a peer's repl endpoint. The body is
-// encoded by serve.EncodeTail, so a full push of a long log leaves no
-// log-sized buffer in encoding/json's pool.
+// maxReplBody caps a push body. A complete tail passes it at about 1.2
+// million commands, and from then on every complete push of the shard
+// is refused: no log gets shorter until compaction (ROADMAP item 3)
+// bounds it (docs/CLUSTER.md, failure matrix).
+const maxReplBody = 64 << 20
+
+// postTail POSTs one tail to a peer's repl endpoint, encoded by the tail
+// codec.
 func (n *Node) postTail(base string, shard int, t *serve.Tail) (replAck, int, error) {
-	var body bytes.Buffer
-	if err := serve.EncodeTail(&body, t); err != nil {
+	body, err := t.MarshalJSON()
+	if err != nil {
 		return replAck{}, 0, err
 	}
 	url := fmt.Sprintf("%s/v1/cluster/shards/%d/repl", base, shard)
-	resp, err := n.client.Post(url, "application/json", &body)
+	resp, err := n.client.Post(url, "application/json", bytes.NewReader(body))
 	if err != nil {
 		return replAck{}, 0, err
 	}
 	defer func() { _ = resp.Body.Close() }()
 	var ack replAck
 	if resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusConflict {
-		if err := json.NewDecoder(resp.Body).Decode(&ack); err != nil {
+		b, err := io.ReadAll(io.LimitReader(resp.Body, 1<<10))
+		if err == nil {
+			ack, err = parseReplAck(b)
+		}
+		if err != nil {
 			return replAck{}, resp.StatusCode, err
 		}
 	}
@@ -240,14 +252,24 @@ func (n *Node) postTail(base string, shard int, t *serve.Tail) (replAck, int, er
 
 // handleRepl is the follower half of the push: fold the tail into the
 // local replica and ack with the new log length, or answer 409 with the
-// index this node wants.
+// index this node wants. A body over maxReplBody is a 413, refused
+// unread when its Content-Length says so.
 func (n *Node) handleRepl(w http.ResponseWriter, r *http.Request) {
 	shard, ok := n.clusterShard(w, r)
 	if !ok {
 		return
 	}
+	if r.ContentLength > maxReplBody {
+		serve.ReplyReadError(w, &http.MaxBytesError{Limit: maxReplBody})
+		return
+	}
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxReplBody))
+	if err != nil {
+		serve.ReplyReadError(w, err)
+		return
+	}
 	var t serve.Tail
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20)).Decode(&t); err != nil {
+	if err := t.UnmarshalJSON(body); err != nil {
 		writeClusterError(w, http.StatusBadRequest, "invalid", "decoding tail: "+err.Error())
 		return
 	}
@@ -256,7 +278,7 @@ func (n *Node) handleRepl(w http.ResponseWriter, r *http.Request) {
 	defer st.mu.Unlock()
 	if st.role == RolePrimary {
 		// Split-brain guard: a primary never accepts pushes.
-		writeJSONStatus(w, http.StatusConflict, replAck{Want: -1})
+		writeReplAck(w, http.StatusConflict, replAck{Want: -1})
 		return
 	}
 	if st.replica == nil {
@@ -265,18 +287,26 @@ func (n *Node) handleRepl(w http.ResponseWriter, r *http.Request) {
 	}
 	if err := st.replica.Apply(&t); err != nil {
 		if want, ok := wantIndex(err); ok {
-			writeJSONStatus(w, http.StatusConflict, replAck{Want: want})
+			writeReplAck(w, http.StatusConflict, replAck{Want: want})
 			return
 		}
 		// Divergence (digest mismatch or replay failure): drop the replica
 		// and ask for a full resync.
 		log.Printf("cluster: node %s shard %d replica reset: %v", n.id, shard, err)
 		st.replica = nil
-		writeJSONStatus(w, http.StatusConflict, replAck{Want: 0})
+		writeReplAck(w, http.StatusConflict, replAck{Want: 0})
 		return
 	}
 	n.cs.SetReplLag(shard, 0) // in lockstep with the primary's push
-	writeJSONStatus(w, http.StatusOK, replAck{Acked: st.replica.Len(), Now: st.replica.Now()})
+	writeReplAck(w, http.StatusOK, replAck{Acked: st.replica.Len(), Now: st.replica.Now()})
+}
+
+// writeReplAck answers a push with the ack json.Encoder would write,
+// appended by hand: the primary waits for one on every replicated write.
+func writeReplAck(w http.ResponseWriter, code int, a replAck) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	_, _ = w.Write(a.appendJSON(make([]byte, 0, 64)))
 }
 
 // handlePromote installs this node's replica as the live shard and

@@ -190,3 +190,62 @@ func tamperedPushResyncs(t *testing.T, tamper func(*serve.Tail)) {
 			got.Digest, got.Admission, want.Digest, want.Admission)
 	}
 }
+
+// zeroBody yields n zero bytes and counts how many were read.
+type zeroBody struct{ n, read int64 }
+
+func (z *zeroBody) Read(p []byte) (int, error) {
+	if z.read >= z.n {
+		return 0, io.EOF
+	}
+	k := min(int64(len(p)), z.n-z.read)
+	clear(p[:k])
+	z.read += k
+	return int(k), nil
+}
+
+// TestReplBodyOverLimitIs413: a push body one byte over the follower's
+// limit is answered 413 too_large, as an oversized client body is, and
+// a body whose Content-Length says so is refused unread.
+func TestReplBodyOverLimitIs413(t *testing.T) {
+	tn := newTestNode(t, "n1", 1)
+	defer tn.close(t)
+	body := &zeroBody{n: maxReplBody + 1}
+	req := httptest.NewRequest(http.MethodPost, "/v1/cluster/shards/0/repl", body)
+	req.ContentLength = body.n
+	rec := httptest.NewRecorder()
+	tn.node.Handler().ServeHTTP(rec, req)
+	var e serve.ErrorResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Code != http.StatusRequestEntityTooLarge || e.Error != "too_large" {
+		t.Fatalf("push of %d bytes answered %d %+v, want 413 too_large", body.n, rec.Code, e)
+	}
+	if body.read != 0 {
+		t.Fatalf("the follower read %d bytes of a body its Content-Length put over the limit", body.read)
+	}
+}
+
+// TestReplAckCodec: the hand-written ack is the bytes json.Encoder
+// wrote, and parses back; anything else is refused.
+func TestReplAckCodec(t *testing.T) {
+	for _, a := range []replAck{{}, {Acked: 12, Now: 40}, {Want: -1}, {Acked: 1 << 40, Now: -3, Want: 7}} {
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(a); err != nil {
+			t.Fatal(err)
+		}
+		got := a.appendJSON(nil)
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("ack %+v: appended %q, json.Encoder %q", a, got, want.Bytes())
+		}
+		if back, err := parseReplAck(got); err != nil || back != a {
+			t.Fatalf("ack %+v parsed back as %+v, %v", a, back, err)
+		}
+	}
+	for _, bad := range []string{``, `{}`, `{"acked":1}x`, `{"acked":1,"x":2}`, `{"acked":"1"}`, `[1]`} {
+		if a, err := parseReplAck([]byte(bad)); err == nil {
+			t.Errorf("ack %q parsed as %+v", bad, a)
+		}
+	}
+}

@@ -13,8 +13,8 @@ import (
 )
 
 // Hand-rolled JSON codec for the hot wire path. The serving bottleneck
-// is per-command overhead, not scheduling (ROADMAP open item 2), and
-// encoding/json's reflection allocates on every request; this codec
+// is per-command overhead, not scheduling (docs/SERVE.md, "Why the codec
+// stays"), and encoding/json's reflection allocates on every request; this codec
 // encodes CommandResult/AdvanceResponse and decodes
 // CommandRequest/AdvanceRequest with zero steady-state allocations,
 // appending into pooled buffers owned by the mailbox record.
@@ -28,9 +28,11 @@ import (
 //     differential tests in codec_test.go;
 //   - decodeCommands/decodeAdvance accept exactly the inputs
 //     json.Unmarshal accepted for the wire structs (case-folded keys,
-//     duplicate keys last-wins, skipped unknown fields, \u escapes with
-//     surrogate pairs, invalid-UTF-8 replacement) — pinned by fuzz
-//     agreement tests.
+//     duplicate keys last-wins, null leaving a field unset, skipped
+//     unknown fields, \u escapes with surrogate pairs, invalid-UTF-8
+//     replacement) — pinned by fuzz agreement tests.
+//
+// The tail codec (tailcodec.go) builds on the same cursor.
 //
 // Decoded strings are NOT copied: they alias the request body (or the
 // record's escape scratch) and are only valid while the mailbox record
@@ -49,8 +51,9 @@ var jsonHexDigits = "0123456789abcdef"
 
 // appendJSONString appends s as a JSON string literal, escaping exactly
 // as encoding/json does with HTML escaping on (its default): ", \, and
-// control bytes escaped (with \n, \r, \t short forms), <, >, & as
-// \u00xx, invalid UTF-8 as �, and U+2028/U+2029 escaped.
+// control bytes escaped (with \b, \f, \n, \r, \t short forms, as
+// since Go 1.22), <, >, & as \u00xx, invalid UTF-8 as �, and
+// U+2028/U+2029 escaped.
 //
 //lint:noalloc hot wire encode path; appends into the caller's pooled buffer
 func appendJSONString(dst []byte, s string) []byte {
@@ -67,6 +70,10 @@ func appendJSONString(dst []byte, s string) []byte {
 			switch b {
 			case '\\', '"':
 				dst = append(dst, '\\', b)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
 			case '\n':
 				dst = append(dst, '\\', 'n')
 			case '\r':
@@ -404,54 +411,99 @@ func (c *jsonCursor) number() ([]byte, error) {
 	return c.b[start:c.i], nil
 }
 
+// member reads one object key and the colon after it, leaving the
+// cursor on the member's value. A key must be a string: null is not one.
+// A key with escapes or non-ASCII bytes, which str rewrites into the
+// scratch, also has its Kelvin signs and long s folded (foldKey), so
+// that jsonKeyIs matches keys as json.Unmarshal does.
+//
+//lint:noalloc hot wire decode path
+func (c *jsonCursor) member() ([]byte, error) {
+	c.ws()
+	if c.i < len(c.b) && c.b[c.i] != '"' {
+		return nil, jsonErrf("invalid character %q looking for object key", c.b[c.i])
+	}
+	scratch := len(c.esc)
+	key, err := c.str()
+	if err != nil {
+		return nil, err
+	}
+	if len(c.esc) != scratch {
+		key = foldKey(key)
+	}
+	c.ws()
+	if c.i >= len(c.b) || c.b[c.i] != ':' {
+		return nil, jsonErrf("expected ':' after object key")
+	}
+	c.i++
+	c.ws()
+	return key, nil
+}
+
+// next consumes the ',' or '}' after a member's value and reports
+// whether another member follows.
+//
+//lint:noalloc hot wire decode path
+func (c *jsonCursor) next() (bool, error) {
+	c.ws()
+	if c.i >= len(c.b) {
+		return false, errUnexpectedEnd()
+	}
+	switch c.b[c.i] {
+	case ',':
+		c.i++
+		return true, nil
+	case '}':
+		c.i++
+		return false, nil
+	}
+	return false, jsonErrf("invalid character %q after object value", c.b[c.i])
+}
+
+// openObject consumes the '{' of an object (the cursor is on it) and
+// reports whether a member follows.
+//
+//lint:noalloc hot wire decode path
+func (c *jsonCursor) openObject() bool {
+	c.i++
+	c.ws()
+	if c.i < len(c.b) && c.b[c.i] == '}' {
+		c.i++
+		return false
+	}
+	return true
+}
+
 // skipValue validates and discards one JSON value of any shape (the
-// unknown-field path), with encoding/json's nesting limit.
+// unknown-field path). depth counts the objects and arrays around the
+// value; as in encoding/json, no value may open a 10,001st.
 //
 //lint:noalloc hot wire decode path
 func (c *jsonCursor) skipValue(depth int) error {
-	if depth > maxJSONDepth {
-		return jsonErrf("exceeded max depth")
-	}
 	c.ws()
 	if c.i >= len(c.b) {
 		return errUnexpectedEnd()
 	}
 	switch b := c.b[c.i]; {
-	case b == '{':
-		c.i++
-		c.ws()
-		if c.i < len(c.b) && c.b[c.i] == '}' {
-			c.i++
+	case b == '{' || b == '[':
+		if depth >= maxJSONDepth {
+			return jsonErrf("exceeded max depth")
+		}
+		if b == '{' {
+			for more := c.openObject(); more; {
+				if _, err := c.member(); err != nil {
+					return err
+				}
+				if err := c.skipValue(depth + 1); err != nil {
+					return err
+				}
+				var err error
+				if more, err = c.next(); err != nil {
+					return err
+				}
+			}
 			return nil
 		}
-		for {
-			c.ws()
-			if _, err := c.str(); err != nil {
-				return err
-			}
-			c.ws()
-			if c.i >= len(c.b) || c.b[c.i] != ':' {
-				return jsonErrf("expected ':' after object key")
-			}
-			c.i++
-			if err := c.skipValue(depth + 1); err != nil {
-				return err
-			}
-			c.ws()
-			if c.i >= len(c.b) {
-				return errUnexpectedEnd()
-			}
-			switch c.b[c.i] {
-			case ',':
-				c.i++
-			case '}':
-				c.i++
-				return nil
-			default:
-				return jsonErrf("invalid character %q after object value", c.b[c.i])
-			}
-		}
-	case b == '[':
 		c.i++
 		c.ws()
 		if c.i < len(c.b) && c.b[c.i] == ']' {
@@ -502,9 +554,34 @@ func (c *jsonCursor) skipValue(depth int) error {
 	}
 }
 
+// int64Value decodes a JSON integer that fits int64 into *p, as
+// json.Unmarshal does into an int64 field: null leaves *p unchanged, and
+// a fraction, an exponent, an overflow or a non-number is an error.
+//
+//lint:noalloc hot wire decode path
+func (c *jsonCursor) int64Value(p *int64) error {
+	if c.i < len(c.b) && c.b[c.i] == 'n' {
+		if !c.lit("null") {
+			return jsonErrf("invalid literal")
+		}
+		return nil
+	}
+	tok, err := c.number()
+	if err != nil {
+		return err
+	}
+	n, ok := parseInt64(tok)
+	if !ok {
+		return jsonErrf("number %s does not fit int64", tok)
+	}
+	*p = n
+	return nil
+}
+
 // rawCommand is one decoded-but-unvalidated wire command. Slices alias
-// the request body or the cursor's scratch; nil means absent (which
-// json.Unmarshal and the validator both treat as empty).
+// the request body or the cursor's scratch; nil means absent or null
+// (json.Unmarshal leaves a field unset on null, and the validator treats
+// absent as empty).
 type rawCommand struct {
 	op, task, weight, group []byte
 }
@@ -512,9 +589,15 @@ type rawCommand struct {
 // command decodes one command object (or null) into out, mirroring
 // json.Unmarshal's struct decoding: case-folded key match, last
 // duplicate wins, unknown fields skipped, null leaves a field unset.
+// depth counts the objects and arrays around the object's members.
+//
+// With entry nil it is the wire walk: out takes op, task, weight and
+// group as bytes, and "at" and "arg", which CommandRequest lacks, are
+// skipped. With entry set it decodes a log or batch entry of a tail,
+// member by member through entryMember.
 //
 //lint:noalloc hot wire decode path
-func (c *jsonCursor) command(out *rawCommand) error {
+func (c *jsonCursor) command(out *rawCommand, entry *core.Command, depth int) error {
 	*out = rawCommand{}
 	c.ws()
 	if c.i >= len(c.b) {
@@ -529,66 +612,85 @@ func (c *jsonCursor) command(out *rawCommand) error {
 	if c.b[c.i] != '{' {
 		return jsonErrf("invalid character %q looking for command object", c.b[c.i])
 	}
-	c.i++
-	c.ws()
-	if c.i < len(c.b) && c.b[c.i] == '}' {
-		c.i++
-		return nil
-	}
-	for {
-		c.ws()
-		key, err := c.str()
+	for more := c.openObject(); more; {
+		key, err := c.member()
 		if err != nil {
 			return err
 		}
-		c.ws()
-		if c.i >= len(c.b) || c.b[c.i] != ':' {
-			return jsonErrf("expected ':' after object key")
-		}
-		c.i++
-		c.ws()
+		var v []byte
 		switch {
+		case entry != nil:
+			err = c.entryMember(key, out, entry, depth)
 		case jsonKeyIs(key, "op"):
-			if out.op, err = c.str(); err != nil {
-				return jsonErrf("op: %v", err)
+			if v, err = c.str(); v != nil {
+				out.op = v
 			}
 		case jsonKeyIs(key, "task"):
-			if out.task, err = c.str(); err != nil {
-				return jsonErrf("task: %v", err)
+			if v, err = c.str(); v != nil {
+				out.task = v
 			}
 		case jsonKeyIs(key, "weight"):
-			if out.weight, err = c.str(); err != nil {
-				return jsonErrf("weight: %v", err)
+			if v, err = c.str(); v != nil {
+				out.weight = v
 			}
 		case jsonKeyIs(key, "group"):
-			if out.group, err = c.str(); err != nil {
-				return jsonErrf("group: %v", err)
+			if v, err = c.str(); v != nil {
+				out.group = v
 			}
 		default:
-			if err := c.skipValue(1); err != nil {
-				return err
-			}
+			err = c.skipValue(depth)
 		}
-		c.ws()
-		if c.i >= len(c.b) {
-			return errUnexpectedEnd()
+		if err != nil {
+			return jsonErrf("%s: %v", key, err)
 		}
-		switch c.b[c.i] {
-		case ',':
-			c.i++
-		case '}':
-			c.i++
-			return nil
-		default:
-			return jsonErrf("invalid character %q after object value", c.b[c.i])
+		if more, err = c.next(); err != nil {
+			return err
 		}
 	}
+	return nil
 }
 
-// jsonKeyIs matches a decoded object key against a known (lowercase
-// ASCII) field name with json.Unmarshal's ASCII case folding. Unicode
-// folding would be wrong here: encoding/json matches ASCII-only field
-// names byte-wise, so e.g. a Kelvin-sign K must NOT match 'k'.
+// entryMember decodes one member of a tail's log or batch entry as
+// json.Unmarshal decodes it into a core.Command: op, weight, at and arg
+// are parsed into entry at each occurrence, so an invalid one fails
+// even when a later duplicate is valid, and out takes task and group
+// for the caller to intern.
+//
+//lint:noalloc hot tail decode path
+func (c *jsonCursor) entryMember(key []byte, out *rawCommand, entry *core.Command, depth int) error {
+	var v []byte
+	var err error
+	switch {
+	case jsonKeyIs(key, "op"):
+		if v, err = c.str(); v != nil {
+			entry.Op, err = parseOp(v)
+		}
+	case jsonKeyIs(key, "task"):
+		if v, err = c.str(); v != nil {
+			out.task = v
+		}
+	case jsonKeyIs(key, "weight"):
+		if v, err = c.str(); v != nil {
+			entry.Weight, err = parseRatBytes(v)
+		}
+	case jsonKeyIs(key, "group"):
+		if v, err = c.str(); v != nil {
+			out.group = v
+		}
+	case jsonKeyIs(key, "at"):
+		err = c.int64Value(&entry.At)
+	case jsonKeyIs(key, "arg"):
+		err = c.int64Value(&entry.Arg)
+	default:
+		err = c.skipValue(depth)
+	}
+	return err
+}
+
+// jsonKeyIs matches a key member returned against a struct field's
+// JSON name, given in lowercase ASCII, with json.Unmarshal's case
+// folding: ASCII case here, and the two non-ASCII runes that fold to
+// ASCII letters in member (foldKey).
 //
 //lint:noalloc hot wire decode path
 func jsonKeyIs(key []byte, name string) bool {
@@ -605,6 +707,31 @@ func jsonKeyIs(key []byte, name string) bool {
 		}
 	}
 	return true
+}
+
+// foldKey rewrites, in place, each Kelvin sign (U+212A) in key as 'k'
+// and each long s (U+017F) as 's': under the Unicode simple folding
+// json.Unmarshal matches keys with, they are the only non-ASCII runes
+// that fold to ASCII letters, so "ta\u017fk" names a field "task".
+//
+//lint:noalloc hot wire decode path
+func foldKey(key []byte) []byte {
+	n := 0
+	for i := 0; i < len(key); {
+		r, size := utf8.DecodeRune(key[i:])
+		switch r {
+		case '\u212a':
+			key[n] = 'k'
+			n++
+		case '\u017f':
+			key[n] = 's'
+			n++
+		default:
+			n += copy(key[n:], key[i:i+size])
+		}
+		i += size
+	}
+	return key[:n]
 }
 
 // ---------------------------------------------------------------------
@@ -746,6 +873,16 @@ func checkLightWeight(w frac.Rat) error {
 	return model.CheckLightWeight(w)
 }
 
+// parseOp is core.CommandOp's text decoding behind the error boundary:
+// a known op name returns without allocating.
+//
+//lint:allocok the unknown-op error forms here; a known name returns without allocating
+func parseOp(name []byte) (core.CommandOp, error) {
+	var op core.CommandOp
+	err := op.UnmarshalText(name)
+	return op, err
+}
+
 // internBytes copies decoded bytes into a durable string (joins'
 // admission names and group tags outlive the request buffer).
 //
@@ -775,7 +912,7 @@ func decodeCommands(body, esc []byte, dst []wireCmd) (cmds []wireCmd, escOut []b
 	c.ws()
 	var rc rawCommand
 	if batch = c.i < len(c.b) && c.b[c.i] == '['; !batch {
-		if err := c.command(&rc); err != nil {
+		if err := c.command(&rc, nil, 1); err != nil {
 			return dst, c.esc, false, err
 		}
 		if err := c.trailing(); err != nil {
@@ -797,7 +934,7 @@ func decodeCommands(body, esc []byte, dst []wireCmd) (cmds []wireCmd, escOut []b
 		return dst, c.esc, true, nil
 	}
 	for n := 0; ; n++ {
-		if err := c.command(&rc); err != nil {
+		if err := c.command(&rc, nil, 2); err != nil {
 			return dst, c.esc, true, err
 		}
 		cmd, verr := validateRaw(&rc)
@@ -818,7 +955,7 @@ func decodeCommands(body, esc []byte, dst []wireCmd) (cmds []wireCmd, escOut []b
 					return dst, c.esc, true, jsonErrf("invalid character %q after array element", c.b[c.i])
 				}
 				c.i++
-				if err := c.command(&rc); err != nil {
+				if err := c.command(&rc, nil, 2); err != nil {
 					return dst, c.esc, true, err
 				}
 			}
@@ -873,57 +1010,22 @@ func decodeAdvance(body []byte) (int64, error) {
 	if c.b[c.i] != '{' {
 		return 0, jsonErrf("invalid character %q looking for advance object", c.b[c.i])
 	}
-	c.i++
-	c.ws()
-	if c.i < len(c.b) && c.b[c.i] == '}' {
-		c.i++
-		return slots, c.trailing()
-	}
-	for {
-		c.ws()
-		key, err := c.str()
+	for more := c.openObject(); more; {
+		key, err := c.member()
 		if err != nil {
 			return 0, err
 		}
-		c.ws()
-		if c.i >= len(c.b) || c.b[c.i] != ':' {
-			return 0, jsonErrf("expected ':' after object key")
+		if jsonKeyIs(key, "slots") {
+			err = c.int64Value(&slots) // null leaves it unset, as json.Unmarshal does
+		} else {
+			err = c.skipValue(1)
 		}
-		c.i++
-		c.ws()
-		switch {
-		case !jsonKeyIs(key, "slots"):
-			if err := c.skipValue(1); err != nil {
-				return 0, err
-			}
-		case c.i < len(c.b) && c.b[c.i] == 'n':
-			// null leaves the field unset, as json.Unmarshal does.
-			if !c.lit("null") {
-				return 0, jsonErrf("invalid literal for slots")
-			}
-		default:
-			tok, err := c.number()
-			if err != nil {
-				return 0, err
-			}
-			n, ok := parseInt64(tok)
-			if !ok {
-				return 0, jsonErrf("slots %q does not fit int64", tok)
-			}
-			slots = n
+		if err != nil {
+			return 0, err
 		}
-		c.ws()
-		if c.i >= len(c.b) {
-			return 0, errUnexpectedEnd()
-		}
-		switch c.b[c.i] {
-		case ',':
-			c.i++
-		case '}':
-			c.i++
-			return slots, c.trailing()
-		default:
-			return 0, jsonErrf("invalid character %q after object value", c.b[c.i])
+		if more, err = c.next(); err != nil {
+			return 0, err
 		}
 	}
+	return slots, c.trailing()
 }

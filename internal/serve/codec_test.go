@@ -25,6 +25,7 @@ var nastyStrings = []string{
 	"a<b>&c",
 	"quote\"back\\slash",
 	"tab\tnl\ncr\r",
+	"bs\bff\f",
 	"ctrl\x00\x01\x1fdel\x7f",
 	"bad\xff\xfeutf8",
 	"truncated\xe6\x97",
@@ -179,6 +180,10 @@ var commandCorpus = []string{
 	`{"op":"leave","task":"a","extra":{"deep":[1,2,{"y":null}],"f":-1.5e-3,"t":true}}`,
 	`{"op":"join","task":null,"weight":"1/2"}`,
 	`{"op":null,"task":"a"}`,
+	`{"op":"leave","task":"a","op":null,"task":null}`,
+	"{\"op\":\"leave\",\"tas\u212a\":\"kelvin\"}",
+	`{"op":"leave","ta\u017fk":"long s"}`,
+	`{"op":"leave","task":"a","x":{null:1}}`,
 	`{}`,
 	`null`,
 	`[]`,
@@ -250,6 +255,7 @@ var advanceCorpus = []string{
 	`{"slots":5,"slots":7}`,
 	`{"slots":null}`,
 	`{"slots":5,"slots":null}`,
+	"{\"\u017flots\":6}",
 	`{"slots":1.5}`,
 	`{"slots":"5"}`,
 	`{"slots":1e3}`,

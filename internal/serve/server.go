@@ -550,45 +550,6 @@ func (s *Server) writeTail(w http.ResponseWriter, sh *Shard, from int) {
 	_ = EncodeTail(w, rep.tail) // client gone; nothing useful to do with a short write
 }
 
-// tailChunk is how many commands EncodeTail marshals at a time.
-const tailChunk = 1024
-
-// EncodeTail writes t as a json.Encoder would, byte for byte, but
-// marshals its log tailChunk commands at a time. encoding/json keeps
-// each encode's buffer in a sync.Pool, where it survives a collection;
-// encoding the whole tail at once would leave a buffer the size of the
-// shard's log there. log is Tail's last key, so the rest of the tail
-// marshals first, without it. The /log reply and the cluster's
-// replication push both write tails through it.
-func EncodeTail(w io.Writer, t *Tail) error {
-	head := *t
-	head.Commands = nil
-	b, err := json.Marshal(&head)
-	if err != nil {
-		return err
-	}
-	if len(t.Commands) == 0 {
-		_, err = w.Write(append(b, '\n'))
-		return err
-	}
-	sep := append(b[:len(b)-1], `,"log":[`...) // drop the closing brace
-	for i := 0; i < len(t.Commands); i += tailChunk {
-		chunk, err := json.Marshal(t.Commands[i:min(i+tailChunk, len(t.Commands))])
-		if err != nil {
-			return err
-		}
-		if _, err := w.Write(sep); err != nil {
-			return err
-		}
-		if _, err := w.Write(chunk[1 : len(chunk)-1]); err != nil { // drop the brackets
-			return err
-		}
-		sep = []byte{','}
-	}
-	_, err = w.Write([]byte("]}\n"))
-	return err
-}
-
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	type shardInfo struct {
 		Shard  int    `json:"shard"`

@@ -443,12 +443,13 @@ func TestBatchDigestMatchesFmt(t *testing.T) {
 	}
 }
 
-// TestEncodeTailMatchesEncoder: the chunked tail writer must produce
-// the bytes writeJSON's json.Encoder does, with the log empty, inside
-// one chunk, at a chunk's edge and across several, for names JSON
-// escapes and with a batch and book entries in the tail.
+// TestEncodeTailMatchesEncoder: the streaming tail writer must produce
+// the bytes writeJSON's json.Encoder does for a Tail without the codec
+// (tailRef), with the log empty, inside one flush, around the first
+// flush and across many, for names JSON escapes and with a batch and
+// book entries in the tail.
 func TestEncodeTailMatchesEncoder(t *testing.T) {
-	for _, n := range []int{0, 1, tailChunk - 1, tailChunk, tailChunk + 1, 5000} {
+	for _, n := range []int{0, 1, 2, 600, 700, 1024, 5000} {
 		tl := &Tail{
 			Version: tailVersion, Shard: 1, Config: ShardConfig{M: 2, Policy: "hybrid", OIThreshold: frac.New(1, 8)},
 			From: 3, Total: 3 + n, Now: 4000, Digest: 0xfeedface,
@@ -466,7 +467,7 @@ func TestEncodeTailMatchesEncoder(t *testing.T) {
 			})
 		}
 		want := httptest.NewRecorder()
-		writeJSON(want, http.StatusOK, tl)
+		writeJSON(want, http.StatusOK, (*tailRef)(tl))
 		var got bytes.Buffer
 		if err := EncodeTail(&got, tl); err != nil {
 			t.Fatal(err)
