@@ -21,9 +21,10 @@ type tailRef serve.Tail
 
 // TestSnapshotFilesRoundTrip: writeSnapshots then loadSnapshots gives
 // back every shard's snapshot unchanged, each file is encoding/json's
-// compact encoding of a version-4 tail carrying its books digest, an
+// compact encoding of a version-5 tail with no admission books, an
 // indented file written the old way loads the same, the loaded
-// snapshots restore, and no temp file is left behind.
+// snapshots restore, and no temp file is left behind. A version-4 file
+// (internal/serve's fixture, with its books) loads and restores too.
 func TestSnapshotFilesRoundTrip(t *testing.T) {
 	opts := serve.Options{Shards: 2, Config: serve.ShardConfig{M: 2, Policy: "oi"}}
 	srv, err := serve.New(opts)
@@ -76,16 +77,12 @@ func TestSnapshotFilesRoundTrip(t *testing.T) {
 		if string(data) != string(w)+"\n" {
 			t.Fatalf("shard %d file is not encoding/json's compact encoding:\nfile %s\njson %s", i, data, w)
 		}
-		var file struct {
-			Version     int    `json:"version"`
-			BooksDigest uint64 `json:"books_digest"`
-		}
+		var file map[string]json.RawMessage
 		if err := json.Unmarshal(data, &file); err != nil {
 			t.Fatal(err)
 		}
-		if file.Version != 4 || file.BooksDigest == 0 {
-			t.Fatalf("shard %d file has version %d and books digest %016x, want version 4 and a books digest",
-				i, file.Version, file.BooksDigest)
+		if _, books := file["admission"]; string(file["version"]) != "5" || books {
+			t.Fatalf("shard %d file has version %s and books %s, want version 5 and none", i, file["version"], file["admission"])
 		}
 	}
 	if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(tmps) != 0 {
@@ -117,5 +114,28 @@ func TestSnapshotFilesRoundTrip(t *testing.T) {
 	opts.Snapshots = got
 	if _, err := serve.New(opts); err != nil {
 		t.Fatalf("restoring the loaded snapshots: %v", err)
+	}
+
+	v4 := filepath.Join(t.TempDir(), "v4")
+	data, err := os.ReadFile("../../internal/serve/testdata/snapshot_v4.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(v4, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(snapshotPath(v4, 0), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	old4, err := loadSnapshots(v4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(old4) != 1 || old4[0].Version != 4 || old4[0].Admission == nil {
+		t.Fatalf("version-4 file loads as %+v, want one version-4 snapshot with books", old4)
+	}
+	opts.Snapshots = old4
+	if _, err := serve.New(opts); err != nil {
+		t.Fatalf("restoring the version-4 file: %v", err)
 	}
 }

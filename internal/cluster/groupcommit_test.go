@@ -448,9 +448,9 @@ func TestFreshFollowerCaughtUpWithoutWrite(t *testing.T) {
 			if got == nil {
 				t.Fatalf("follower %s holds no replica after catch-up", added.id)
 			}
-			if got.Total != want.Total || got.Now != want.Now || got.Digest != want.Digest || got.BooksDigest != want.BooksDigest {
-				t.Fatalf("replica (log=%d, now=%d, %016x, books %016x), primary (log=%d, now=%d, %016x, books %016x)",
-					got.Total, got.Now, got.Digest, got.BooksDigest, want.Total, want.Now, want.Digest, want.BooksDigest)
+			if got.Total != want.Total || got.Now != want.Now || got.Digest != want.Digest {
+				t.Fatalf("replica (log=%d, now=%d, %016x), primary (log=%d, now=%d, %016x)",
+					got.Total, got.Now, got.Digest, want.Total, want.Now, want.Digest)
 			}
 			mustHold(t, "after catch-up", []*testNode{added}, "seed")
 
@@ -469,6 +469,9 @@ func TestFreshFollowerCaughtUpWithoutWrite(t *testing.T) {
 			if prom.Digest != want.Digest || prom.Log != want.Total {
 				t.Fatalf("%s took over at (log=%d, %016x), want (log=%d, %016x)",
 					added.id, prom.Log, prom.Digest, want.Total, want.Digest)
+			}
+			if got, want := shardBooks(t, added.srv, 0), shardBooks(t, f.srv, 0); got != want {
+				t.Fatalf("%s took over with books %+v, the primary's are %+v", added.id, got, want)
 			}
 		})
 	}

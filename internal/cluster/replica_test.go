@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -18,23 +17,23 @@ import (
 )
 
 // tamperings alter a tail in transit. All apply to a push cut between
-// slot boundaries, which carries a book entry but no command: one
-// alters that entry, one the engine digest, which the follower checks
-// against the digest its untouched engine memoized, and one the format
-// version.
+// slot boundaries, which carries a staged join but no command: one
+// alters that join's weight, which the books digest covers, one the
+// engine digest, which the follower checks against the digest its
+// untouched engine memoized, and one the format version.
 var tamperings = []struct {
 	name   string
 	tamper func(*serve.Tail)
 }{
-	{"book-entry", func(tl *serve.Tail) {
-		w := &tl.Admission.Requested[0].Weight
+	{"batch", func(tl *serve.Tail) {
+		w := &tl.Batch[len(tl.Batch)-1].Weight
 		*w = w.Div(frac.FromInt(2))
 	}},
 	{"engine-digest", func(tl *serve.Tail) { tl.Digest ^= 1 }},
 	{"version", func(tl *serve.Tail) { tl.Version = 1 }},
 }
 
-// TestReplicaRejectsTamperedBooks: a tail whose book entry, engine
+// TestReplicaRejectsTamperedBooks: a tail whose staged batch, engine
 // digest or version was altered in transit fails the books digest, the
 // engine digest or the version check, which is a hard error (reset and
 // resync from 0), not a gap.
@@ -125,7 +124,8 @@ func (tp *tamperOnce) RoundTrip(r *http.Request) (*http.Response, error) {
 // TestTamperedPushResyncs: a push altered in transit draws 409 want 0,
 // the primary's retry of the same push resyncs the follower from a
 // complete tail, the write is acked, and promoting the follower
-// installs the primary's engine and books, not the tampered ones.
+// installs the primary's engine, batch and books, not the tampered
+// ones.
 func TestTamperedPushResyncs(t *testing.T) {
 	for _, tc := range tamperings {
 		t.Run(tc.name, func(t *testing.T) { tamperedPushResyncs(t, tc.tamper) })
@@ -185,10 +185,48 @@ func tamperedPushResyncs(t *testing.T, tamper func(*serve.Tail)) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Digest != want.Digest || !reflect.DeepEqual(got.Admission, want.Admission) || got.BooksDigest != want.BooksDigest {
-		t.Fatalf("promoted follower holds (engine %016x, books %+v), primary (engine %016x, books %+v)",
-			got.Digest, got.Admission, want.Digest, want.Admission)
+	if got.Digest != want.Digest || got.BooksDigest != want.BooksDigest {
+		t.Fatalf("promoted follower holds (engine %016x, batch %016x), primary (engine %016x, batch %016x)",
+			got.Digest, got.BooksDigest, want.Digest, want.BooksDigest)
 	}
+	if got, want := shardBooks(t, follower.srv, shard), shardBooks(t, primary.srv, shard); got != want {
+		t.Fatalf("promoted follower books %+v, primary %+v", got, want)
+	}
+}
+
+// books is what a shard's status shows of its admission books.
+type books struct {
+	requested, headroom string
+	staged, heldJoins   int
+}
+
+// shardBooks reads shard's books from srv's own status, with no
+// cluster routing in between.
+func shardBooks(t *testing.T, srv *serve.Server, shard int) books {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, fmt.Sprintf("/v1/shards/%d", shard), nil))
+	var st serve.ShardStatus
+	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+		t.Fatalf("shard %d status %d %q: %v", shard, rec.Code, rec.Body.Bytes(), err)
+	}
+	return books{st.RequestedWt, st.Headroom, st.PendingBatch, st.DeferredJoins}
+}
+
+// promotedBooks installs snap on a fresh server, as a promotion does,
+// and reads the installed shard's books.
+func promotedBooks(t *testing.T, snap *serve.Snapshot) books {
+	t.Helper()
+	srv, err := serve.New(serve.Options{Shards: snap.Shard + 1, Config: snap.Config})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Start()
+	defer srv.Stop()
+	if err := srv.InstallShard(snap); err != nil {
+		t.Fatal(err)
+	}
+	return shardBooks(t, srv, snap.Shard)
 }
 
 // zeroBody yields n zero bytes and counts how many were read.

@@ -482,6 +482,23 @@ func (s *Scheduler) Live() LiveSummary {
 	return sum
 }
 
+// Requesting calls f for each task that holds requested weight: every
+// active task that is not leaving, with its actual weight wt(T, now),
+// and every join condition J holds, with the weight it asked for and
+// held set. It allocates nothing and costs O(live tasks + held joins)
+// however many tasks have left, so an admission layer can rebuild its
+// books from it.
+func (s *Scheduler) Requesting(f func(name string, wt frac.Rat, held bool)) {
+	for _, ts := range s.live {
+		if !ts.departing() {
+			f(ts.name, ts.wt, false)
+		}
+	}
+	for _, ts := range s.joinQ {
+		f(ts.name, ts.wt, true)
+	}
+}
+
 // MaxAbsDrift returns the largest |drift| any task has reached, the
 // max over AllMetrics' MaxAbsDrift, in O(1).
 func (s *Scheduler) MaxAbsDrift() frac.Rat { return s.maxAbsDrift }

@@ -266,8 +266,6 @@ type TaskMetrics struct {
 	// Active reports whether the task has joined and not yet left —
 	// whether it still occupies scheduling weight. Leaving reports a
 	// Depart that waits for rule L: the task is active until then.
-	// Admission layers rebuilding their books from a scheduler key off
-	// both.
 	Active  bool
 	Leaving bool
 }

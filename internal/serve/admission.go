@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/frac"
@@ -19,50 +18,32 @@ import (
 // enact, so a join the engine holds for condition J fits once earlier
 // weight drains.
 //
-// The books are one map keyed by task name. Lookups on the hot path go
-// through string(raw) on bytes aliasing the request buffer — an rvalue
-// map index the compiler evaluates without materializing the string —
-// and the canonical name each entry interns at admission is what the
-// shard stages into batches, so nothing downstream retains request
-// memory.
+// The books are a view over the engine and the staged batch (see
+// foldBooks): one map keyed by task name, holding the tasks that hold
+// requested weight and nothing else. A departed name is burned by the
+// engine, which keeps it. Lookups on the hot path go through
+// string(raw) on bytes aliasing the request buffer — an rvalue map
+// index the compiler evaluates without materializing the string — and
+// the canonical name each entry interns at admission is what the shard
+// stages into batches, so nothing downstream retains request memory.
 type admission struct {
 	m   frac.Rat        // capacity: the shard's processor count
-	eng *core.Scheduler // asked whether a pending join has entered
+	eng *core.Scheduler // asked whether a name has entered
 
-	// at is the stamp every change to an entry carries, so a replication
-	// cut from log index i ships only the entries stamped >= i. It is the
-	// shard's log length, except inside a flush, where it stays at the
-	// length the flush started from (Shard.flush advances it when it
-	// returns). A follower that applied a cut taken at log length L needs
-	// every later change; no cut runs mid-flush, so each later change is
-	// stamped >= L.
-	at int
-
-	// tasks holds every task name ever admitted for a join; the entry
-	// outlives the task because the engine rejects re-joining a departed
-	// name (its accounting is retained), so admission must too.
+	// tasks holds every task that holds requested weight: admitted
+	// joins, staged or held or let in, until their leave reaches the
+	// engine.
 	tasks map[string]*taskEntry
-	// total is the sum of live entries' requested weights.
+	// total is the sum of the entries' requested weights.
 	total frac.Rat
-	// dig is the books digest: the XOR of every entry's h, kept
-	// running by touch and restore.
-	dig uint64
-	// last is the newest end of the stamp-order list: stamp moves an
-	// entry there, and at never falls, so walking prev from last meets
-	// the entries newest stamp first, and state(from) stops at the
-	// first one stamped below from.
-	last *taskEntry
 }
 
 // taskEntry is one task's admission record.
 type taskEntry struct {
 	// name is the canonical interned copy of the task's wire name.
 	name string
-	// w is the requested weight; meaningful only while live.
+	// w is the requested weight.
 	w frac.Rat
-	// live means the admitted join has not fully left: w counts toward
-	// total. A dead entry only burns the name.
-	live bool
 	// pending marks a join the engine has not let in, staged or held
 	// for condition J; waiting clears it once the task has entered.
 	// Reweights and leaves for a pending task are refused (409
@@ -72,22 +53,41 @@ type taskEntry struct {
 	// the books at the boundary that hands the leave to the engine,
 	// which holds the task until rule L permits.
 	leaving bool
-	// at is admission.at as of the entry's last change.
-	at int
-	// h is the entry's hash as of its last change, its share of
-	// admission.dig; 0 for an entry not yet hashed into it.
-	h uint64
-	// prev and next link the entries in stamp order (see
-	// admission.last).
-	prev, next *taskEntry
 }
 
-func newAdmission(eng *core.Scheduler) *admission {
-	return &admission{
+// foldBooks builds a shard's books from its engine and its staged
+// work: the tasks the engine walks as holding requested weight (held
+// joins pending), then each staged command re-admitted in flush order.
+// Every shard's books are built here, fresh or restored; a staged
+// command the books refuse is an error, since no shard could have
+// admitted it.
+func foldBooks(eng *core.Scheduler, staged []core.Command) (*admission, error) {
+	a := &admission{
 		m:     frac.FromInt(int64(eng.M())),
 		eng:   eng,
 		tasks: make(map[string]*taskEntry),
 	}
+	eng.Requesting(func(name string, wt frac.Rat, held bool) {
+		a.tasks[name] = &taskEntry{name: name, w: wt, pending: held}
+		a.total = a.total.Add(wt)
+	})
+	for i, c := range staged {
+		var aerr *admissionError
+		switch c.Op {
+		case core.OpJoin:
+			_, aerr = a.admitJoin([]byte(c.Task), c.Weight)
+		case core.OpReweight:
+			_, aerr = a.admitReweight([]byte(c.Task), c.Weight)
+		case core.OpLeave:
+			_, aerr = a.admitLeave([]byte(c.Task))
+		default:
+			return nil, fmt.Errorf("serve: staged command %d is a %s", i, c.Op)
+		}
+		if aerr != nil {
+			return nil, fmt.Errorf("serve: staged %s %q refused: %w", c.Op, c.Task, aerr)
+		}
+	}
+	return a, nil
 }
 
 // headroom returns M minus the admitted total — how much weight a new
@@ -114,60 +114,48 @@ func reject(kind, format string, args ...any) *admissionError {
 	return &admissionError{kind: kind, reason: fmt.Sprintf(format, args...)}
 }
 
+// rejectOutside rejects a reweight or leave of a name outside the
+// books: one the engine let in has left (left is the reason format),
+// any other never joined.
+//
+//lint:allocok error construction on the rejection path only
+func (a *admission) rejectOutside(raw []byte, left string) *admissionError {
+	if a.eng.Joined(string(raw)) {
+		return reject(errConflict, left, raw)
+	}
+	return reject(errUnknown, "task %q never joined this shard", raw)
+}
+
 // newTaskEntry interns the wire name and allocates the entry — the one
 // deliberate allocation of the admission path, paid once per task
 // lifetime (joins only; reweights and leaves hit existing entries).
 //
 //lint:allocok per-task-lifetime allocation: joins intern the name and entry once
 func newTaskEntry(raw []byte, w frac.Rat) *taskEntry {
-	return &taskEntry{name: string(raw), w: w, live: true, pending: true}
+	return &taskEntry{name: string(raw), w: w, pending: true}
 }
 
-// touch records a change to e, made just before: it stamps e and swaps
-// e's old hash in the running books digest for its new one.
-//
-//lint:noalloc hot admission path: one entry hash per admitted command
-func (a *admission) touch(e *taskEntry) {
-	a.stamp(e)
-	a.dig ^= e.h
-	e.h = e.hash()
-	a.dig ^= e.h
-}
-
-// stamp stamps e at a.at and moves it to the newest end of the
-// stamp-order list; a new entry joins the list here.
-func (a *admission) stamp(e *taskEntry) {
-	e.at = a.at
-	if a.last == e {
-		return
-	}
-	if e.prev != nil {
-		e.prev.next = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	}
-	e.prev, e.next = a.last, nil
-	if a.last != nil {
-		a.last.next = e
-	}
-	a.last = e
-}
+// usedName is admitJoin's reason for a name the books hold or the
+// engine has let in.
+const usedName = "task name %q was already used on this shard"
 
 // admitJoin reserves name and weight for a joining task and returns the
-// canonical interned name.
+// canonical interned name. A name outside the books is burned once the
+// engine has let it in.
 //
 //lint:noalloc hot admission path; rejections and entry creation sit at allocok boundaries
 func (a *admission) admitJoin(raw []byte, w frac.Rat) (string, *admissionError) {
 	if a.tasks[string(raw)] != nil {
-		return "", reject(errConflict, "task name %q was already used on this shard", raw)
+		return "", reject(errConflict, usedName, raw)
+	}
+	e := newTaskEntry(raw, w)
+	if a.eng.Joined(e.name) {
+		return "", reject(errConflict, usedName, raw)
 	}
 	if a.headroom().Less(w) {
 		return "", rejectWeight(a.headroom(),
 			"join %s at weight %s exceeds property (W): headroom %s of M=%s", raw, w, a.headroom(), a.m)
 	}
-	e := newTaskEntry(raw, w)
-	a.touch(e)
 	a.tasks[e.name] = e
 	a.total = a.total.Add(w)
 	return e.name, nil
@@ -180,10 +168,7 @@ func (a *admission) admitJoin(raw []byte, w frac.Rat) (string, *admissionError) 
 func (a *admission) admitReweight(raw []byte, w frac.Rat) (string, *admissionError) {
 	e := a.tasks[string(raw)]
 	if e == nil {
-		return "", reject(errUnknown, "task %q never joined this shard", raw)
-	}
-	if !e.live {
-		return "", reject(errConflict, "task %q has left this shard", raw)
+		return "", a.rejectOutside(raw, "task %q has left this shard")
 	}
 	if a.waiting(e) {
 		return "", reject(errConflict, "task %q has a join still pending; retry next slot", raw)
@@ -197,7 +182,6 @@ func (a *admission) admitReweight(raw []byte, w frac.Rat) (string, *admissionErr
 			"reweight %s from %s to %s exceeds property (W): total would be %s > M=%s", e.name, e.w, w, next, a.m)
 	}
 	e.w = w
-	a.touch(e)
 	a.total = next
 	return e.name, nil
 }
@@ -210,10 +194,7 @@ func (a *admission) admitReweight(raw []byte, w frac.Rat) (string, *admissionErr
 func (a *admission) admitLeave(raw []byte) (string, *admissionError) {
 	e := a.tasks[string(raw)]
 	if e == nil {
-		return "", reject(errUnknown, "task %q never joined this shard", raw)
-	}
-	if !e.live {
-		return "", reject(errConflict, "task %q has already left this shard", raw)
+		return "", a.rejectOutside(raw, "task %q has already left this shard")
 	}
 	if a.waiting(e) {
 		return "", reject(errConflict, "task %q has a join still pending; retry next slot", raw)
@@ -222,190 +203,27 @@ func (a *admission) admitLeave(raw []byte) (string, *admissionError) {
 		return "", reject(errConflict, "task %q is already leaving", raw)
 	}
 	e.leaving = true
-	a.touch(e)
 	return e.name, nil
 }
 
 // waiting reports whether the engine still holds e's join, clearing
 // the pending mark once the task has entered. Only a pending entry asks
-// the engine; a nil entry, a join a damaged file staged without books,
-// reads as not waiting.
+// the engine.
 //
 //lint:noalloc hot admission path
 func (a *admission) waiting(e *taskEntry) bool {
-	if e != nil && e.pending && a.eng.Joined(e.name) {
+	if e.pending && a.eng.Joined(e.name) {
 		e.pending = false
-		a.touch(e)
 	}
-	return e != nil && e.pending
+	return e.pending
 }
 
 // release frees the task's weight for good once the engine took its
-// leave, or refused its admitted join (which admission rules out). The
-// name stays burned: names are never reusable.
+// leave, or refused its admitted join (which admission rules out), and
+// drops its entry. The engine keeps the name burned.
 func (a *admission) release(name string) {
-	e := a.tasks[name]
-	if e == nil {
-		return
-	}
-	if e.live {
+	if e := a.tasks[name]; e != nil {
 		a.total = a.total.Sub(e.w)
-		e.live = false
+		delete(a.tasks, name)
 	}
-	e.pending, e.leaving = false, false
-	a.touch(e)
-}
-
-// state serializes the entries stamped >= from: all of them for a
-// snapshot (from 0), the ones changed since the cut a follower holds
-// for a replication tail. restore upserts them. Slices are sorted so the
-// encoding is byte-stable. It predates the single-map layout. It walks
-// only those entries, newest first, so a tail cut costs what changed
-// since from, not every name the shard has admitted.
-type admissionState struct {
-	Names     []string     `json:"names"`
-	Requested []taskWeight `json:"requested"`
-	Pending   []string     `json:"pending_joins,omitempty"`
-	Leaving   []string     `json:"leaving,omitempty"`
-}
-
-type taskWeight struct {
-	Task   string   `json:"task"`
-	Weight frac.Rat `json:"weight"`
-}
-
-func (a *admission) state(from int) admissionState {
-	var st admissionState
-	n := 0
-	for e := a.last; e != nil && e.at >= from; e = e.prev {
-		n++
-	}
-	st.Names = make([]string, 0, n)
-	for e := a.last; e != nil && e.at >= from; e = e.prev {
-		st.Names = append(st.Names, e.name)
-		if e.live {
-			st.Requested = append(st.Requested, taskWeight{Task: e.name, Weight: e.w})
-		}
-		if e.pending {
-			st.Pending = append(st.Pending, e.name)
-		}
-		if e.leaving {
-			st.Leaving = append(st.Leaving, e.name)
-		}
-	}
-	sort.Strings(st.Names)
-	sort.Slice(st.Requested, func(i, j int) bool { return st.Requested[i].Task < st.Requested[j].Task })
-	sort.Strings(st.Pending)
-	sort.Strings(st.Leaving)
-	return st
-}
-
-// restore upserts the entries st carries: each one is replaced by its
-// state in st and stamped at a.at, and entries st does not name are
-// left alone. Into empty books this is a plain restore; a follower folds
-// every tail's changed entries the same way.
-//
-// Every entry st rewrites is first taken out of the running digest
-// (detach leaves h == 0) and hashed back in once at the end, so the
-// digest stays the XOR over all entries even for a tail that lists a
-// name in one set but not another.
-func (a *admission) restore(st admissionState) {
-	detach := func(e *taskEntry) {
-		a.dig ^= e.h
-		e.h = 0
-	}
-	reset := func(name string) *taskEntry {
-		e := a.tasks[name]
-		if e == nil {
-			e = &taskEntry{name: name}
-			a.tasks[name] = e
-		} else if e.live {
-			a.total = a.total.Sub(e.w)
-		}
-		detach(e)
-		*e = taskEntry{name: e.name, prev: e.prev, next: e.next}
-		a.stamp(e)
-		return e
-	}
-	for _, name := range st.Names {
-		reset(name)
-	}
-	for _, tw := range st.Requested {
-		e := reset(tw.Task) // a no-op for a listed name; guards a weight listed alone or twice
-		e.live = true
-		e.w = tw.Weight
-		a.total = a.total.Add(tw.Weight)
-	}
-	for _, name := range st.Pending {
-		if e := a.tasks[name]; e != nil {
-			detach(e)
-			e.pending = true
-		}
-	}
-	for _, name := range st.Leaving {
-		if e := a.tasks[name]; e != nil {
-			detach(e)
-			e.leaving = true
-		}
-	}
-	// An entry whose true hash is 0 would be hashed again here; that
-	// XORs in 0, so the digest stays right.
-	attach := func(name string) {
-		if e := a.tasks[name]; e != nil && e.h == 0 {
-			e.h = e.hash()
-			a.dig ^= e.h
-		}
-	}
-	for _, name := range st.Names {
-		attach(name)
-	}
-	for _, tw := range st.Requested {
-		attach(tw.Task)
-	}
-	for _, name := range st.Pending {
-		attach(name)
-	}
-	for _, name := range st.Leaving {
-		attach(name)
-	}
-}
-
-// digest is an order-independent digest of the whole books: the XOR of
-// one FNV-1a hash per entry over what state encodes of it, so books
-// rebuilt by folding the same entries in any order digest the same.
-// touch and restore keep it running, so reading it costs nothing.
-func (a *admission) digest() uint64 { return a.dig }
-
-// hash is FNV-1a over the entry's name, then its marks and requested
-// weight in a fixed-width tail (a dead entry's weight is not part of
-// the books), so distinct entries cannot encode alike.
-func (e *taskEntry) hash() uint64 {
-	var w frac.Rat
-	var marks byte
-	if e.live {
-		w, marks = e.w, 1
-	}
-	if e.pending {
-		marks |= 2
-	}
-	if e.leaving {
-		marks |= 4
-	}
-	// Inlined FNV-1a, as in core.StateDigest. The tail is the marks
-	// byte, then Num and Den as 8 little-endian bytes each, folded in
-	// with shifts.
-	const offset64, prime64 = 14695981039346656037, 1099511628211
-	h := uint64(offset64)
-	for i := 0; i < len(e.name); i++ {
-		h = (h ^ uint64(e.name[i])) * prime64
-	}
-	h = (h ^ uint64(marks)) * prime64
-	num, den := uint64(w.Num()), uint64(w.Den())
-	for i := 0; i < 64; i += 8 {
-		h = (h ^ num>>i&0xff) * prime64
-	}
-	for i := 0; i < 64; i += 8 {
-		h = (h ^ den>>i&0xff) * prime64
-	}
-	return h
 }

@@ -32,14 +32,14 @@
 // Snapshot/restore rides on the engine's determinism: a shard is fully
 // described by its seed system plus the log of commands actually
 // applied (core.Replay). A Snapshot is a complete Tail, the same unit
-// replication ships: it additionally carries the admission books and
-// the not-yet-applied slot batch so a restored shard resumes mid-stream
-// without losing admitted work. Shard and Replica hold one
-// state struct and cut tails from it with one function; staged work is
-// held as the core.Command records the log will hold. Restore applies
-// the snapshot to a fresh Replica, which re-verifies the engine-state
-// digest after replay and the books digest after the upsert, and the
-// restored Shard runs the replica's state.
+// replication ships: it additionally carries the not-yet-applied slot
+// batch so a restored shard resumes mid-stream without losing admitted
+// work. Shard and Replica hold one state struct and cut tails from it
+// with one function; staged work is held as the core.Command records
+// the log will hold. Restore applies the snapshot to a fresh Replica,
+// which re-verifies the engine-state digest after replay and the batch
+// digest, and the restored Shard runs the replica's state with books
+// folded from its engine and batch (foldBooks), as every shard's are.
 //
 // The package is deliberately deterministic (no wall clock, no global
 // randomness — enforced by pd2lint): time advances only by explicit

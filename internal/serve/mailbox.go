@@ -30,8 +30,8 @@ const (
 	// pendState asks for the canonical engine-state dump and digest.
 	pendState
 	// pendLog asks for the tail from a log index: the commands applied
-	// since, plus the admitted-but-unapplied sets and the admission
-	// books (see Tail in snapshot.go). From 0 is the shard's snapshot.
+	// since, plus the admitted-but-unapplied batch (see Tail in
+	// snapshot.go). From 0 is the shard's snapshot.
 	pendLog
 )
 

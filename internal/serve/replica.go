@@ -7,16 +7,16 @@ import (
 )
 
 // A Replica is a copy of one shard rebuilt from the tails applied to
-// it: the same state a Shard runs — the full applied command log, a
-// live engine kept in lockstep by replaying each tail, the admission
-// books upserted from every tail, and the last tail's staged batch.
-// It is the one path from a tail to shard state: a cluster follower
-// applies each pushed tail to its warm Replica, and restoreShard
-// applies a snapshot to a fresh one and runs its state. The engine and
-// the books with the batch are the digest-exchange witnesses — after
-// every tail the replica's StateDigest and books digest must equal the
-// ones the primary stamped on the tail, so divergence is caught when
-// the tail applies, not at promotion time.
+// it: the state a Shard runs but its admission books — the full applied
+// command log, a live engine kept in lockstep by replaying each tail,
+// and the last tail's staged batch. It is the one path from a tail to
+// shard state: a cluster follower applies each pushed tail to its warm
+// Replica, and restoreShard applies a snapshot to a fresh one, folds
+// the books from its engine and batch, and runs its state. The engine
+// and the batch are the digest-exchange witnesses — after every tail
+// the replica's StateDigest and batch digest must equal the ones the
+// primary stamped on the tail, so divergence is caught when the tail
+// applies, not at promotion time.
 //
 // Not safe for concurrent use.
 type Replica struct {
@@ -49,16 +49,17 @@ func (r *Replica) Now() int64 {
 
 // Apply folds one tail into the replica: append the new commands,
 // replay them on the live engine up to the tail's clock, verify the
-// engine digest against the primary's, upsert the tail's book entries
-// and verify the books digest (with the batch's, from version 4), then
-// keep the tail's batch, with an older tail's deferred leaves and joins
-// staged ahead of it. A tail starting past the log end is a GapError
-// (the caller resyncs from the wanted index); a version or shard
-// mismatch, pending work no shard could have staged, a replay failure
-// or a digest mismatch is a hard error (the caller must discard the
-// replica and resync from 0). Overlapping tails — From inside the log —
-// are fine: the overlap is skipped, only the suffix applies, and the
-// book entries they carry are a superset of the ones the replica lacks.
+// engine digest against the primary's and the books digest against
+// what the tail carries, then keep the tail's batch, with an older
+// tail's deferred leaves and joins staged ahead of it. A tail starting
+// past the log end is a GapError (the caller resyncs from the wanted
+// index); a version or shard mismatch, pending work no shard could have
+// staged, book entries in a version-5 tail, a replay failure or a
+// digest mismatch is a hard error (the caller must discard the replica
+// and resync from 0). An older version's delta fails the books digest,
+// since the entries it carries are not the whole books its writer
+// digested. Overlapping tails — From inside the log — are fine: the
+// overlap is skipped, and only the suffix applies.
 func (r *Replica) Apply(t *Tail) error {
 	if t.Version < 2 || t.Version > tailVersion {
 		return fmt.Errorf("serve: tail version %d, want 2 to %d", t.Version, tailVersion)
@@ -78,6 +79,9 @@ func (r *Replica) Apply(t *Tail) error {
 	}
 	if len(t.DeferredJoins) > 0 && t.Version > 3 || len(t.DeferredLeaves) > 0 && t.Version > 2 {
 		return fmt.Errorf("serve: replica %d version-%d tail carries deferred work its engine would hold", r.id, t.Version)
+	}
+	if t.Admission != nil && t.Version > 4 {
+		return fmt.Errorf("serve: replica %d version-%d tail carries book entries", r.id, t.Version)
 	}
 	if r.eng == nil {
 		if t.From != 0 {
@@ -105,14 +109,12 @@ func (r *Replica) Apply(t *Tail) error {
 		return fmt.Errorf("serve: replica %d digest mismatch at t=%d: replayed %016x, tail %016x",
 			r.id, t.Now, got, t.Digest)
 	}
-	r.adm.at = r.log.len()
-	r.adm.restore(t.Admission)
-	got := r.adm.digest()
+	got := t.Admission.digest()
 	if t.Version > 3 {
 		got ^= batchDigest(t.Batch)
 	}
 	if got != t.BooksDigest {
-		return fmt.Errorf("serve: replica %d books digest mismatch at t=%d: replica %016x, tail %016x",
+		return fmt.Errorf("serve: replica %d books digest mismatch at t=%d: carried %016x, tail %016x",
 			r.id, t.Now, got, t.BooksDigest)
 	}
 	// Fresh copies: the caller keeps its tail, and a replica reusing its
@@ -127,8 +129,8 @@ func (r *Replica) Apply(t *Tail) error {
 }
 
 // Snapshot returns the complete tail a promotion installs, cut from the
-// replica's state as a primary cuts its own: the whole replicated log
-// and books, with the latest tail's clock, digests and batch.
+// replica's state as a primary cuts its own: the whole replicated log,
+// with the latest tail's clock, digests and batch.
 // InstallShard replays it on a fresh engine. Nil for a nil replica or
 // one no tail has applied to yet.
 func (r *Replica) Snapshot() *Snapshot {

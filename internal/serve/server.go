@@ -131,13 +131,13 @@ func (s *Server) ShardTick(i int) chan<- struct{} { return s.shardAt(i).TickC() 
 
 // InstallShard replaces slot snap.Shard with a shard restored from the
 // snapshot, started and ready for traffic. The restore replays the
-// snapshot log on a fresh engine and verifies its engine and books
-// digests, so a migration receiver or a promoted follower cannot
-// install corrupt state; a tail that is not complete (From != 0) is
-// refused. The outgoing shard is drained and stopped after the swap:
-// handlers that already resolved it finish against it (or get 503 once
-// it is down), new requests see the replacement. Returns the restore
-// error without touching the slot.
+// snapshot log on a fresh engine, verifies its engine and books
+// digests and folds its books, so a migration receiver or a promoted
+// follower cannot install corrupt state; a tail that is not complete
+// (From != 0) is refused. The outgoing shard is drained and stopped
+// after the swap: handlers that already resolved it finish against it
+// (or get 503 once it is down), new requests see the replacement.
+// Returns the restore error without touching the slot.
 func (s *Server) InstallShard(snap *Snapshot) error {
 	if snap.Shard < 0 || snap.Shard >= len(s.shards) {
 		return fmt.Errorf("serve: install for shard %d outside [0,%d)", snap.Shard, len(s.shards))
@@ -510,9 +510,9 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleLog serves the replication tail from ?from=N (default 0): the
-// commands applied since that log index plus the staged batch and the
-// admission-book entries changed since then — the pull half of
-// primary→follower streaming and the fetch half of live migration.
+// commands applied since that log index plus the staged batch — the
+// pull half of primary→follower streaming and the fetch half of live
+// migration.
 func (s *Server) handleLog(w http.ResponseWriter, r *http.Request) {
 	sh := s.shardFrom(w, r)
 	if sh == nil {

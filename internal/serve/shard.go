@@ -85,8 +85,8 @@ func (c ShardConfig) CoreConfig() (core.Config, error) {
 }
 
 // shardState is one shard's state, the part a tail transfers: its
-// config and seed, the engine, the admission books, the applied log and
-// the admitted-but-unapplied batch. Shard runs it behind the mailbox;
+// config and seed, the engine, the applied log and the
+// admitted-but-unapplied batch. Shard runs it behind the mailbox;
 // Replica rebuilds it from tails. Staged work is held as the commands
 // the log will record; flush restamps At with the boundary that
 // applies them.
@@ -95,12 +95,11 @@ type shardState struct {
 	cfg   ShardConfig
 	seed  model.System
 	eng   *core.Scheduler
-	adm   *admission
 	log   cmdLog         // commands actually applied, in order
 	batch []core.Command // admitted this slot, applies at next boundary
 }
 
-// build gives the state a fresh engine over seed and empty books.
+// build gives the state a fresh engine over seed.
 func (st *shardState) build(cfg ShardConfig, seed model.System) error {
 	ccfg, err := cfg.CoreConfig()
 	if err != nil {
@@ -110,7 +109,7 @@ func (st *shardState) build(cfg ShardConfig, seed model.System) error {
 	if err != nil {
 		return err
 	}
-	st.cfg, st.seed, st.eng, st.adm = cfg, seed, eng, newAdmission(eng)
+	st.cfg, st.seed, st.eng = cfg, seed, eng
 	return nil
 }
 
@@ -121,6 +120,8 @@ func (st *shardState) build(cfg ShardConfig, seed model.System) error {
 // in view, and bumps the counts in reqs.
 type Shard struct {
 	shardState
+	// adm is the admission books, folded from the state (foldBooks).
+	adm *admission
 
 	mbox  chan *pending
 	pool  pendingPool
@@ -143,7 +144,11 @@ type Shard struct {
 // through commands.
 func newShard(id int, cfg ShardConfig, mailboxCap int) (*Shard, error) {
 	sh := &Shard{shardState: shardState{id: id}}
-	if err := sh.build(cfg, model.System{M: cfg.M}); err != nil {
+	err := sh.build(cfg, model.System{M: cfg.M})
+	if err == nil {
+		sh.adm, err = foldBooks(sh.eng, nil)
+	}
+	if err != nil {
 		return nil, err
 	}
 	sh.initLoop(mailboxCap)
@@ -358,7 +363,6 @@ func (sh *Shard) flush() {
 		}
 	}
 	sh.batch = sh.batch[:0]
-	sh.adm.at = sh.log.len()
 	// Deferred-join depth peaks right after a flush that deferred work;
 	// track it here so multi-slot advances cannot hide a transient.
 	sh.ctr.deferredJoinPeak = max(sh.ctr.deferredJoinPeak, int64(sh.eng.JoinQueue()))

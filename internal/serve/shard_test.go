@@ -120,8 +120,8 @@ func TestDeferredLeaveRuleL(t *testing.T) {
 	// The weight leaves the books at the boundary that hands the leave
 	// to the engine, and rule L holds A there until d(A_1) = 3.
 	sh.advance(1)
-	if sh.adm.tasks["A"].live || !sh.adm.total.IsZero() {
-		t.Fatalf("A live %v, requested total %s after the boundary; want dead and 0", sh.adm.tasks["A"].live, sh.adm.total)
+	if sh.adm.tasks["A"] != nil || !sh.adm.total.IsZero() {
+		t.Fatalf("A booked %+v, requested total %s after the boundary; want no entry and 0", sh.adm.tasks["A"], sh.adm.total)
 	}
 	if m, _ := sh.eng.Metrics("A"); !m.Active || !m.Leaving {
 		t.Fatalf("engine has A active %v, leaving %v at t=3; want both until rule L permits", m.Active, m.Leaving)

@@ -5,17 +5,19 @@ import (
 	"strconv"
 
 	"repro/internal/core"
+	"repro/internal/frac"
 	"repro/internal/model"
 )
 
 // A Tail is the one state-transfer unit: everything that changed on a
 // shard since log index From. It carries the commands applied since
-// From, the admission-book entries changed since From, and the whole
-// staged batch, which is small. A Replica that holds log[0:From) and
-// applied every earlier tail ends up, after applying this one, with the
-// primary's full log, books and batch. Digest and Now certify the
-// engine state after the last carried command, and BooksDigest the
-// whole books and the batch; Replica.Apply checks both on every tail.
+// From and the whole staged batch, which is small. A Replica that holds
+// log[0:From) and applied every earlier tail ends up, after applying
+// this one, with the primary's full log and batch; the admission books
+// are folded from those (foldBooks) when a shard is built from them.
+// Digest and Now certify the engine state after the last carried
+// command, and BooksDigest what else the tail carries; Replica.Apply
+// checks both on every tail.
 type Tail struct {
 	// Version guards the wire and file format; Replica.Apply reads
 	// versions 2 to tailVersion and refuses any other.
@@ -39,13 +41,13 @@ type Tail struct {
 	// order, leaves first. No tail is cut with either.
 	DeferredJoins  []core.Command `json:"deferred_joins,omitempty"`
 	DeferredLeaves []string       `json:"deferred_leaves,omitempty"`
-	// Admission holds the book entries stamped >= From: every entry a
-	// follower that applied the cut at From lacks (names are never
-	// deleted, so upserting them is complete), and all of them when
-	// From == 0.
-	Admission admissionState `json:"admission"`
-	// BooksDigest is the books digest XORed with batchDigest of Batch;
-	// before version 4 it covered the books alone.
+	// Admission is read from tails of versions 2 to 4, which carried
+	// admission-book entries: only BooksDigest reads it. No tail is cut
+	// with it, and a version-5 tail that carries it is refused.
+	Admission *admissionState `json:"admission,omitempty"`
+	// BooksDigest is the digest of the book entries the tail carries
+	// (admissionState.digest), XORed with batchDigest of Batch from
+	// version 4 on.
 	BooksDigest uint64 `json:"books_digest"`
 	// Commands are the commands applied since From. log is the last key,
 	// so a writer can stream it after the rest (see EncodeTail).
@@ -69,17 +71,19 @@ func (t *Tail) Seq() int64 { return t.seq }
 // system plus the log of commands actually applied — core.Replay
 // rebuilds the engine byte-for-byte, and Digest proves it did. A join
 // the engine holds for condition J is in the log like any other
-// command. The admitted-but-unapplied slot batch and the admission
-// books ride along so a restart loses no admitted command.
+// command. The admitted-but-unapplied slot batch rides along so a
+// restart loses no admitted command, and the books are folded from the
+// engine and the batch.
 type Snapshot = Tail
 
 // tailVersion guards the wire and file format; bump on incompatible
 // change. Version 3 logs a leave at the boundary that hands it to the
 // engine, rule L permitting or not, which a version-2 binary cannot
 // replay. Version 4 does the same for a join condition J holds, and its
-// books digest covers the batch. Version-2 and version-3 tails still
-// apply: their logs replay unchanged.
-const tailVersion = 4
+// books digest covers the batch. Version 5 carries no admission books:
+// a reader folds them from the engine and the batch. Version-2 to
+// version-4 tails still apply: their logs replay unchanged.
+const tailVersion = 5
 
 // tail serializes the state from log index `from` on; from 0 cuts the
 // snapshot. seq is the cutting shard's mutation sequence (see
@@ -102,8 +106,7 @@ func (st *shardState) tail(from int, seq int64) (*Tail, error) {
 		Digest:      st.eng.StateDigest(),
 		Commands:    st.log.from(from),
 		Batch:       append([]core.Command(nil), st.batch...),
-		Admission:   st.adm.state(from),
-		BooksDigest: st.adm.digest() ^ batchDigest(st.batch),
+		BooksDigest: batchDigest(st.batch),
 		seq:         seq,
 	}, nil
 }
@@ -157,15 +160,95 @@ func VerifyTail(t *Tail) (uint64, error) {
 
 // restoreShard rebuilds a stopped shard from a snapshot: apply it to a
 // fresh Replica, which replays the log over the seed to the recorded
-// clock, verifies the engine and books digests and keeps the pending
-// queues, then run the replica's state. The returned shard is not
-// started.
+// clock, verifies the engine and books digests and keeps the staged
+// work, then fold the books from the replica's engine and staged work
+// and run its state. The returned shard is not started.
 func restoreShard(snap *Snapshot, mailboxCap int) (*Shard, error) {
 	r := NewReplica(snap.Shard)
-	if err := r.Apply(snap); err != nil {
+	err := r.Apply(snap)
+	var adm *admission
+	if err == nil {
+		adm, err = foldBooks(r.eng, r.batch)
+	}
+	if err != nil {
 		return nil, fmt.Errorf("serve: shard %d restore: %w", snap.Shard, err)
 	}
-	sh := &Shard{shardState: r.shardState}
+	sh := &Shard{shardState: r.shardState, adm: adm}
 	sh.initLoop(mailboxCap)
 	return sh, nil
+}
+
+// admissionState is the admission books as tails of versions 2 to 4
+// carried them: every name the shard had admitted a join for, the live
+// entries' requested weights, and the pending and leaving marks, each
+// sorted by name.
+type admissionState struct {
+	Names     []string     `json:"names"`
+	Requested []taskWeight `json:"requested"`
+	Pending   []string     `json:"pending_joins,omitempty"`
+	Leaving   []string     `json:"leaving,omitempty"`
+}
+
+type taskWeight struct {
+	Task   string   `json:"task"`
+	Weight frac.Rat `json:"weight"`
+}
+
+// digest is the digest of the book entries st carries, 0 for none: the
+// XOR of one bookEntryHash per name. For a complete tail of versions 2
+// to 4 that is the digest of the whole books its writer stamped; the
+// entries a delta carried alone never match it, so such a tail fails
+// Replica.Apply's check and the follower resyncs from 0.
+func (st *admissionState) digest() uint64 {
+	if st == nil {
+		return 0
+	}
+	type entry struct {
+		w     frac.Rat
+		marks byte
+	}
+	es := make(map[string]entry, len(st.Names))
+	for _, name := range st.Names {
+		es[name] = entry{}
+	}
+	for _, tw := range st.Requested {
+		es[tw.Task] = entry{w: tw.Weight, marks: 1}
+	}
+	mark := func(names []string, m byte) {
+		for _, name := range names {
+			if e, ok := es[name]; ok {
+				e.marks |= m
+				es[name] = e
+			}
+		}
+	}
+	mark(st.Pending, 2)
+	mark(st.Leaving, 4)
+	var d uint64
+	for name, e := range es {
+		d ^= bookEntryHash(name, e.marks, e.w)
+	}
+	return d
+}
+
+// bookEntryHash is FNV-1a over a book entry's name, then its marks (1
+// live, 2 pending, 4 leaving) and requested weight (zero for a dead
+// entry) in a fixed-width tail, so distinct entries cannot encode
+// alike. As in core.StateDigest the hash is inlined: the tail is the
+// marks byte, then Num and Den as 8 little-endian bytes each.
+func bookEntryHash(name string, marks byte, w frac.Rat) uint64 {
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	h := uint64(offset64)
+	for i := 0; i < len(name); i++ {
+		h = (h ^ uint64(name[i])) * prime64
+	}
+	h = (h ^ uint64(marks)) * prime64
+	num, den := uint64(w.Num()), uint64(w.Den())
+	for i := 0; i < 64; i += 8 {
+		h = (h ^ num>>i&0xff) * prime64
+	}
+	for i := 0; i < 64; i += 8 {
+		h = (h ^ den>>i&0xff) * prime64
+	}
+	return h
 }

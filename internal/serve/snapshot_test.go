@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -61,9 +63,9 @@ func genScript(seed uint64, horizon int64) []scripted {
 
 // admitScripted feeds one scripted command through admission, deriving
 // the wire-name bytes the way the decoder would.
-func admitScripted(sh *Shard, c core.Command) {
+func admitScripted(sh *Shard, c core.Command) CommandResult {
 	w := wireCmd{Command: c, raw: []byte(c.Task)}
-	sh.admit(&w)
+	return sh.admit(&w)
 }
 
 // playSlot admits every script entry for the given slot, then advances
@@ -86,12 +88,12 @@ func engineState(t *testing.T, sh *Shard) string {
 	return b.String()
 }
 
-// TestSnapshotRestoreRoundTrip is the satellite's randomized
-// round-trip: for each policy, a shard runs a random command history;
-// at a cut slot — with commands already staged in the batch — it is
-// snapshotted through JSON, restored, and both copies play the
-// identical remainder. The restored engine must match byte for byte at
-// every step, and the admission books must survive the trip.
+// TestSnapshotRestoreRoundTrip is a randomized round-trip: for each
+// policy, a shard runs a random command history; at a cut slot — with
+// commands already staged in the batch — it is snapshotted through
+// JSON, restored, and both copies play the identical remainder. The
+// restored engine must match byte for byte at every step, and the
+// books the restore folds must equal the live shard's.
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	cfgs := map[string]ShardConfig{
 		"oi":     {M: 2, Policy: "oi", RecordSchedule: true},
@@ -133,12 +135,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 					t.Fatalf("seed %d: restored engine diverges at the cut:\n--- live ---\n%s--- restored ---\n%s",
 						seed, want, got)
 				}
-				la, _ := json.Marshal(live.adm.state(0))
-				ra, _ := json.Marshal(restored.adm.state(0))
-				if string(la) != string(ra) {
-					t.Fatalf("seed %d: admission books diverge:\nlive:     %s\nrestored: %s", seed, la, ra)
-				}
-				requireRunningBooksDigest(t, fmt.Sprintf("seed %d restored", seed), restored.adm)
+				requireBooks(t, fmt.Sprintf("seed %d restored", seed), restored.adm, live.adm)
 				if len(restored.batch) != len(live.batch) {
 					t.Fatalf("seed %d: restored batch %d entries, live %d",
 						seed, len(restored.batch), len(live.batch))
@@ -169,10 +166,11 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 }
 
 // TestRestoreRejectsTamperedSnapshot: a snapshot whose log no longer
-// matches its engine digest, or whose books or staged batch no longer
-// match its books digest, must be refused, not silently restored. A is
-// at 1/4 with a reweight to 1/8 staged: a restore that lost the batch
-// would book A at 1/8 while its engine ran A at 1/4 for good.
+// matches its engine digest, or whose staged batch no longer matches
+// its books digest, must be refused, not silently restored, and so must
+// one that carries book entries in a format that has none. A is at 1/4
+// with a reweight to 1/8 staged: a restore that lost the batch would
+// drop a reweight its client saw admitted.
 func TestRestoreRejectsTamperedSnapshot(t *testing.T) {
 	sh := testShard(t, ShardConfig{M: 2, RecordSchedule: true}, 8)
 	admitOne(sh, core.OpJoin, "A", frac.New(1, 4))
@@ -185,11 +183,10 @@ func TestRestoreRejectsTamperedSnapshot(t *testing.T) {
 		want   string // in the error
 	}{
 		{"digest", func(snap *Snapshot) { snap.Digest++ }, "digest mismatch"},
-		{"book-entry", func(snap *Snapshot) {
-			w := &snap.Admission.Requested[0].Weight
-			*w = w.Div(frac.FromInt(2))
-		}, "books digest mismatch"},
 		{"batch", func(snap *Snapshot) { snap.Batch = nil }, "books digest mismatch"},
+		{"book-entries", func(snap *Snapshot) {
+			snap.Admission = &admissionState{Names: []string{"A"}, Requested: []taskWeight{{Task: "A", Weight: frac.New(1, 8)}}}
+		}, "carries book entries"},
 	} {
 		snap := mustSnapshot(t, sh)
 		tc.tamper(snap)
@@ -344,45 +341,48 @@ func TestReplicaRefusesUnstageableWork(t *testing.T) {
 }
 
 // TestRestoreVersion2Snapshot restores the files older shards wrote,
-// each holding a join that condition J was deferring outside the
-// engine:
+// each a complete tail whose books the restore checks against its books
+// digest and then folds anew from the engine and the staged work:
 //
-//   - testdata/snapshot_v2.json (M=2, early release) also holds a
-//     staged leave and a leave rule L was deferring;
-//   - testdata/snapshot_v3.json (M=2, early release) also holds a
-//     staged join and reweight. The shard that wrote it let both joins
-//     in at t=7 and reached digest v3At40 at t=40.
+//   - testdata/snapshot_v2.json (M=2, early release) holds a join that
+//     condition J was deferring outside the engine, a staged leave and a
+//     leave rule L was deferring;
+//   - testdata/snapshot_v3.json (M=2, early release) holds that join
+//     too, and a staged join and reweight. The shard that wrote it let
+//     both joins in at t=7 and reached digest v3At40 at t=40;
+//   - testdata/snapshot_v4.json (M=2) holds a staged join, reweight and
+//     leave, a join condition J holds and a leave rule L holds in the
+//     engine, and X, a departed name. The shard that wrote it booked 3/2
+//     of M=2 and reached digest v4At40 at t=40.
 //
-// Each log replays to its engine digest and its books match its books
-// digest. The deferred work is staged in the order its version flushed
-// it: deferred leaves, then deferred joins, then the batch. The shard
-// then drains every queue without a failed apply, and cuts a
-// version-4 tail that replays to its digest.
+// Each log replays to its engine digest, and the folded books hold the
+// live entries the file's books held, so the requested total and
+// headroom are the writer's. Deferred work is staged in the order its
+// version flushed it: deferred leaves, then deferred joins, then the
+// batch. A join of a departed name is refused. The shard then drains
+// every queue without a failed apply, and cuts a current tail that
+// replays to its digest.
 func TestRestoreVersion2Snapshot(t *testing.T) {
-	const v3At40 = 0xd126a82622914300
+	const v3At40, v4At40 = 0xd126a82622914300, 0xc4436cacf148b7a8
 	for _, tc := range []struct {
-		file    string
-		version int
-		staged  []string // op and task of each staged command, in order
-		peak    int64    // deferred-join peak after the drain; 0 is not checked
-		at40    uint64   // digest at t=40; 0 is not checked
+		file      string
+		version   int
+		staged    []string // op and task of each staged command, in order
+		departed  string   // a name the engine let in and let go
+		requested string   // the writer's requested total
+		peak      int64    // deferred-join peak after the drain; 0 is not checked
+		at40      uint64   // digest at t=40; 0 is not checked
 	}{
-		{"testdata/snapshot_v2.json", 2, []string{"leave B", "join E", "leave C"}, 0, 0},
-		{"testdata/snapshot_v3.json", 3, []string{"join E", "join F", "reweight C"}, 2, v3At40},
+		{"testdata/snapshot_v2.json", 2, []string{"leave B", "join E", "leave C"}, "", "13/8", 0, 0},
+		{"testdata/snapshot_v3.json", 3, []string{"join E", "join F", "reweight C"}, "", "13/8", 2, v3At40},
+		{"testdata/snapshot_v4.json", 4, []string{"join F", "reweight C", "leave A2"}, "X", "3/2", 2, v4At40},
 	} {
 		t.Run(fmt.Sprintf("v%d", tc.version), func(t *testing.T) {
-			data, err := os.ReadFile(tc.file)
-			if err != nil {
-				t.Fatal(err)
+			snap := readSnapshot(t, tc.file)
+			if snap.Version != tc.version || snap.Admission == nil {
+				t.Fatalf("fixture is version %d with books %v", snap.Version, snap.Admission)
 			}
-			var snap Snapshot
-			if err := json.Unmarshal(data, &snap); err != nil {
-				t.Fatal(err)
-			}
-			if snap.Version != tc.version || len(snap.DeferredJoins) != 1 {
-				t.Fatalf("fixture is version %d with deferred joins %v", snap.Version, snap.DeferredJoins)
-			}
-			sh, err := restoreShard(&snap, 8)
+			sh, err := restoreShard(snap, 8)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -392,6 +392,18 @@ func TestRestoreVersion2Snapshot(t *testing.T) {
 			}
 			if fmt.Sprint(staged) != fmt.Sprint(tc.staged) {
 				t.Fatalf("restored batch %v, want %v", staged, tc.staged)
+			}
+			if got, want := booksOf(sh.adm), fileBooks(snap.Admission, sh.eng); !reflect.DeepEqual(got, want) {
+				t.Fatalf("restored books %v, the file's %v", got, want)
+			}
+			st := sh.status(sh.eng.Live(), false)
+			if st.RequestedWt != tc.requested || st.Headroom != frac.FromInt(2).Sub(sh.adm.total).String() {
+				t.Fatalf("restored requested %s with headroom %s, want %s of M=2", st.RequestedWt, st.Headroom, tc.requested)
+			}
+			if tc.departed != "" {
+				if res := admitOne(sh, core.OpJoin, tc.departed, frac.New(1, 64)); res.Error != errConflict {
+					t.Fatalf("join of departed %s answered %+v, want a conflict", tc.departed, res)
+				}
 			}
 			for {
 				st := sh.status(sh.eng.Live(), false)
@@ -429,20 +441,53 @@ func TestRestoreVersion2Snapshot(t *testing.T) {
 	}
 }
 
-// TestRestoreStagedJoinWithoutBookEntry: a version-3 file whose
-// deferred join E has no book entry, with its books digest made to
-// match, restores, and the boundary that hands E to the engine neither
-// panics nor fails: E waits and enters like any other join.
-func TestRestoreStagedJoinWithoutBookEntry(t *testing.T) {
-	data, err := os.ReadFile("testdata/snapshot_v3.json")
+// TestRestoreRejectsAlteredVersion4Snapshot: the version-4 fixture
+// with one book entry changed fails its books digest on restore, and so
+// does its delta from log index 6 on a follower that holds the log up
+// to there. That delta carries every book entry but X's, the one entry
+// last changed before index 6. A version-4 tail's books are checked
+// before the fold discards them, so such a delta is a hard error and
+// the follower resyncs from 0.
+func TestRestoreRejectsAlteredVersion4Snapshot(t *testing.T) {
+	const file = "testdata/snapshot_v4.json"
+	snap := readSnapshot(t, file)
+	w := &snap.Admission.Requested[0].Weight
+	*w = w.Div(frac.FromInt(2))
+	if _, err := restoreShard(snap, 8); err == nil || !strings.Contains(err.Error(), "books digest mismatch") {
+		t.Fatalf("snapshot with an altered book entry restored with %v, want a books digest mismatch", err)
+	}
+
+	const from = 6
+	delta := readSnapshot(t, file)
+	prefix := *delta
+	at := delta.Commands[from].At
+	eng, err := core.Replay(mustCoreConfig(t, prefix.Config), prefix.Seed, prefix.Commands[:from], at)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var snap Snapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
+	prefix.Version, prefix.Total, prefix.Now, prefix.Digest = tailVersion, from, at, eng.StateDigest()
+	prefix.Commands, prefix.Batch, prefix.Admission, prefix.BooksDigest = prefix.Commands[:from], nil, nil, 0
+	rep := NewReplica(0)
+	if err := rep.Apply(&prefix); err != nil {
 		t.Fatal(err)
 	}
-	books := &snap.Admission
+	delta.From, delta.Commands = from, delta.Commands[from:]
+	delta.Admission.Names = slices.DeleteFunc(delta.Admission.Names, func(n string) bool { return n == "X" })
+	err = rep.Apply(delta)
+	var gap GapError
+	if err == nil || errors.As(err, &gap) || !strings.Contains(err.Error(), "books digest mismatch") {
+		t.Fatalf("version-4 delta applied with %v, want a books digest mismatch", err)
+	}
+}
+
+// TestRestoreStagedJoinWithoutBookEntry: a version-3 file whose
+// deferred join E has no book entry, with its books digest made to
+// match, restores, and the fold gives E its entry: E is booked at its
+// weight, pending, and the boundary that hands E to the engine neither
+// panics nor fails: E waits and enters like any other join.
+func TestRestoreStagedJoinWithoutBookEntry(t *testing.T) {
+	snap := readSnapshot(t, "testdata/snapshot_v3.json")
+	books := snap.Admission
 	without := func(names []string) (kept []string) {
 		for _, n := range names {
 			if n != "E" {
@@ -459,19 +504,80 @@ func TestRestoreStagedJoinWithoutBookEntry(t *testing.T) {
 		}
 	}
 	books.Requested = requested
-	var fresh shardState
-	if err := fresh.build(snap.Config, snap.Seed); err != nil {
-		t.Fatal(err)
-	}
-	fresh.adm.restore(*books)
-	snap.BooksDigest = fresh.adm.digest()
+	snap.BooksDigest = books.digest()
 
-	sh, err := restoreShard(&snap, 8)
+	sh, err := restoreShard(snap, 8)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if e := sh.adm.tasks["E"]; e == nil || !e.pending || e.w != frac.New(1, 2) {
+		t.Fatalf("restored E booked as %+v, want pending at 1/2", e)
 	}
 	sh.advance(20)
 	if st := sh.status(sh.eng.Live(), false); st.FailedApplies != 0 || st.DeferredJoins != 0 || !sh.eng.Joined("E") {
 		t.Fatalf("at t=%d: %d failed applies, %d joins held, E joined %v", st.Now, st.FailedApplies, st.DeferredJoins, sh.eng.Joined("E"))
+	}
+}
+
+// readSnapshot decodes a snapshot file.
+func readSnapshot(t *testing.T, file string) *Snapshot {
+	t.Helper()
+	data, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap Snapshot
+	if err := json.Unmarshal(data, &snap); err != nil {
+		t.Fatal(err)
+	}
+	return &snap
+}
+
+func mustCoreConfig(t *testing.T, cfg ShardConfig) core.Config {
+	t.Helper()
+	ccfg, err := cfg.CoreConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ccfg
+}
+
+// bookRow is one book entry as the tests compare it. A pending mark
+// counts only while the engine has not let the task in: a shard clears
+// the mark lazily, on the task's next reweight or leave.
+type bookRow struct {
+	w                frac.Rat
+	pending, leaving bool
+}
+
+// booksOf returns a's entries as rows.
+func booksOf(a *admission) map[string]bookRow {
+	rows := make(map[string]bookRow, len(a.tasks))
+	for name, e := range a.tasks {
+		rows[name] = bookRow{w: e.w, pending: e.pending && !a.eng.Joined(name), leaving: e.leaving}
+	}
+	return rows
+}
+
+// fileBooks returns the live entries an older tail's books carried as
+// rows, pending marks read against eng.
+func fileBooks(st *admissionState, eng *core.Scheduler) map[string]bookRow {
+	rows := make(map[string]bookRow, len(st.Requested))
+	for _, tw := range st.Requested {
+		rows[tw.Task] = bookRow{
+			w:       tw.Weight,
+			pending: slices.Contains(st.Pending, tw.Task) && !eng.Joined(tw.Task),
+			leaving: slices.Contains(st.Leaving, tw.Task),
+		}
+	}
+	return rows
+}
+
+// requireBooks fails unless got holds want's entries, compared as
+// bookRows, and its total.
+func requireBooks(t *testing.T, what string, got, want *admission) {
+	t.Helper()
+	if g, w := booksOf(got), booksOf(want); !reflect.DeepEqual(g, w) || got.total != want.total {
+		t.Fatalf("%s: books %v (total %s), want %v (total %s)", what, g, got.total, w, want.total)
 	}
 }

@@ -8,8 +8,6 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
-	"sort"
 	"strings"
 	"testing"
 
@@ -60,7 +58,7 @@ func applyAll(t *testing.T, tails ...*Tail) *Replica {
 // TestTailRoundTrip: the /log endpoint's complete tail must replay
 // byte-identically (VerifyTail), an incremental tail must apply onto a
 // replica of the cut before it, and InstallShard must accept the
-// replica's snapshot and serve the same digest and books.
+// replica's snapshot and serve the same digest and requested total.
 func TestTailRoundTrip(t *testing.T) {
 	srv, err := New(Options{Shards: 1, Config: ShardConfig{M: 2}})
 	if err != nil {
@@ -89,7 +87,7 @@ func TestTailRoundTrip(t *testing.T) {
 	}
 
 	// A task joined before the first cut and untouched after it: only
-	// the books the follower folded from that cut still hold it.
+	// the engine the replica rebuilt from that cut still holds it.
 	post(t, ts, 0, "commands", `{"op":"join","task":"U","weight":"1/8"}`)
 	post(t, ts, 0, "advance", `{"slots":1}`)
 	base := fetch(0)
@@ -107,16 +105,10 @@ func TestTailRoundTrip(t *testing.T) {
 		t.Fatalf("replayed digest %016x != tail digest %016x", digest, full.Digest)
 	}
 
-	// Incremental tail applies onto the log and books of the cut it
-	// follows.
+	// Incremental tail applies onto the log of the cut it follows.
 	delta := fetch(base.Total)
-	if delta.From != base.Total {
-		t.Fatalf("delta.From = %d, want %d", delta.From, base.Total)
-	}
-	for _, name := range delta.Admission.Names {
-		if name == "U" {
-			t.Fatalf("delta from %d carries U, untouched since log index %d", delta.From, base.Total)
-		}
+	if delta.From != base.Total || delta.Admission != nil {
+		t.Fatalf("delta from %d carries books %+v, want from %d and none", delta.From, delta.Admission, base.Total)
 	}
 	snap := applyAll(t, base, delta).Snapshot()
 	if snap.From != 0 || len(snap.Commands) != full.Total {
@@ -141,9 +133,10 @@ func TestTailRoundTrip(t *testing.T) {
 		t.Fatalf("installed shard at (now=%d, %016x), want (now=%d, %016x)",
 			got.Now, got.Digest, full.Now, full.Digest)
 	}
-	if !reflect.DeepEqual(got.Admission, full.Admission) || got.BooksDigest != full.BooksDigest {
-		t.Fatalf("installed books %+v (digest %016x), want %+v (digest %016x)",
-			got.Admission, got.BooksDigest, full.Admission, full.BooksDigest)
+	src, inst := srv.shardAt(0), dst.shardAt(0)
+	if got, want := inst.view.read(&inst.reqs), src.view.read(&src.reqs); got.RequestedWt != want.RequestedWt || got.Headroom != want.Headroom {
+		t.Fatalf("installed shard books %s with headroom %s, want %s with %s",
+			got.RequestedWt, got.Headroom, want.RequestedWt, want.Headroom)
 	}
 
 	// A bad from is a clean 400, not a hang.
@@ -206,189 +199,84 @@ func TestInstallShardSwapsLive(t *testing.T) {
 	}
 }
 
-// TestTailCarriesChangedBooks: a tail cut from the log index a follower
-// holds carries only the book entries changed since, so one reweight
-// ships one entry whatever the task count, while the books digest still
-// covers every entry. A replica holding the whole log but only the
-// delta's book entries fails that digest.
-func TestTailCarriesChangedBooks(t *testing.T) {
-	for _, tasks := range []int{16, 1024} {
-		t.Run(fmt.Sprint(tasks), func(t *testing.T) {
-			srv, err := New(Options{Shards: 1, Config: ShardConfig{M: 2}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			srv.Start()
-			defer srv.Stop()
-			ts := httptest.NewServer(srv.Handler())
-			defer ts.Close()
-
-			joins := make([]string, tasks)
-			for i := range joins {
-				joins[i] = fmt.Sprintf(`{"op":"join","task":"T%d","weight":"1/2048"}`, i)
-			}
-			post(t, ts, 0, "commands", "["+strings.Join(joins, ",")+"]")
-			post(t, ts, 0, "advance", `{"slots":1}`)
-			cut, err := srv.ShardTail(0, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if cut.Total != tasks || len(cut.Admission.Names) != tasks {
-				t.Fatalf("complete tail: log %d, %d book entries; want %d of each", cut.Total, len(cut.Admission.Names), tasks)
-			}
-
-			post(t, ts, 0, "commands", `{"op":"reweight","task":"T7","weight":"1/1024"}`)
-			delta, err := srv.ShardTail(0, cut.Total)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := admissionState{Names: []string{"T7"}, Requested: []taskWeight{{Task: "T7", Weight: frac.New(1, 1024)}}}
-			if !reflect.DeepEqual(delta.Admission, want) {
-				t.Fatalf("delta carries books %+v, want only T7 at 1/1024", delta.Admission)
-			}
-			if delta.BooksDigest == cut.BooksDigest {
-				t.Fatal("books digest did not move with the reweight")
-			}
-			applyAll(t, cut, delta)
-			alone := *delta
-			alone.From = 0
-			alone.Commands = cut.Commands
-			if err := NewReplica(0).Apply(&alone); err == nil || !strings.Contains(err.Error(), "books digest") {
-				t.Fatalf("the delta's book entries alone pass the whole-books digest (err %v)", err)
-			}
-		})
-	}
-}
-
-// requireRunningBooksDigest fails unless the books' running digest
-// equals the XOR of every entry's hash recomputed from scratch.
-func requireRunningBooksDigest(t *testing.T, what string, a *admission) {
-	t.Helper()
-	var want uint64
-	for _, e := range a.tasks {
-		want ^= e.hash()
-	}
-	if got := a.digest(); got != want {
-		t.Fatalf("%s: running books digest %016x, recomputed %016x", what, got, want)
-	}
-}
-
-// requireStampOrder fails unless the books' stamp-order list holds
-// every entry once, newest stamp last, and state(f), which walks it,
-// gives what fullScanState gives for each f in fs.
-func requireStampOrder(t *testing.T, what string, a *admission, fs ...int) {
-	t.Helper()
-	n := 0
-	for e := a.last; e != nil; e = e.prev {
-		if e.prev != nil && (e.prev.next != e || e.prev.at > e.at) {
-			t.Fatalf("%s: stamp-order list broken at %q (at %d) after %q (at %d)", what, e.name, e.at, e.prev.name, e.prev.at)
-		}
-		n++
-	}
-	if n != len(a.tasks) {
-		t.Fatalf("%s: stamp-order list holds %d of %d entries", what, n, len(a.tasks))
-	}
-	for _, f := range fs {
-		if got, want := a.state(f), fullScanState(a, f); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: state(%d) = %+v, full scan %+v", what, f, got, want)
-		}
-	}
-}
-
-// TestFoldedBooksTrackThePrimary: a replica that applies each tail cut
-// from the log index of the cut before it holds the primary's books,
-// entry by entry, after every apply, so the stamps leave out no changed
-// entry. Random
-// histories under every policy, and with early release, cover deferred
-// joins and leaves the engine holds for rule L, and cuts land both
-// between admissions and at slot boundaries. The
-// running books digest of both sides must equal one recomputed from
-// scratch after every admission, boundary and apply, and state(f) on
-// both sides must give what a scan over every entry gives, for cuts at
-// 0, at the last cut, inside the log, at its end and past it. (release
+// TestFoldedBooksTrackThePrimary: books folded from a shard's engine
+// and staged batch (foldBooks, as a restore or a promotion builds them)
+// equal the shard's own, entry by entry, after every admission and
+// boundary of random histories under every policy, and with early
+// release, at M = 1, 2 and 4; and so do books folded from a replica
+// that applied tails cut along the way, between admissions and at
+// boundaries. Every name the shard admitted a join for that is outside
+// its books is one the engine has let in, so it stays burned. (release
 // of a join is not reached: it runs only when the engine refuses an
 // admitted join.)
 func TestFoldedBooksTrackThePrimary(t *testing.T) {
-	// One processor, so condition J defers some of genScript's joins.
-	cfgs := map[string]ShardConfig{
-		"oi":            {M: 1, Policy: "oi"},
-		"lj":            {M: 1, Policy: "lj"},
-		"hybrid":        {M: 1, Policy: "hybrid", OIThreshold: frac.New(1, 8)},
-		"early-release": {M: 1, Policy: "oi", EarlyRelease: true},
+	policies := map[string]ShardConfig{
+		"oi":            {Policy: "oi"},
+		"lj":            {Policy: "lj"},
+		"hybrid":        {Policy: "hybrid", OIThreshold: frac.New(1, 8)},
+		"early-release": {Policy: "oi", EarlyRelease: true},
 	}
-	for name, cfg := range cfgs {
+	for name, cfg := range policies {
 		t.Run(name, func(t *testing.T) {
-			for seed := uint64(1); seed <= 5; seed++ {
-				const horizon = 60
-				script := genScript(seed, horizon)
-				coin := stats.NewStream(seed, 11)
-				sh := testShard(t, cfg, 8)
-				rep, from := NewReplica(0), 0
-				maybeCut := func() {
-					what, n := fmt.Sprintf("seed %d primary at t=%d", seed, sh.eng.Now()), sh.log.len()
-					requireRunningBooksDigest(t, what, sh.adm)
-					requireStampOrder(t, what, sh.adm, 0, from, n/2, n, n+1)
-					if coin.Intn(2) == 0 {
-						return
-					}
-					tl, err := sh.tail(from, 0)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := rep.Apply(tl); err != nil {
-						t.Fatalf("seed %d at t=%d, cut from %d: %v", seed, tl.Now, from, err)
-					}
-					what = fmt.Sprintf("seed %d applied at t=%d", seed, tl.Now)
-					requireRunningBooksDigest(t, what, rep.adm)
-					requireStampOrder(t, what, rep.adm, 0, from, tl.Total/2, tl.Total, tl.Total+1)
-					if got, want := rep.adm.state(0), sh.adm.state(0); !reflect.DeepEqual(got, want) {
-						t.Fatalf("seed %d at t=%d: replica books %+v, primary %+v", seed, tl.Now, got, want)
-					}
-					from = tl.Total
-				}
-				for slot := int64(0); slot < horizon; slot++ {
-					for _, s := range script {
-						if s.slot == slot {
-							admitScripted(sh, s.cmd)
-							maybeCut()
-						}
-					}
-					sh.advance(1)
-					maybeCut()
-				}
-				if got, want := rep.adm.state(0), sh.adm.state(0); !reflect.DeepEqual(got, want) {
-					t.Fatalf("seed %d: replica books %+v, primary %+v", seed, got, want)
+			for _, m := range []int{1, 2, 4} {
+				cfg.M = m
+				for seed := uint64(1); seed <= 5; seed++ {
+					foldAlongHistory(t, cfg, seed)
 				}
 			}
 		})
 	}
 }
 
-// fullScanState is admission.state as a scan over every entry, the
-// oracle for the stamp-order walk.
-func fullScanState(a *admission, from int) admissionState {
-	var st admissionState
-	st.Names = make([]string, 0, len(a.tasks))
-	for name, e := range a.tasks {
-		if e.at < from {
-			continue
+// foldAlongHistory runs one TestFoldedBooksTrackThePrimary history.
+func foldAlongHistory(t *testing.T, cfg ShardConfig, seed uint64) {
+	const horizon = 60
+	script := genScript(seed, horizon)
+	coin := stats.NewStream(seed, 11)
+	sh := testShard(t, cfg, 8)
+	rep, from := NewReplica(0), 0
+	joined := map[string]bool{}
+	check := func() {
+		what := fmt.Sprintf("M=%d seed %d at t=%d", cfg.M, seed, sh.eng.Now())
+		folded, err := foldBooks(sh.eng, sh.batch)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
 		}
-		st.Names = append(st.Names, name)
-		if e.live {
-			st.Requested = append(st.Requested, taskWeight{Task: name, Weight: e.w})
+		requireBooks(t, what, folded, sh.adm)
+		for name := range joined {
+			if sh.adm.tasks[name] == nil && !sh.eng.Joined(name) {
+				t.Fatalf("%s: %q is outside the books, and the engine never let it in", what, name)
+			}
 		}
-		if e.pending {
-			st.Pending = append(st.Pending, name)
+		if coin.Intn(2) == 0 {
+			return
 		}
-		if e.leaving {
-			st.Leaving = append(st.Leaving, name)
+		tl, err := sh.tail(from, 0)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if err := rep.Apply(tl); err != nil {
+			t.Fatalf("%s, cut from %d: %v", what, from, err)
+		}
+		promoted, err := foldBooks(rep.eng, rep.batch)
+		if err != nil {
+			t.Fatalf("%s, replica: %v", what, err)
+		}
+		requireBooks(t, what+", replica", promoted, sh.adm)
+		from = tl.Total
 	}
-	sort.Strings(st.Names)
-	sort.Slice(st.Requested, func(i, j int) bool { return st.Requested[i].Task < st.Requested[j].Task })
-	sort.Strings(st.Pending)
-	sort.Strings(st.Leaving)
-	return st
+	for slot := int64(0); slot < horizon; slot++ {
+		for _, s := range script {
+			if s.slot == slot {
+				if res := admitScripted(sh, s.cmd); res.Status == "queued" && s.cmd.Op == core.OpJoin {
+					joined[s.cmd.Task] = true
+				}
+				check()
+			}
+		}
+		sh.advance(1)
+		check()
+	}
 }
 
 // TestBatchDigestMatchesFmt: batchDigest hashes the bytes the fmt
@@ -454,7 +342,7 @@ func TestEncodeTailMatchesEncoder(t *testing.T) {
 			Version: tailVersion, Shard: 1, Config: ShardConfig{M: 2, Policy: "hybrid", OIThreshold: frac.New(1, 8)},
 			From: 3, Total: 3 + n, Now: 4000, Digest: 0xfeedface,
 			Batch: []core.Command{{At: 4000, Op: core.OpJoin, Task: "<b>&\u2028", Weight: frac.New(1, 3), Group: "g>"}},
-			Admission: admissionState{
+			Admission: &admissionState{
 				Names:     []string{"<b>&\u2028", "T&1"},
 				Requested: []taskWeight{{Task: "<b>&\u2028", Weight: frac.New(1, 3)}, {Task: "T&1", Weight: frac.Zero}},
 				Pending:   []string{"<b>&\u2028"},

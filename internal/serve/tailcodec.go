@@ -131,30 +131,32 @@ func appendTailHead(dst []byte, t *Tail) ([]byte, error) {
 	if len(t.DeferredLeaves) > 0 {
 		dst = appendStrings(append(dst, `,"deferred_leaves":`...), t.DeferredLeaves)
 	}
-	a := &t.Admission
-	dst = appendStrings(append(dst, `,"admission":{"names":`...), a.Names)
-	dst = append(dst, `,"requested":`...)
-	if a.Requested == nil {
-		dst = append(dst, "null"...)
-	} else {
-		dst = append(dst, '[')
-		for i := range a.Requested {
-			if i > 0 {
-				dst = append(dst, ',')
+	if a := t.Admission; a != nil {
+		dst = appendStrings(append(dst, `,"admission":{"names":`...), a.Names)
+		dst = append(dst, `,"requested":`...)
+		if a.Requested == nil {
+			dst = append(dst, "null"...)
+		} else {
+			dst = append(dst, '[')
+			for i := range a.Requested {
+				if i > 0 {
+					dst = append(dst, ',')
+				}
+				dst = appendJSONString(append(dst, `{"task":`...), a.Requested[i].Task)
+				dst = appendRatJSON(append(dst, `,"weight":`...), a.Requested[i].Weight)
+				dst = append(dst, '}')
 			}
-			dst = appendJSONString(append(dst, `{"task":`...), a.Requested[i].Task)
-			dst = appendRatJSON(append(dst, `,"weight":`...), a.Requested[i].Weight)
-			dst = append(dst, '}')
+			dst = append(dst, ']')
 		}
-		dst = append(dst, ']')
+		if len(a.Pending) > 0 {
+			dst = appendStrings(append(dst, `,"pending_joins":`...), a.Pending)
+		}
+		if len(a.Leaving) > 0 {
+			dst = appendStrings(append(dst, `,"leaving":`...), a.Leaving)
+		}
+		dst = append(dst, '}')
 	}
-	if len(a.Pending) > 0 {
-		dst = appendStrings(append(dst, `,"pending_joins":`...), a.Pending)
-	}
-	if len(a.Leaving) > 0 {
-		dst = appendStrings(append(dst, `,"leaving":`...), a.Leaving)
-	}
-	dst = append(dst, `},"books_digest":`...)
+	dst = append(dst, `,"books_digest":`...)
 	return strconv.AppendUint(dst, t.BooksDigest, 10), nil
 }
 
@@ -499,7 +501,18 @@ func (d *tailDecoder) seed(s *model.System) error {
 	})
 }
 
-func (d *tailDecoder) admission(a *admissionState) error {
+// admission decodes the books of an older tail into *p as json.Unmarshal
+// does into a pointer: null sets it to nil, and an object decodes into
+// what it points at, allocated if nil.
+func (d *tailDecoder) admission(p **admissionState) error {
+	if d.i < len(d.b) && d.b[d.i] == 'n' {
+		*p = nil
+		return d.null()
+	}
+	if *p == nil {
+		*p = new(admissionState)
+	}
+	a := *p
 	return d.object(func(key []byte) error {
 		switch {
 		case jsonKeyIs(key, "names"):

@@ -101,8 +101,9 @@ func churnName(r *stats.RNG, n int) string {
 // without groups, reweights up and down, leaves, heavy joins that
 // condition J holds, and, under early release, leaves that rule L
 // holds) and cuts tails as it goes, with a batch staged, from 0,
-// mid-log and the log end.
-func churnTails(tb testing.TB, seed uint64) []*Tail {
+// mid-log and the log end. It also counts the cuts taken while the
+// engine held a join and while it held a leave.
+func churnTails(tb testing.TB, seed uint64) (tails []*Tail, heldJoins, heldLeaves int) {
 	tb.Helper()
 	cfg := ShardConfig{M: 2, Policy: "hybrid", OIThreshold: frac.New(1, 8), EarlyRelease: seed%2 == 0, DriftBound: frac.New(1, 4)}
 	sh, err := newShard(int(seed%3), cfg, 8)
@@ -111,7 +112,6 @@ func churnTails(tb testing.TB, seed uint64) []*Tail {
 	}
 	r := stats.NewStream(seed, 27)
 	var names []string
-	var tails []*Tail
 	for slot := 0; slot < 30; slot++ {
 		for k := r.Intn(7); k > 0; k-- {
 			c := wireCmd{Command: core.Command{Weight: frac.New(int64(1+r.Intn(8)), 16)}}
@@ -131,6 +131,12 @@ func churnTails(tb testing.TB, seed uint64) []*Tail {
 			sh.admit(&c)
 		}
 		if slot%3 == 2 {
+			if sh.eng.JoinQueue() > 0 {
+				heldJoins++
+			}
+			if sh.eng.Live().Leaving > 0 {
+				heldLeaves++
+			}
 			n := sh.log.len()
 			for _, from := range []int{0, n / 2, n} {
 				tl, err := sh.tail(from, 0)
@@ -142,12 +148,13 @@ func churnTails(tb testing.TB, seed uint64) []*Tail {
 		}
 		sh.advance(1)
 	}
-	return tails
+	return tails, heldJoins, heldLeaves
 }
 
 // withSeedAndArgs is tl with what a live shard's tail does not carry: a
-// seed with tasks, commands with an arg, and names with invalid UTF-8,
-// which the wire decoder would have replaced.
+// seed with tasks, commands with an arg, names with invalid UTF-8,
+// which the wire decoder would have replaced, and the book entries and
+// deferred leaves older tails carried.
 func withSeedAndArgs(tl *Tail) *Tail {
 	c := *tl
 	c.Seed = model.System{M: 3, Tasks: []model.Spec{
@@ -157,7 +164,12 @@ func withSeedAndArgs(tl *Tail) *Tail {
 	c.Commands = append(append([]core.Command(nil), tl.Commands...),
 		core.Command{At: 7, Op: core.OpDelay, Task: "s<1>", Arg: 3},
 		core.Command{At: 9, Op: core.OpAbsent, Task: "bad\xff\x00", Arg: -2, Group: "\xe6"})
-	c.Admission.Leaving = append(c.Admission.Leaving, "\u2029&")
+	c.Admission = &admissionState{
+		Names:     []string{"\u2029&", "o<k>\xff"},
+		Requested: []taskWeight{{Task: "o<k>\xff", Weight: frac.New(1, 5)}},
+		Pending:   []string{"o<k>\xff"},
+		Leaving:   []string{"\u2029&"},
+	}
 	c.DeferredLeaves = []string{"old\"leave"}
 	return &c
 }
@@ -171,9 +183,10 @@ func TestTailCodecAgreesWithEncodingJSON(t *testing.T) {
 	var held, leaving, grouped int
 	var prev []byte
 	for seed := uint64(1); seed <= 4; seed++ {
-		for _, tl := range churnTails(t, seed) {
-			held += len(tl.Admission.Pending)
-			leaving += len(tl.Admission.Leaving)
+		tails, heldJoins, heldLeaves := churnTails(t, seed)
+		held += heldJoins
+		leaving += heldLeaves
+		for _, tl := range tails {
 			for _, c := range tl.Commands {
 				if c.Group != "" {
 					grouped++
@@ -197,11 +210,31 @@ func TestTailCodecAgreesWithEncodingJSON(t *testing.T) {
 	}
 }
 
-// TestTailFixturesDecodeIdentically: the version-2 and version-3
-// snapshot fixtures decode with the codec as with encoding/json, and
-// the codec's decode restores to the fixture's digests.
+// TestCutCarriesNoBooks: every tail a shard cuts under churn, complete
+// or not, is the current version, carries no book entries, and encodes
+// with no admission key; its books digest is its batch's.
+func TestCutCarriesNoBooks(t *testing.T) {
+	tails, _, _ := churnTails(t, 2)
+	for _, tl := range tails {
+		data, err := tl.MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tl.Version != tailVersion || tl.Admission != nil || bytes.Contains(data, []byte(`"admission"`)) {
+			t.Fatalf("cut from %d is version %d with books %+v: %.300s", tl.From, tl.Version, tl.Admission, data)
+		}
+		if tl.BooksDigest != batchDigest(tl.Batch) {
+			t.Fatalf("cut from %d has books digest %016x, its batch's is %016x", tl.From, tl.BooksDigest, batchDigest(tl.Batch))
+		}
+	}
+}
+
+// TestTailFixturesDecodeIdentically: the version-2, version-3 and
+// version-4 snapshot fixtures decode with the codec as with
+// encoding/json, and the codec's decode restores to the fixture's
+// digests.
 func TestTailFixturesDecodeIdentically(t *testing.T) {
-	for _, file := range []string{"testdata/snapshot_v2.json", "testdata/snapshot_v3.json"} {
+	for _, file := range []string{"testdata/snapshot_v2.json", "testdata/snapshot_v3.json", "testdata/snapshot_v4.json"} {
 		data, err := os.ReadFile(file)
 		if err != nil {
 			t.Fatal(err)
@@ -303,7 +336,8 @@ func FuzzTailCodec(f *testing.F) {
 	// Churn tails under 2 KB only: the fuzzer minimizes each input it
 	// finds interesting, and a mutant of a long tail takes it most of a
 	// short run to minimize.
-	for _, tl := range churnTails(f, 5) {
+	tails, _, _ := churnTails(f, 5)
+	for _, tl := range tails {
 		data, err := json.Marshal((*tailRef)(withSeedAndArgs(tl)))
 		if err != nil {
 			f.Fatal(err)
@@ -324,8 +358,8 @@ func FuzzTailCodec(f *testing.F) {
 
 // pushTail cuts a tail of the size a cluster-write push carries late
 // in a slot: a shard at that workload's shape (M=16, 256 tasks) with
-// 12 reweights staged, cut at the log end, so it carries the batch and
-// the touched book entries but no log (about 1.7 KB).
+// 12 reweights staged, cut at the log end, so it carries the batch but
+// no log (about 1 KB).
 func pushTail(tb testing.TB) *Tail {
 	tb.Helper()
 	sh, err := newShard(0, ShardConfig{M: 16}, 64)

@@ -28,7 +28,7 @@ const maxAdvance = 1 << 20
 // Record fetches a snapshot from every shard of the daemon at base
 // (e.g. "http://127.0.0.1:9470") and decodes each straight into its
 // ShardTrace, which drops the snapshot fields replay does not read
-// (admission books, staged batch). The daemon keeps running;
+// (staged batch, books digest). The daemon keeps running;
 // snapshots are read-only. Commands still sitting in a slot batch are
 // not yet applied and therefore not part of the trace — record after a
 // final advance has flushed them, or the trace ends at the last

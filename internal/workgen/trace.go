@@ -25,11 +25,12 @@ import (
 // sync.
 
 // traceVersion is the snapshot format version a trace is read in.
-// Version 2 and 3 traces are read too: a version-3 log differs only in
+// Version 2 to 4 traces are read too: a version-3 log differs only in
 // logging each leave at the boundary that hands it to the engine, a
-// version-4 log in doing the same for each join, and all of them replay
-// through the same admission path.
-const traceVersion = 4
+// version-4 log in doing the same for each join, a version-5 snapshot
+// only in leaving out the admission books a trace never read, and all
+// of them replay through the same admission path.
+const traceVersion = 5
 
 // ShardTrace is one shard's recorded state: the engine configuration it
 // ran under, the system it started from, the applied command log in

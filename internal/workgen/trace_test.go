@@ -129,7 +129,7 @@ func TestDecodeTraceErrors(t *testing.T) {
 	if _, err := DecodeTrace(strings.NewReader("[" + okShard + "]")); err != nil {
 		t.Fatalf("the unchanged base shard must decode: %v", err)
 	}
-	for _, v := range []string{"3", "4"} {
+	for _, v := range []string{"3", "4", "5"} {
 		shard := strings.Replace(okShard, `"version":2`, `"version":`+v, 1)
 		if _, err := DecodeTrace(strings.NewReader("[" + shard + "]")); err != nil {
 			t.Fatalf("a version-%s shard must decode: %v", v, err)
@@ -148,7 +148,7 @@ func TestDecodeTraceErrors(t *testing.T) {
 		"null":                 "null\n",
 		"garbage":              "hello world\n",
 		"wrong version":        mut(`"version":2`, `"version":1`),
-		"future version":       mut(`"version":2`, `"version":5`),
+		"future version":       mut(`"version":2`, `"version":6`),
 		"missing version":      mut(`"version":2,`, ``),
 		"missing end":          strings.TrimSuffix(vs, "]\n"),
 		"truncated mid-shard":  vs[:len(vs)/2],
